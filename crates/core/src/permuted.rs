@@ -108,7 +108,7 @@ impl PermutedSynthesisResult {
 }
 
 /// All permutations of `0..n` in lexicographic order (identity first).
-fn permutations(n: u32) -> Vec<Vec<u32>> {
+pub fn permutations(n: u32) -> Vec<Vec<u32>> {
     let mut all = Vec::new();
     let mut current: Vec<u32> = (0..n).collect();
     let mut used = vec![false; n as usize];

@@ -34,6 +34,7 @@
 
 use crate::cache::canonicalize;
 use qsyn_revlogic::Spec;
+use qsyn_store::Fnv1a;
 use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::path::Path;
@@ -73,41 +74,6 @@ pub fn job_key(index: usize, name: &str, spec: &Spec) -> String {
         h.write_u32(row.care);
     }
     format!("{index}:{name}:{:016x}", h.finish())
-}
-
-/// Incremental 64-bit FNV-1a hasher for result digests and spec keys.
-#[derive(Clone, Debug)]
-pub struct Fnv1a(u64);
-
-impl Fnv1a {
-    /// A fresh hasher at the FNV-1a offset basis.
-    pub fn new() -> Fnv1a {
-        Fnv1a(0xcbf2_9ce4_8422_2325)
-    }
-
-    /// Folds `bytes` into the digest.
-    pub fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    /// Folds a `u32` (little-endian) into the digest.
-    pub fn write_u32(&mut self, v: u32) {
-        self.write(&v.to_le_bytes());
-    }
-
-    /// The digest so far.
-    pub fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-impl Default for Fnv1a {
-    fn default() -> Fnv1a {
-        Fnv1a::new()
-    }
 }
 
 /// Append-only journal writer; every [`append`](Self::append) is flushed

@@ -1,6 +1,7 @@
 //! Engine portfolio on top of `qsyn-core`: race the BDD/SAT/QBF engines on
 //! one specification, schedule whole benchmark batches across a worker
-//! pool, and memoize results by canonical spec.
+//! pool, and resolve results by canonical spec through a memo over the
+//! circuit store.
 //!
 //! Three independent pieces, composable but not entangled:
 //!
@@ -10,9 +11,11 @@
 //! * [`scheduler`] — a bounded work queue plus a fixed `--jobs N` worker
 //!   pool with per-job deadlines, graceful shutdown, panic isolation, and
 //!   input-ordered reports.
-//! * [`cache`] — a memo table keyed by the spec's canonical form under
-//!   output permutation; an equivalent request is answered by permuting the
-//!   stored result instead of re-synthesizing.
+//! * [`cache`] — the resolve path: canonicalize under output permutation,
+//!   then answer from the memo, the circuit store or a compute, and
+//!   publish fresh results to both; an equivalent request is answered by
+//!   permuting the class record instead of re-synthesizing. `qsyn batch`
+//!   and the `qsyn-serve` daemon share it.
 //! * [`journal`] — crash-safe batch resume: fsync'd JSONL records of
 //!   completed jobs, replayed by `qsyn batch --resume`.
 //!
@@ -26,7 +29,7 @@ pub mod race;
 pub mod scheduler;
 
 pub use cache::{canonicalize, CanonicalSpec, SpecCache};
-pub use journal::{job_key, read_journal, Fnv1a, JournalRecord, JournalWriter};
+pub use journal::{job_key, read_journal, JournalRecord, JournalWriter};
 pub use race::{
     race, race_engines, race_engines_permuted, RaceError, RaceResult, Racer, RacerOutcome,
     RacerReport, RACE_ENGINES,

@@ -6,13 +6,13 @@
 //! ```text
 //!             TCP (newline-delimited JSON, one object per line)
 //!   client ──────────────► connection thread
-//!                               │ canonicalize + digest
+//!                               │ canonicalize
 //!                               ▼
-//!                        ┌─ in-memory index ─┐   hit: permute stored
-//!                        │ (mirrors the disk │──► circuit, no engine,
-//!                        │  store, if any)   │   no lock on workers
-//!                        └───────┬───────────┘
-//!                           miss │ in-flight dedup (one job per class)
+//!                     ┌─ SpecCache lookup ─┐   hit: compose the stored
+//!                     │ memo, then the     │──► permutation, no engine,
+//!                     │ disk store, if any │   no lock on workers
+//!                     └─────────┬──────────┘
+//!                          miss │ in-flight dedup (one job per class)
 //!                               ▼
 //!                 bounded WorkQueue  ── full ──► rejected (retryable)
 //!                               │ try_push = admission control
@@ -20,8 +20,13 @@
 //!                  worker pool (one SynthesisSession each)
 //!                               │ synthesize_with_output_permutation_in
 //!                               ▼
-//!                  memory index + write-through disk store
+//!                  SpecCache publish: memo, then the disk store
 //! ```
+//!
+//! The lookup and publish halves are `qsyn-portfolio`'s resolve path
+//! ([`SpecCache`]), the same one `qsyn batch` uses: one record derivation,
+//! one validation of stored records (an unusable record is reported,
+//! synthesized fresh and superseded), one permutation composition.
 //!
 //! Three admission-control layers keep the daemon inside its budgets:
 //! the **bounded queue** ([`WorkQueue::try_push`]) bounces cold work when
@@ -37,7 +42,8 @@
 //! Answers are canonical: requests are reduced to their output-permutation
 //! class representative ([`canonicalize`]) before lookup, so any of the
 //! `n!` equivalent phrasings of a function hits the same record, and the
-//! reply's permutation is composed per-request from the stored witness.
+//! reply's permutation is composed per-request from the canonicalization
+//! witness.
 //!
 //! # Connection lifecycle
 //!
@@ -73,9 +79,10 @@ use qsyn_core::permuted::{synthesize_with_output_permutation_in, PermutedSynthes
 use qsyn_core::{
     CancelToken, Engine, GateLibrary, SynthesisError, SynthesisOptions, SynthesisSession,
 };
-use qsyn_portfolio::{canonicalize, WorkQueue};
-use qsyn_revlogic::{cost, real, Spec};
-use qsyn_store::{spec_digest, PutOutcome, Store, StoredCircuit};
+use qsyn_portfolio::cache::Lookup;
+use qsyn_portfolio::{canonicalize, SpecCache, WorkQueue};
+use qsyn_revlogic::Spec;
+use qsyn_store::{Store, StoredCircuit};
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::{TcpListener, TcpStream};
@@ -161,11 +168,6 @@ pub enum ServeError {
     WorkerPanicked,
     /// The daemon is draining; no new work is accepted.
     ShuttingDown,
-    /// Two distinct functions collided on one 64-bit store digest.
-    Collision {
-        /// The shared digest.
-        digest: u64,
-    },
 }
 
 impl ServeError {
@@ -178,7 +180,7 @@ impl ServeError {
                 e,
                 SynthesisError::BudgetExceeded { .. } | SynthesisError::Cancelled { .. }
             ),
-            ServeError::WorkerPanicked | ServeError::Collision { .. } => false,
+            ServeError::WorkerPanicked => false,
         }
     }
 }
@@ -192,10 +194,6 @@ impl std::fmt::Display for ServeError {
             ServeError::Synthesis(e) => write!(f, "synthesis failed: {e}"),
             ServeError::WorkerPanicked => write!(f, "internal: synthesis worker panicked"),
             ServeError::ShuttingDown => write!(f, "shutting down"),
-            ServeError::Collision { digest } => write!(
-                f,
-                "digest collision on {digest:016x}: refusing to serve a possibly-wrong circuit"
-            ),
         }
     }
 }
@@ -239,7 +237,6 @@ pub struct ServedResult {
 /// One scheduled cold miss.
 struct Job {
     canonical: Spec,
-    digest: u64,
     name: String,
     /// Run the full output-permutation search (`false` for plain preload
     /// fills — see [`ServeConfig::preload_permute`]).
@@ -281,21 +278,17 @@ impl Slot {
 /// Shared state between connection threads and workers.
 struct Shared {
     queue: WorkQueue<Job>,
-    /// Canonical records by digest; mirrors the disk store when one is
-    /// attached and is the whole database otherwise.
-    index: Mutex<HashMap<u64, Arc<StoredCircuit>>>,
-    /// Classes currently being synthesized. Lock order: `inflight` may
-    /// nest `index` inside it; never the reverse.
-    inflight: Mutex<HashMap<u64, Arc<Slot>>>,
-    /// The write-through disk store, if any.
-    store: Option<Mutex<Store>>,
+    /// The resolve path: memo over the disk store (if any), keyed by
+    /// canonical spec and this daemon's gate-library tag, so a store file
+    /// shared across differently-configured daemons never replays a
+    /// wrong minimum.
+    cache: SpecCache,
+    /// Classes currently being synthesized, by canonical spec. Lock
+    /// order: `inflight` may nest the memo inside it (never the store
+    /// mutex); never the reverse.
+    inflight: Mutex<HashMap<Spec, Arc<Slot>>>,
     metrics: Metrics,
     options: SynthesisOptions,
-    /// This daemon's store key tag ([`qsyn_store::library_config`]):
-    /// lookups and fresh records are keyed by `(spec, config)`, so a
-    /// store file shared across differently-configured daemons never
-    /// replays a wrong minimum.
-    config: String,
     /// [`ServeConfig::preload_permute`]: whether preload fills run the
     /// output-permutation search.
     preload_permute: bool,
@@ -318,15 +311,10 @@ pub struct ServeCore {
 }
 
 impl ServeCore {
-    /// Boots the core: loads `store`'s records into the in-memory index
-    /// (if given) and starts the worker pool.
+    /// Boots the core over `store` (if given) and starts the worker
+    /// pool. Stored records are read lazily, on the first request for
+    /// their class.
     pub fn start(config: &ServeConfig, store: Option<Store>) -> ServeCore {
-        let mut index = HashMap::new();
-        if let Some(s) = &store {
-            for r in s.records() {
-                index.insert(r.digest, Arc::new(r.clone()));
-            }
-        }
         let options =
             SynthesisOptions::new(config.library, config.engine).with_max_depth(config.max_depth);
         let options = match config.time_budget {
@@ -335,12 +323,10 @@ impl ServeCore {
         };
         let shared = Arc::new(Shared {
             queue: WorkQueue::bounded(config.queue_capacity.max(1)),
-            index: Mutex::new(index),
+            cache: SpecCache::with_store(store, &qsyn_store::library_config(config.library)),
             inflight: Mutex::new(HashMap::new()),
-            store: store.map(Mutex::new),
             metrics: Metrics::new(),
             options,
-            config: qsyn_store::library_config(config.library),
             preload_permute: config.preload_permute,
             read_timeout: config.read_timeout,
             write_timeout: config.write_timeout,
@@ -391,15 +377,24 @@ impl ServeCore {
             outcome
         };
         let canonical = canonicalize(spec);
-        let digest = spec_digest(&canonical.spec, &self.shared.config);
-        if let Some(record) = self.lookup(digest, &canonical.spec)? {
+        let answer = |source, record: Arc<StoredCircuit>| ServedResult {
+            source,
+            permutation: canonical.compose(&record.permutation),
+            record,
+            elapsed: start.elapsed(),
+        };
+        let hit = |record| {
             Metrics::inc(&m.hits);
-            return finish(Ok(ServedResult {
-                source: Source::Store,
-                permutation: compose(&canonical.witness, &record.permutation),
-                record,
-                elapsed: start.elapsed(),
-            }));
+            finish(Ok(answer(Source::Store, record)))
+        };
+        match self.shared.cache.lookup(&canonical.spec) {
+            Lookup::Hit(record) => return hit(record),
+            Lookup::Miss(Some(reason)) => {
+                eprintln!(
+                    "qsyn-serve: store record skipped for {name}: {reason} (synthesized fresh)"
+                );
+            }
+            Lookup::Miss(None) => {}
         }
         if self.shared.closing.load(Ordering::SeqCst) {
             m.latency.record(start.elapsed().as_micros() as u64);
@@ -407,26 +402,19 @@ impl ServeCore {
         }
         let slot = {
             let mut inflight = self.shared.inflight.lock().expect("inflight lock");
-            // Re-check under the lock: a worker publishes to the index
-            // *before* retiring its in-flight entry, so a class absent
-            // from both is genuinely cold.
-            if let Some(record) = self.lookup(digest, &canonical.spec)? {
-                Metrics::inc(&m.hits);
-                return finish(Ok(ServedResult {
-                    source: Source::Store,
-                    permutation: compose(&canonical.witness, &record.permutation),
-                    record,
-                    elapsed: start.elapsed(),
-                }));
+            // Re-check the memo under the lock: a worker publishes to the
+            // memo *before* retiring its in-flight entry, so a class
+            // absent from both is genuinely cold.
+            if let Some(record) = self.shared.cache.memo_get(&canonical.spec) {
+                return hit(record);
             }
-            if let Some(slot) = inflight.get(&digest) {
+            if let Some(slot) = inflight.get(&canonical.spec) {
                 Metrics::inc(&m.inflight_dedup);
                 Arc::clone(slot)
             } else {
                 let slot = Arc::new(Slot::new());
                 let job = Job {
                     canonical: canonical.spec.clone(),
-                    digest,
                     name: name.to_string(),
                     permute,
                     slot: Arc::clone(&slot),
@@ -439,17 +427,11 @@ impl ServeCore {
                     });
                 }
                 Metrics::inc(&m.misses);
-                inflight.insert(digest, Arc::clone(&slot));
+                inflight.insert(canonical.spec.clone(), Arc::clone(&slot));
                 slot
             }
         };
-        let record = slot.wait();
-        finish(record.map(|record| ServedResult {
-            source: Source::Engine,
-            permutation: compose(&canonical.witness, &record.permutation),
-            record,
-            elapsed: start.elapsed(),
-        }))
+        finish(slot.wait().map(|record| answer(Source::Engine, record)))
     }
 
     /// Warm-start: runs `jobs` through the normal request path (so
@@ -480,30 +462,12 @@ impl ServeCore {
         (served, failed)
     }
 
-    /// Index/store lookup for a canonical spec.
-    fn lookup(
-        &self,
-        digest: u64,
-        canonical: &Spec,
-    ) -> Result<Option<Arc<StoredCircuit>>, ServeError> {
-        match self.shared.index.lock().expect("index lock").get(&digest) {
-            None => Ok(None),
-            Some(r) if r.matches_spec(canonical, &self.shared.config) => Ok(Some(Arc::clone(r))),
-            Some(_) => Err(ServeError::Collision { digest }),
-        }
-    }
-
     /// Counters + store gauges, for `STATS` and `--stats`.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let (records, bytes) = match &self.shared.store {
-            Some(store) => {
-                let s = store.lock().expect("store lock");
-                (s.len() as u64, s.file_bytes())
-            }
-            None => (
-                self.shared.index.lock().expect("index lock").len() as u64,
-                0,
-            ),
+        let cache = &self.shared.cache;
+        let (records, bytes) = match cache.store_stats() {
+            Some(s) => (s.records as u64, s.file_bytes),
+            None => (cache.len() as u64, 0),
         };
         self.shared.metrics.snapshot(records, bytes)
     }
@@ -517,24 +481,17 @@ impl ServeCore {
     /// `(message, retryable)`: not-retryable when no store is attached,
     /// otherwise per [`qsyn_store::StoreError::is_retryable`].
     pub fn compact_store(&self) -> Result<CompactionReport, (String, bool)> {
-        let Some(store) = &self.shared.store else {
-            return Err((
+        let no_store = || {
+            (
                 "no circuit store attached to this daemon".to_string(),
                 false,
-            ));
+            )
         };
-        // fsync + rename under the store mutex: the same durability
-        // serialization point as `publish`, waived in
-        // xtask/concheck-allowlist.txt (blocking-under-lock).
-        let mut store = store.lock().expect("store lock");
-        match store.compact() {
-            Ok(report) => {
-                Metrics::inc(&self.shared.metrics.compactions);
-                Metrics::add(&self.shared.metrics.reclaimed_bytes, report.reclaimed());
-                Ok(report)
-            }
-            Err(e) => Err((e.to_string(), e.is_retryable())),
-        }
+        let report = (self.shared.cache.compact_store().ok_or_else(no_store)?)
+            .map_err(|e| (e.to_string(), e.is_retryable()))?;
+        Metrics::inc(&self.shared.metrics.compactions);
+        Metrics::add(&self.shared.metrics.reclaimed_bytes, report.reclaimed());
+        Ok(report)
     }
 
     /// Flags the daemon as draining: subsequent cold misses are refused
@@ -611,52 +568,16 @@ pub fn install_drain_signals() {
     }
 }
 
-/// Composes the per-request output permutation: canonical line `i`
-/// carries requested line `j`'s function for `i = witness[j]`, and the
-/// stored circuit output `q[i]` drives canonical line `i`, so the output
-/// driving requested line `j` is `q[witness[j]]` (the same composition
-/// as `SpecCache::get_or_compute`).
-fn compose(witness: &[u32], q: &[u32]) -> Vec<u32> {
-    witness.iter().map(|&i| q[i as usize]).collect()
-}
-
-/// Builds the persistent record for a finished canonical-spec synthesis.
-fn record_of(
-    canonical: &Spec,
-    config: &str,
-    name: &str,
-    r: &PermutedSynthesisResult,
-) -> StoredCircuit {
-    let solutions = r.result.solutions();
-    let best = solutions.best_by_quantum_cost();
-    StoredCircuit::for_spec(
-        canonical,
-        config,
-        name,
-        r.result.depth(),
-        cost::circuit_cost(best),
-        solutions.count(),
-        solutions.count_is_exact(),
-        r.permutation.clone(),
-        real::write_real(best),
-    )
-}
-
 /// The worker loop: pop cold jobs, synthesize under the per-job governor
-/// budgets, publish to index + store, fill the waiters' slot.
+/// budgets, publish through the cache (memo, then store), fill the
+/// waiters' slot.
 fn worker_loop(shared: &Arc<Shared>) {
     let mut session = SynthesisSession::new();
     while let Some(job) = shared.queue.pop() {
         // The class may have landed while this job sat in the queue
         // (preload + concurrent client): serve it without an engine.
-        let existing = shared
-            .index
-            .lock()
-            .expect("index lock")
-            .get(&job.digest)
-            .cloned();
-        if let Some(record) = existing {
-            publish(shared, job, Ok(record), false);
+        if let Some(record) = shared.cache.memo_get(&job.canonical) {
+            publish(shared, job, Ok(record));
             continue;
         }
         Metrics::inc(&shared.metrics.engine_invocations);
@@ -681,64 +602,35 @@ fn worker_loop(shared: &Arc<Shared>) {
         }));
         match outcome {
             Ok(Ok(r)) => {
-                let record = Arc::new(record_of(&job.canonical, &shared.config, &job.name, &r));
-                publish(shared, job, Ok(record), true);
+                let (record, write_error) = shared.cache.publish(&job.canonical, &job.name, &r);
+                if let Some(e) = write_error {
+                    // Served from memory regardless; the record is
+                    // re-synthesized after a restart. Count it.
+                    Metrics::inc(&shared.metrics.errors);
+                    eprintln!("qsyn-serve: store write failed for {}: {e}", job.name);
+                }
+                publish(shared, job, Ok(record));
             }
-            Ok(Err(e)) => publish(shared, job, Err(ServeError::Synthesis(e)), false),
+            Ok(Err(e)) => publish(shared, job, Err(ServeError::Synthesis(e))),
             Err(_) => {
                 // The session may hold poisoned engine state; replace it.
                 session = SynthesisSession::new();
-                publish(shared, job, Err(ServeError::WorkerPanicked), false);
+                publish(shared, job, Err(ServeError::WorkerPanicked));
             }
         }
     }
 }
 
-/// Publishes a finished job: index insert and store write-through (when
-/// `fresh`), then slot fill and in-flight retirement — in that order, so
-/// a request that misses both index and in-flight map is genuinely cold.
-fn publish(
-    shared: &Arc<Shared>,
-    job: Job,
-    outcome: Result<Arc<StoredCircuit>, ServeError>,
-    fresh: bool,
-) {
-    if let Ok(record) = &outcome {
-        shared
-            .index
-            .lock()
-            .expect("index lock")
-            .insert(job.digest, Arc::clone(record));
-        if fresh {
-            if let Some(store) = &shared.store {
-                // fsync under the store mutex is the durability
-                // serialization point — waived in
-                // xtask/concheck-allowlist.txt (blocking-under-lock).
-                let mut store = store.lock().expect("store lock");
-                let mut attempt = store.put((**record).clone());
-                if attempt.as_ref().is_err_and(|e| e.is_retryable()) {
-                    attempt = store.put((**record).clone());
-                }
-                match attempt {
-                    Ok(
-                        PutOutcome::Inserted | PutOutcome::AlreadyPresent | PutOutcome::Superseded,
-                    ) => {}
-                    Err(e) => {
-                        // Served from memory regardless; the record is
-                        // re-synthesized after a restart. Count it.
-                        Metrics::inc(&shared.metrics.errors);
-                        eprintln!("qsyn-serve: store write failed for {}: {e}", job.name);
-                    }
-                }
-            }
-        }
-    }
+/// Publishes a finished job to its waiters: slot fill, then in-flight
+/// retirement. A successful record is already in the memo, so a request
+/// that misses both the memo and the in-flight map is genuinely cold.
+fn publish(shared: &Arc<Shared>, job: Job, outcome: Result<Arc<StoredCircuit>, ServeError>) {
     job.slot.fill(outcome);
     shared
         .inflight
         .lock()
         .expect("inflight lock")
-        .remove(&job.digest);
+        .remove(&job.canonical);
 }
 
 /// How often the (non-blocking) accept loop re-checks its stop flags
@@ -786,29 +678,23 @@ pub fn serve_tcp(listener: TcpListener, core: &Arc<ServeCore>) -> std::io::Resul
             refuse_connection(stream, shared.write_timeout);
             continue;
         }
-        shared.active_connections.fetch_add(1, Ordering::SeqCst);
-        let conn_core = Arc::clone(core);
+        // The slot is released when the thread's closure is dropped: on
+        // return, on unwind, or — when the spawn itself fails — by the
+        // failed spawn dropping the unrun closure.
+        let slot = ConnectionSlot::reserve(core);
         let spawned = std::thread::Builder::new()
             .name("qsyn-serve-conn".to_string())
             .spawn(move || {
-                if let Err(e) = handle_connection(stream, &conn_core) {
+                if let Err(e) = handle_connection(stream, &slot.0) {
                     eprintln!("qsyn-serve: connection error: {e}");
                 }
-                conn_core
-                    .shared
-                    .active_connections
-                    .fetch_sub(1, Ordering::SeqCst);
             });
         match spawned {
             Ok(handle) => {
                 connections.push(handle);
                 connections.retain(|h| !h.is_finished());
             }
-            Err(e) => {
-                // Undo the reservation; the socket just closes.
-                shared.active_connections.fetch_sub(1, Ordering::SeqCst);
-                eprintln!("qsyn-serve: spawn failed: {e}");
-            }
+            Err(e) => eprintln!("qsyn-serve: spawn failed: {e}"),
         }
     }
     // Drain: connection threads finish their in-flight requests (workers
@@ -818,6 +704,29 @@ pub fn serve_tcp(listener: TcpListener, core: &Arc<ServeCore>) -> std::io::Resul
         let _ = h.join();
     }
     Ok(core.stop())
+}
+
+/// One reserved connection slot of the [`ServeConfig::max_connections`]
+/// cap, held by the connection thread and released on drop — so a
+/// connection thread that unwinds cannot leak its slot.
+struct ConnectionSlot(Arc<ServeCore>);
+
+impl ConnectionSlot {
+    fn reserve(core: &Arc<ServeCore>) -> ConnectionSlot {
+        core.shared
+            .active_connections
+            .fetch_add(1, Ordering::SeqCst);
+        ConnectionSlot(Arc::clone(core))
+    }
+}
+
+impl Drop for ConnectionSlot {
+    fn drop(&mut self) {
+        self.0
+            .shared
+            .active_connections
+            .fetch_sub(1, Ordering::SeqCst);
+    }
 }
 
 /// Answers an over-cap accept with one retryable `overloaded` line,
@@ -1079,7 +988,7 @@ pub fn roundtrip(addr: &str, line: &str) -> std::io::Result<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qsyn_revlogic::Permutation;
+    use qsyn_revlogic::{real, Circuit, Permutation};
 
     fn cnot_spec() -> Spec {
         Spec::from_permutation(&Permutation::from_map(2, vec![0, 3, 2, 1]))
@@ -1226,6 +1135,136 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The served circuit, read through the served permutation, must
+    /// reproduce `spec` on every cared bit.
+    fn assert_realizes(spec: &Spec, circuit: &str, permutation: &[u32]) {
+        let circuit = real::parse_real(circuit).unwrap();
+        for row in 0..spec.num_rows() as u32 {
+            let out = circuit.simulate(row);
+            let sr = spec.row(row);
+            for (j, &p) in permutation.iter().enumerate() {
+                if sr.care & (1 << j) != 0 {
+                    assert_eq!((out >> p) & 1, (sr.value >> j) & 1, "row {row} line {j}");
+                }
+            }
+        }
+    }
+
+    /// A store at a fresh temp path holding `bad` for 3_17's class.
+    fn store_with_bad_3_17_record(tag: &str, bad: BadRecord) -> std::path::PathBuf {
+        let path = std::env::temp_dir().join(format!(
+            "qsyn-serve-bad-{tag}-{}.qstore",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_file(&path);
+        let canonical = canonicalize(&bench_3_17()).spec;
+        Store::open(&path).unwrap().put(bad(&canonical)).unwrap();
+        path
+    }
+
+    type BadRecord = fn(&Spec) -> StoredCircuit;
+
+    fn bench_3_17() -> Spec {
+        qsyn_revlogic::benchmarks::by_name("3_17").unwrap().spec
+    }
+
+    /// Zero solutions and no circuit: a record that can never replay.
+    fn zero_solution_record(canonical: &Spec) -> StoredCircuit {
+        StoredCircuit::for_spec(
+            canonical,
+            "MCT",
+            "3_17",
+            0,
+            0,
+            0,
+            true,
+            (0..canonical.lines()).collect(),
+            String::new(),
+        )
+    }
+
+    /// A parsable circuit with a permutation covering one line of three.
+    fn short_permutation_record(canonical: &Spec) -> StoredCircuit {
+        StoredCircuit::for_spec(
+            canonical,
+            "MCT",
+            "3_17",
+            0,
+            0,
+            1,
+            true,
+            vec![0],
+            real::write_real(&Circuit::new(canonical.lines())),
+        )
+    }
+
+    #[test]
+    fn unusable_stored_records_are_resynthesized_and_superseded() {
+        let bad_records: [(&str, BadRecord); 2] = [
+            ("zero", zero_solution_record),
+            ("short", short_permutation_record),
+        ];
+        for (tag, bad) in bad_records {
+            let path = store_with_bad_3_17_record(tag, bad);
+            let core = ServeCore::start(&quick_config(), Some(Store::open(&path).unwrap()));
+            let spec = bench_3_17();
+            let served = core.request("3_17", &spec).unwrap();
+            assert_eq!(served.source, Source::Engine, "{tag}");
+            assert_eq!(served.record.depth, 5, "{tag}");
+            assert_realizes(&spec, &served.record.circuit, &served.permutation);
+            core.stop();
+
+            // The fresh record superseded the bad one on disk.
+            let store = Store::open(&path).unwrap();
+            let canonical = canonicalize(&spec).spec;
+            let stored = store.get(&canonical, "MCT").unwrap().unwrap();
+            assert_eq!(stored.depth, 5, "{tag}");
+            assert!(stored.solution_count > 0, "{tag}");
+            assert_eq!(stored.permutation.len(), 3, "{tag}");
+            assert!(store.dead_bytes() > 0, "{tag}: the bad frame is dead bytes");
+            store.verify().unwrap();
+            let _ = std::fs::remove_file(&path);
+        }
+    }
+
+    #[test]
+    fn unusable_stored_record_over_tcp_answers_and_frees_its_connection() {
+        let path = store_with_bad_3_17_record("tcp", short_permutation_record);
+        let (addr, core, server) = boot_tcp(&quick_config(), Some(Store::open(&path).unwrap()));
+        let line = protocol::render_synth_request(None, None, Some("3_17"));
+        let reply = protocol::parse_synth_reply(&roundtrip(&addr, &line).unwrap()).unwrap();
+        assert_eq!(reply.source, "engine");
+        assert_eq!(reply.depth, 5);
+        assert_realizes(&bench_3_17(), &reply.circuit, &reply.permutation);
+        // The connection thread observes the client's close and releases
+        // its slot.
+        let active = || core.shared.active_connections.load(Ordering::SeqCst);
+        for _ in 0..250 {
+            if active() == 0 {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        assert_eq!(active(), 0);
+        roundtrip(&addr, &protocol::render_verb_request("shutdown")).unwrap();
+        server.join().unwrap();
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn connection_slot_is_released_when_its_thread_panics() {
+        let core = Arc::new(ServeCore::start(&quick_config(), None));
+        let slot = ConnectionSlot::reserve(&core);
+        assert_eq!(core.shared.active_connections.load(Ordering::SeqCst), 1);
+        let unwound = std::thread::spawn(move || {
+            let _slot = slot;
+            panic!("connection thread unwinds");
+        })
+        .join();
+        assert!(unwound.is_err());
+        assert_eq!(core.shared.active_connections.load(Ordering::SeqCst), 0);
     }
 
     #[test]

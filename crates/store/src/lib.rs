@@ -149,14 +149,48 @@ fn sync_parent_dir(path: &Path) -> std::io::Result<()> {
 /// beyond it is treated as torn-tail garbage, not an allocation request.
 const MAX_RECORD_BYTES: u32 = 1 << 24;
 
-/// 64-bit FNV-1a over `bytes`.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+/// Incremental 64-bit FNV-1a — the workspace's one content hasher: store
+/// record checksums and spec digests here, batch journal keys and result
+/// digests in `qsyn-portfolio`.
+#[derive(Clone, Debug)]
+pub struct Fnv1a(u64);
+
+impl Fnv1a {
+    /// A fresh hasher at the FNV-1a offset basis.
+    pub fn new() -> Fnv1a {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
     }
-    h
+
+    /// The digest of `bytes` in one call.
+    pub fn hash(bytes: &[u8]) -> u64 {
+        let mut h = Fnv1a::new();
+        h.write(bytes);
+        h.finish()
+    }
+
+    /// Folds `bytes` into the digest.
+    pub fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    /// Folds a `u32` (little-endian) into the digest.
+    pub fn write_u32(&mut self, v: u32) {
+        self.write(&v.to_le_bytes());
+    }
+
+    /// The digest so far.
+    pub fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+impl Default for Fnv1a {
+    fn default() -> Fnv1a {
+        Fnv1a::new()
+    }
 }
 
 /// The store key of a specification under a synthesis configuration:
@@ -166,14 +200,14 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// one record, and the tag from [`library_config`] so minima computed
 /// under different gate libraries never answer for each other.
 pub fn spec_digest(spec: &Spec, config: &str) -> u64 {
-    let mut bytes = Vec::with_capacity(4 + spec.num_rows() * 8 + config.len());
-    bytes.extend_from_slice(&spec.lines().to_le_bytes());
+    let mut h = Fnv1a::new();
+    h.write_u32(spec.lines());
     for row in spec.rows() {
-        bytes.extend_from_slice(&row.value.to_le_bytes());
-        bytes.extend_from_slice(&row.care.to_le_bytes());
+        h.write_u32(row.value);
+        h.write_u32(row.care);
     }
-    bytes.extend_from_slice(config.as_bytes());
-    fnv1a(&bytes)
+    h.write(config.as_bytes());
+    h.finish()
 }
 
 /// The canonical config tag for a gate library: its display label plus a
@@ -739,7 +773,7 @@ impl Store {
         let mut framed = Vec::with_capacity(payload.len() + 12);
         framed.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         framed.extend_from_slice(&payload);
-        framed.extend_from_slice(&fnv1a(&payload).to_le_bytes());
+        framed.extend_from_slice(&Fnv1a::hash(&payload).to_le_bytes());
         // One write call for the whole frame: a crash window tears at most
         // this record, which open() then truncates away.
         let written = self
@@ -787,7 +821,7 @@ impl Store {
             let payload = encode_record(r);
             out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
             out.extend_from_slice(&payload);
-            out.extend_from_slice(&fnv1a(&payload).to_le_bytes());
+            out.extend_from_slice(&Fnv1a::hash(&payload).to_le_bytes());
         }
         let tmp = temp_compaction_path(&self.path);
         {
@@ -978,7 +1012,7 @@ fn read_record_at(bytes: &[u8], pos: usize) -> Option<(StoredCircuit, usize)> {
     let payload = bytes.get(pos + 4..pos + 4 + len)?;
     let checksum_bytes = bytes.get(pos + 4 + len..pos + 12 + len)?;
     let checksum = u64::from_le_bytes(checksum_bytes.try_into().expect("8-byte slice"));
-    if fnv1a(payload) != checksum {
+    if Fnv1a::hash(payload) != checksum {
         return None;
     }
     let record = decode_record(payload)?;
@@ -1160,6 +1194,27 @@ mod tests {
     }
 
     #[test]
+    fn fnv1a_matches_the_published_test_vectors() {
+        assert_eq!(Fnv1a::hash(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(Fnv1a::hash(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(Fnv1a::hash(b"foobar"), 0x8594_4171_f739_67e8);
+        // Incremental writes equal one-shot hashing of the concatenation;
+        // `write_u32` folds little-endian bytes.
+        let mut h = Fnv1a::new();
+        h.write(b"foo");
+        h.write(b"bar");
+        assert_eq!(h.finish(), Fnv1a::hash(b"foobar"));
+        let mut h = Fnv1a::new();
+        h.write_u32(u32::from_le_bytes(*b"abcd"));
+        assert_eq!(h.finish(), Fnv1a::hash(b"abcd"));
+        // The key layout (line count, then `(value, care)` per row, then the
+        // tag, integers little-endian) is pinned so existing stores keep
+        // their keys.
+        let cnot = Spec::from_permutation(&Permutation::from_map(2, vec![0, 3, 2, 1]));
+        assert_eq!(spec_digest(&cnot, "MCT"), 0x63cd_47c4_5549_17b9);
+    }
+
+    #[test]
     fn open_put_get_survives_reopen() {
         let path = temp_path("roundtrip");
         let _ = std::fs::remove_file(&path);
@@ -1236,7 +1291,7 @@ mod tests {
         framed.extend_from_slice(MAGIC);
         framed.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         framed.extend_from_slice(&payload);
-        framed.extend_from_slice(&fnv1a(&payload).to_le_bytes());
+        framed.extend_from_slice(&Fnv1a::hash(&payload).to_le_bytes());
         std::fs::write(&path, framed).unwrap();
         let store = Store::open(&path).unwrap();
         assert!(matches!(
@@ -1306,7 +1361,7 @@ mod tests {
             let payload = encode_record(r);
             bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
             bytes.extend_from_slice(&payload);
-            bytes.extend_from_slice(&fnv1a(&payload).to_le_bytes());
+            bytes.extend_from_slice(&Fnv1a::hash(&payload).to_le_bytes());
         }
         std::fs::write(&path, bytes).unwrap();
         assert!(matches!(
@@ -1338,7 +1393,7 @@ mod tests {
         bytes.extend_from_slice(MAGIC);
         bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         bytes.extend_from_slice(&payload);
-        bytes.extend_from_slice(&fnv1a(&payload).to_le_bytes());
+        bytes.extend_from_slice(&Fnv1a::hash(&payload).to_le_bytes());
         std::fs::write(&path, bytes).unwrap();
         let store = Store::open(&path).unwrap();
         let err = store.verify().unwrap_err();

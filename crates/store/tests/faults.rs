@@ -11,6 +11,15 @@
 use qsyn_faults::FaultPlane;
 use qsyn_revlogic::{Permutation, Spec};
 use qsyn_store::{PutOutcome, Store, StoreError, StoredCircuit};
+use std::sync::{Mutex, MutexGuard};
+
+/// The plane is process-global and the test harness runs these tests on
+/// parallel threads; serialize the tests that arm it.
+static PLANE_TESTS: Mutex<()> = Mutex::new(());
+
+fn plane_lock() -> MutexGuard<'static, ()> {
+    PLANE_TESTS.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 /// Three distinct single-gate functions, each with its realizing circuit.
 const JOBS: [(&[u32; 4], &str); 3] = [
@@ -37,6 +46,7 @@ fn record(job: usize, name: &str) -> StoredCircuit {
 
 #[test]
 fn injected_append_fault_is_retryable_and_never_corrupts() {
+    let _plane = plane_lock();
     let path =
         std::env::temp_dir().join(format!("qsyn-store-faults-{}.qstore", std::process::id()));
     let _ = std::fs::remove_file(&path);
@@ -88,6 +98,7 @@ fn injected_append_fault_is_retryable_and_never_corrupts() {
 
 #[test]
 fn injected_compaction_fault_is_retryable_and_loses_nothing() {
+    let _plane = plane_lock();
     let path = std::env::temp_dir().join(format!(
         "qsyn-store-faults-compact-{}.qstore",
         std::process::id()

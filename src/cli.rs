@@ -23,8 +23,8 @@
 //! The argument grammar is deliberately tiny and fully testable; see
 //! [`Command::parse`].
 
-use crate::portfolio::cache::{canonicalize, SpecCache};
-use crate::portfolio::journal::{job_key, read_journal, Fnv1a, JournalRecord, JournalWriter};
+use crate::portfolio::cache::{SpecCache, StoreIssue};
+use crate::portfolio::journal::{job_key, read_journal, JournalRecord, JournalWriter};
 use crate::portfolio::race::{race_engines, race_engines_permuted};
 use crate::portfolio::scheduler::{run_batch, BatchConfig, JobStatus};
 use crate::revlogic::{benchmarks, cost, real, spec_format, GateLibrary, Spec};
@@ -32,14 +32,13 @@ use crate::serve::{
     install_drain_signals, protocol, roundtrip_with_retry, serve_tcp, RetryOutcome, ServeConfig,
     ServeCore,
 };
-use crate::store::{Store, StoredCircuit};
+use crate::store::{Fnv1a, Store};
 use crate::synth::permuted::PermutedSynthesisResult;
 use crate::synth::{
     equivalence, permuted, run_with_retry, synthesize, Attempt, CancelToken, Engine, RetryPolicy,
-    SolutionSet, SynthesisError, SynthesisOptions, SynthesisResult, SynthesisSession,
+    SynthesisError, SynthesisOptions, SynthesisSession,
 };
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -61,8 +60,6 @@ pub enum Command {
         target: String,
         /// Worker threads (`--jobs N`).
         jobs: usize,
-        /// Disable the canonical-spec result cache (`--no-cache`).
-        no_cache: bool,
         /// Append each completed job to this fsync'd JSONL journal
         /// (`--journal FILE`), enabling crash-safe resume.
         journal: Option<String>,
@@ -415,7 +412,6 @@ OPTIONS (synth/bench/batch):
 
 OPTIONS (batch only):
   --jobs N                   worker threads              [default: 1]
-  --no-cache                 disable the canonical-spec result cache
   --journal FILE             append each completed job to FILE (fsync'd
                              JSONL), enabling crash-safe resume
   --resume                   skip jobs already recorded in --journal,
@@ -436,7 +432,7 @@ OPTIONS (batch only):
 OPTIONS (serve only):
   --store FILE               persistent circuit database (crash-safe,
                              append-only; reopened state is served as hits)
-  --preload <suite|dir|list> warm the index before accepting connections
+  --preload <suite|dir|list> warm the cache before accepting connections
                              (batch target grammar); preload fills run
                              plain synthesis of each canonical spec
   --preload-permute          run the full output-permutation search during
@@ -540,7 +536,6 @@ impl Command {
                 let target = args.next().ok_or("batch: missing target")?;
                 let mut config = SynthConfig::default();
                 let mut jobs = 1usize;
-                let mut no_cache = false;
                 let mut journal = None;
                 let mut resume = false;
                 let mut store = None;
@@ -555,7 +550,6 @@ impl Command {
                                 return Err("--jobs must be at least 1".to_string());
                             }
                         }
-                        "--no-cache" => no_cache = true,
                         "--journal" => {
                             journal = Some(args.next().ok_or("--journal needs a file")?);
                         }
@@ -585,7 +579,6 @@ impl Command {
                 Ok(Command::Batch {
                     target,
                     jobs,
-                    no_cache,
                     journal,
                     resume,
                     store,
@@ -966,7 +959,6 @@ pub fn run(cmd: &Command, out: &mut dyn std::io::Write) -> std::io::Result<i32> 
         Command::Batch {
             target,
             jobs,
-            no_cache,
             journal,
             resume,
             store,
@@ -975,7 +967,6 @@ pub fn run(cmd: &Command, out: &mut dyn std::io::Write) -> std::io::Result<i32> 
         } => run_batch_command(
             target,
             *jobs,
-            *no_cache,
             journal.as_deref(),
             *resume,
             store.as_deref(),
@@ -1429,7 +1420,6 @@ fn result_digest(p: &PermutedSynthesisResult) -> String {
 fn run_batch_command(
     target: &str,
     jobs: usize,
-    no_cache: bool,
     journal: Option<&str>,
     resume: bool,
     store_path: Option<&str>,
@@ -1454,25 +1444,26 @@ fn run_batch_command(
         Err(e) => return fail(out, &e),
     };
     let engine = config.engine;
-    let cache = if no_cache || no_permute {
-        // The cache is keyed by permutation class; a --no-permute answer
-        // is specific to its job's output labeling, so sharing it across
-        // the class would hand class members a wrongly-labeled circuit.
+    // Every class-keyed answer goes through the resolve path (memo, then
+    // the persistent store when given, then the engine). A --no-permute
+    // answer is specific to its job's output labeling, so it bypasses the
+    // path: sharing it across the class would hand class members a
+    // wrongly-labeled circuit.
+    let cache = if no_permute {
         None
     } else {
-        Some(SpecCache::new())
+        let store = match store_path {
+            Some(path) => match Store::open(std::path::Path::new(path)) {
+                Ok(s) => Some(s),
+                Err(e) => return fail(out, &format!("{path}: {e}")),
+            },
+            None => None,
+        };
+        Some(SpecCache::with_store(store, &store_tag))
     };
-    // The persistent circuit database sits below the in-memory cache:
-    // only a class the cache has not seen this run consults the store,
-    // and only an engine-computed result is appended.
-    let store = match store_path {
-        Some(path) => match Store::open(std::path::Path::new(path)) {
-            Ok(s) => Some(Mutex::new(s)),
-            Err(e) => return fail(out, &format!("{path}: {e}")),
-        },
-        None => None,
-    };
-    let store_report = StoreReport::default();
+    // Store problems the resolve path worked around, by job name; reported
+    // after the table.
+    let store_issues: Mutex<Vec<(String, StoreIssue)>> = Mutex::new(Vec::new());
     let batch_config = BatchConfig {
         workers: jobs,
         per_job_timeout: config.timeout.map(Duration::from_secs),
@@ -1548,15 +1539,18 @@ fn run_batch_command(
                 }
             }
         };
-        let compute = |s: &Spec| match &store {
-            Some(db) => {
-                store_or_compute(db, s, &job.name, &store_tag, &store_report, engine_compute)
-            }
-            None => engine_compute(s),
-        };
         let result = match &cache {
-            Some(c) => c.get_or_compute(&job.spec, compute),
-            None => compute(&job.spec),
+            Some(c) => c
+                .resolve(&job.spec, &job.name, engine_compute)
+                .map(|(p, issues)| {
+                    let named = issues.into_iter().map(|i| (job.name.clone(), i));
+                    store_issues
+                        .lock()
+                        .expect("store issues lock")
+                        .extend(named);
+                    p
+                }),
+            None => engine_compute(&job.spec),
         };
         // Journal the completion before reporting it, from inside the
         // worker: a kill between jobs then loses nothing.
@@ -1655,12 +1649,10 @@ fn run_batch_command(
         }
         None => String::new(),
     };
-    let store_note = match &store {
-        Some(db) => format!(
+    let store_note = match cache.as_ref().and_then(SpecCache::store_stats) {
+        Some(s) => format!(
             ", store {} hits / {} misses ({} records)",
-            store_report.hits.load(Ordering::SeqCst),
-            store_report.misses.load(Ordering::SeqCst),
-            db.lock().expect("store lock").len()
+            s.hits, s.misses, s.records
         ),
         None => String::new(),
     };
@@ -1693,155 +1685,23 @@ fn run_batch_command(
     if let Some(e) = journal_error.into_inner().expect("journal error lock") {
         writeln!(out, "warning: journal write failed: {e}")?;
     }
-    if let Some(e) = store_report.error.into_inner().expect("store error lock") {
+    let issues = store_issues.into_inner().expect("store issues lock");
+    let first_write_error = issues.iter().find_map(|(name, issue)| match issue {
+        StoreIssue::WriteFailed(e) => Some(format!("{name}: {e}")),
+        StoreIssue::Unusable(_) => None,
+    });
+    if let Some(e) = first_write_error {
         writeln!(out, "warning: store write failed: {e}")?;
     }
-    for skip in store_report.skips.into_inner().expect("store skip lock") {
-        writeln!(
-            out,
-            "warning: store record skipped for {skip} (synthesized fresh)"
-        )?;
+    for (name, issue) in &issues {
+        if let StoreIssue::Unusable(reason) = issue {
+            writeln!(
+                out,
+                "warning: store record skipped for {name}: {reason} (synthesized fresh)"
+            )?;
+        }
     }
     Ok(i32::from(failed > 0))
-}
-
-/// Shared bookkeeping sinks for [`store_or_compute`] across batch
-/// workers: hit/miss counters for the summary line, the first store
-/// write failure, and the replay-skip reasons reported after the table.
-#[derive(Default)]
-struct StoreReport {
-    hits: AtomicU64,
-    misses: AtomicU64,
-    error: Mutex<Option<String>>,
-    skips: Mutex<Vec<String>>,
-}
-
-/// Output-permutation synthesis through the persistent circuit store: a
-/// stored record for the spec's equivalence class replays without any
-/// engine work; a fresh engine result is appended before it is reported
-/// (one retry on transient failures, and a final failure degrades to a
-/// warning — the batch answer is never lost to a store fault).
-fn store_or_compute<F>(
-    store: &Mutex<Store>,
-    spec: &Spec,
-    name: &str,
-    config: &str,
-    report: &StoreReport,
-    compute: F,
-) -> Result<PermutedSynthesisResult, SynthesisError>
-where
-    F: FnOnce(&Spec) -> Result<PermutedSynthesisResult, SynthesisError>,
-{
-    let canonical = canonicalize(spec);
-    let stored = {
-        let guard = store.lock().expect("store lock");
-        // A digest collision (or unreadable record) must not fail the
-        // job: treat it as a miss and synthesize fresh.
-        match guard.get(&canonical.spec, config) {
-            Ok(found) => found.cloned(),
-            Err(e) => {
-                report
-                    .skips
-                    .lock()
-                    .expect("store skip lock")
-                    .push(format!("{name}: {e}"));
-                None
-            }
-        }
-    };
-    if let Some(record) = stored {
-        match replay_record(&record, &canonical.witness) {
-            Ok(p) => {
-                report.hits.fetch_add(1, Ordering::SeqCst);
-                return Ok(p);
-            }
-            Err(reason) => {
-                // A record this run cannot replay is reported, not
-                // silently re-synthesized: the operator should know the
-                // database holds an unusable entry for this class.
-                report
-                    .skips
-                    .lock()
-                    .expect("store skip lock")
-                    .push(format!("{name}: {reason}"));
-            }
-        }
-    }
-    report.misses.fetch_add(1, Ordering::SeqCst);
-    let p = compute(spec)?;
-    // Derive the canonical-class record. Canonical line `witness[j]`
-    // carries spec line `j`'s function, and circuit output
-    // `p.permutation[j]` drives spec line `j`, so the stored permutation
-    // `q` satisfies `q[witness[j]] = p.permutation[j]` (the inverse of
-    // the composition `SpecCache::get_or_compute` applies on replay).
-    let mut q = vec![0u32; p.permutation.len()];
-    for (j, &i) in canonical.witness.iter().enumerate() {
-        q[i as usize] = p.permutation[j];
-    }
-    let solutions = p.result.solutions();
-    let best = solutions.best_by_quantum_cost();
-    let record = StoredCircuit::for_spec(
-        &canonical.spec,
-        config,
-        name,
-        p.result.depth(),
-        cost::circuit_cost(best),
-        solutions.count(),
-        solutions.count_is_exact(),
-        q,
-        real::write_real(best),
-    );
-    // fsync under the store mutex is the durability serialization point —
-    // waived in xtask/concheck-allowlist.txt (blocking-under-lock).
-    let mut guard = store.lock().expect("store lock");
-    let mut attempt = guard.put(record.clone());
-    if attempt
-        .as_ref()
-        .is_err_and(crate::store::StoreError::is_retryable)
-    {
-        attempt = guard.put(record);
-    }
-    if let Err(e) = attempt {
-        report
-            .error
-            .lock()
-            .expect("store error lock")
-            .get_or_insert_with(|| format!("{name}: {e}"));
-    }
-    Ok(p)
-}
-
-/// Rebuilds a [`PermutedSynthesisResult`] from a stored record, composed
-/// for the spec whose canonicalization `witness` selected the record's
-/// class. `Err` carries the reason the record is unusable (unparsable
-/// circuit, or a permutation that does not cover the witness) — callers
-/// report it and fall back to the engine.
-fn replay_record(
-    record: &StoredCircuit,
-    witness: &[u32],
-) -> Result<PermutedSynthesisResult, String> {
-    if record.solution_count == 0 {
-        return Err("stored record has no solutions".to_string());
-    }
-    let circuit = real::parse_real(&record.circuit)
-        .map_err(|e| format!("stored circuit failed to parse: {e}"))?;
-    let permutation = witness
-        .iter()
-        .map(|&i| record.permutation.get(i as usize).copied())
-        .collect::<Option<Vec<u32>>>()
-        .ok_or_else(|| {
-            format!(
-                "stored permutation covers {} lines but the spec needs {}",
-                record.permutation.len(),
-                witness.len()
-            )
-        })?;
-    let solutions = SolutionSet::replayed(circuit, record.solution_count, record.count_is_exact);
-    Ok(PermutedSynthesisResult {
-        result: SynthesisResult::replayed(solutions, record.depth, "store"),
-        permutation,
-        stats: permuted::PermutedSearchStats::default(),
-    })
 }
 
 fn emit_circuits(
@@ -2185,6 +2045,8 @@ fn run_store_command(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::portfolio::cache::canonicalize;
+    use crate::store::StoredCircuit;
 
     fn parse(args: &[&str]) -> Result<Command, String> {
         Command::parse(args.iter().copied())
@@ -2260,7 +2122,6 @@ mod tests {
             "4",
             "--engine",
             "race",
-            "--no-cache",
             "--timeout",
             "30",
         ])
@@ -2268,7 +2129,6 @@ mod tests {
         let Command::Batch {
             target,
             jobs,
-            no_cache,
             journal,
             resume,
             store,
@@ -2280,7 +2140,6 @@ mod tests {
         };
         assert_eq!(target, "suite");
         assert_eq!(jobs, 4);
-        assert!(no_cache);
         assert_eq!(journal, None);
         assert!(!resume);
         assert_eq!(store, None);
