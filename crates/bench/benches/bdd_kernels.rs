@@ -2,9 +2,9 @@
 //! `check()` against the legacy build-then-quantify path, plus a
 //! manager-level microbench of `and_forall` against `forall(and(..))`.
 //!
-//! The `gen_bench_pr3` binary emits the tracked `BENCH_pr3.json`
-//! trajectory; this bench gives statistically robust timings for the same
-//! small Table 1 functions.
+//! The `kernel` scenario of the `trajectory` binary gates the same small
+//! Table 1 functions' deterministic counters; this bench gives
+//! statistically robust timings for both `check()` paths.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qsyn_bdd::Manager;

@@ -12,6 +12,9 @@
 //! * `gen_ablations` — the design-choice ablations listed in `DESIGN.md`
 //!   (variable order, incremental construction, select encoding).
 //!
+//! Beside them, `trajectory` gates the deterministic per-layer counters
+//! against `BENCH_trajectory.json` (see its module docs).
+//!
 //! The per-run timeout defaults to [`DEFAULT_TIMEOUT_SECS`] seconds and can
 //! be overridden with the `QSYN_TIMEOUT` environment variable (the paper
 //! used 2000 s). Timeouts are *soft*: they are enforced between depth

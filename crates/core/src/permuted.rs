@@ -51,7 +51,7 @@ use std::time::Instant;
 
 /// Counters describing how much of the `n!` probe space a pruned
 /// output-permutation search actually visited. Deterministic for a given
-/// specification and options (they gate the PR 8 bench trajectory).
+/// specification and options (the `trajectory` gate pins them).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PermutedSearchStats {
     /// `n!` — the probes the blind lock-step would have driven.
@@ -475,9 +475,10 @@ pub fn synthesize_with_output_permutation_in(
 /// re-synthesized through the stock driver.
 ///
 /// Kept (test-only) as the oracle the pruned path is validated against —
-/// property tests and the `gen_bench_pr8` A/B compare minimal depths and
-/// winning permutations between the two. Do not use in production paths:
-/// this is exactly the `n!` blowup the pruned search exists to avoid.
+/// property tests and the `permute` scenario of the `trajectory` gate
+/// compare minimal depths and winning permutations between the two. Do
+/// not use in production paths: this is exactly the `n!` blowup the
+/// pruned search exists to avoid.
 ///
 /// # Errors
 ///
