@@ -47,27 +47,35 @@
 //!
 //! # Connection lifecycle
 //!
-//! [`serve_tcp`] runs a polling accept loop (the listener is
-//! non-blocking) so it can observe shutdown and drain flags without a
+//! [`serve_tcp`] runs a non-blocking accept loop that waits for readiness
+//! on the listener (`poll(2)` on Unix) for at most one 25 ms tick: a
+//! connection is accepted the moment it arrives, and the loop re-checks
+//! the shutdown and drain flags at least every tick without needing a
 //! wake-up connection. Each accepted socket gets per-direction timeouts
 //! ([`ServeConfig::read_timeout`] / [`write_timeout`](ServeConfig::write_timeout)):
 //! a client that connects and sends nothing — or stops reading its reply
 //! — is disconnected when the timeout fires and its thread exits (the
 //! `socket_timeouts` metric counts these reaps, which double as
 //! idle-connection reaping). Concurrent connection threads are capped at
-//! [`ServeConfig::max_connections`]; past the cap the daemon writes one
-//! retryable `overloaded` error line and closes (`connections_refused`),
-//! so the old unbounded one-thread-per-accept growth cannot happen.
+//! [`ServeConfig::max_connections`]. An accept at the cap waits up to one
+//! tick for a slot to free, since a client's next connection can arrive
+//! before the thread serving its last one has seen EOF. If none frees,
+//! the daemon writes one retryable `overloaded` error line, reads and
+//! discards the client's input until it closes (at most one tick, so the
+//! close does not reset the connection under the line) and closes
+//! (`connections_refused`). The old unbounded one-thread-per-accept growth
+//! cannot happen.
 //!
 //! # Drain
 //!
 //! Two paths stop the daemon: the wire `shutdown` verb, and — once
 //! [`install_drain_signals`] has run — `SIGTERM`/`SIGINT`. Both set
-//! flags the accept loop polls; it then stops accepting, joins the
-//! connection threads (in-flight jobs finish and answer; new cold misses
-//! refuse retryably with `shutting down`), stops the worker pool and
-//! returns the final snapshot. The store needs no extra flush: every
-//! record was fsync'd when it was written. A drained daemon exits 0.
+//! flags the accept loop checks at least every tick; it then stops
+//! accepting, joins the connection threads (in-flight jobs finish and
+//! answer; new cold misses refuse retryably with `shutting down`), stops
+//! the worker pool and returns the final snapshot. The store needs no
+//! extra flush: every record was fsync'd when it was written. A drained
+//! daemon exits 0.
 
 #![warn(missing_docs)]
 
@@ -84,11 +92,11 @@ use qsyn_portfolio::{canonicalize, SpecCache, WorkQueue};
 use qsyn_revlogic::Spec;
 use qsyn_store::{Store, StoredCircuit};
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, ErrorKind, Write};
-use std::net::{TcpListener, TcpStream};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 pub use qsyn_store::CompactionReport;
@@ -297,8 +305,12 @@ struct Shared {
     read_timeout: Option<Duration>,
     write_timeout: Option<Duration>,
     max_connections: usize,
-    /// Live connection threads, for the accept-time cap.
-    active_connections: AtomicUsize,
+    /// Live connection threads, for the accept-time cap. Behind a mutex
+    /// (not an atomic) so the accept loop can wait on `slot_freed`
+    /// without missing a release.
+    active_connections: Mutex<usize>,
+    /// Signalled by [`ConnectionSlot`]'s drop when a slot frees.
+    slot_freed: Condvar,
     closing: AtomicBool,
 }
 
@@ -331,7 +343,8 @@ impl ServeCore {
             read_timeout: config.read_timeout,
             write_timeout: config.write_timeout,
             max_connections: config.max_connections.max(1),
-            active_connections: AtomicUsize::new(0),
+            active_connections: Mutex::new(0),
+            slot_freed: Condvar::new(),
             closing: AtomicBool::new(false),
         });
         let workers = (0..config.workers.max(1))
@@ -495,7 +508,8 @@ impl ServeCore {
     }
 
     /// Flags the daemon as draining: subsequent cold misses are refused
-    /// (hits still serve) and [`serve_tcp`] exits after its next accept.
+    /// (hits still serve) and [`serve_tcp`] stops accepting within one
+    /// accept-loop tick.
     pub fn begin_shutdown(&self) {
         self.shared.closing.store(true, Ordering::SeqCst);
     }
@@ -542,9 +556,11 @@ pub fn drain_requested() -> bool {
 /// The handler body is a single atomic store — async-signal-safe (no
 /// allocation, no locks). The repo carries no libc dependency, so the
 /// two POSIX pieces this needs — `signal(2)` and the `SIGTERM`/`SIGINT`
-/// numbers, fixed by the Linux/BSD ABIs — are declared locally; this is
-/// the crate's only `unsafe`, and it is confined to the registration
-/// call.
+/// numbers, fixed by the Linux/BSD ABIs — are declared locally. The
+/// crate has two `unsafe` calls: this registration, and the accept
+/// loop's `poll(2)` on the listener. The accept loop sees the flag
+/// within one tick; sooner when the signal lands on its own thread and
+/// cuts its `poll` short (`EINTR`).
 pub fn install_drain_signals() {
     #[cfg(unix)]
     {
@@ -633,10 +649,11 @@ fn publish(shared: &Arc<Shared>, job: Job, outcome: Result<Arc<StoredCircuit>, S
         .remove(&job.canonical);
 }
 
-/// How often the (non-blocking) accept loop re-checks its stop flags
-/// when no connection is waiting. Small enough that a drain or shutdown
-/// is observed promptly, large enough to keep the idle loop invisible in
-/// a profile.
+/// The accept loop's one tick. It bounds three waits: how long the loop
+/// waits for a connection before it re-checks its stop flags, how long
+/// an accept at the connection cap waits for a slot to free, and how
+/// long a refused connection is drained before it closes. Connections
+/// never wait for the tick to run out: the loop wakes when one arrives.
 const ACCEPT_POLL: Duration = Duration::from_millis(25);
 
 /// Serves the line protocol on `listener` until a `shutdown` verb
@@ -650,9 +667,10 @@ const ACCEPT_POLL: Duration = Duration::from_millis(25);
 /// Only on accept-loop I/O failures; per-connection errors are answered
 /// on the wire and logged, never fatal.
 pub fn serve_tcp(listener: TcpListener, core: &Arc<ServeCore>) -> std::io::Result<MetricsSnapshot> {
-    // Non-blocking accepts + polling: the loop observes the closing and
-    // drain flags within ACCEPT_POLL without needing a wake-up
-    // connection (the old shutdown path's self-connect hack).
+    // Non-blocking accepts + a bounded readiness wait: a connection is
+    // accepted the moment it arrives, and the loop still observes the
+    // closing and drain flags within ACCEPT_POLL without needing a
+    // wake-up connection (the old shutdown path's self-connect hack).
     listener.set_nonblocking(true)?;
     let mut connections: Vec<std::thread::JoinHandle<()>> = Vec::new();
     loop {
@@ -666,22 +684,29 @@ pub fn serve_tcp(listener: TcpListener, core: &Arc<ServeCore>) -> std::io::Resul
             Ok((stream, _)) => stream,
             Err(e) if e.kind() == ErrorKind::WouldBlock => {
                 connections.retain(|h| !h.is_finished());
-                std::thread::sleep(ACCEPT_POLL);
+                wait_for_connection(&listener, ACCEPT_POLL);
                 continue;
             }
             Err(e) if e.kind() == ErrorKind::Interrupted => continue,
             Err(e) => return Err(e),
         };
-        let shared = &core.shared;
-        if shared.active_connections.load(Ordering::SeqCst) >= shared.max_connections {
-            Metrics::inc(&shared.metrics.connections_refused);
-            refuse_connection(stream, shared.write_timeout);
+        // Some platforms hand out accepted sockets non-blocking, like the
+        // listener; the per-socket timeouts below need blocking ones.
+        if let Err(e) = stream.set_nonblocking(false) {
+            eprintln!("qsyn-serve: connection setup failed: {e}");
             continue;
         }
+        // A client's next connection can arrive before the thread serving
+        // its last one has seen EOF, so a full cap waits one tick for a
+        // slot before it refuses.
+        let Some(slot) = ConnectionSlot::reserve(core, ACCEPT_POLL) else {
+            Metrics::inc(&core.shared.metrics.connections_refused);
+            refuse_connection(stream, core.shared.write_timeout);
+            continue;
+        };
         // The slot is released when the thread's closure is dropped: on
         // return, on unwind, or — when the spawn itself fails — by the
         // failed spawn dropping the unrun closure.
-        let slot = ConnectionSlot::reserve(core);
         let spawned = std::thread::Builder::new()
             .name("qsyn-serve-conn".to_string())
             .spawn(move || {
@@ -706,38 +731,122 @@ pub fn serve_tcp(listener: TcpListener, core: &Arc<ServeCore>) -> std::io::Resul
     Ok(core.stop())
 }
 
+/// Blocks until `listener` has a connection waiting or `timeout` passes,
+/// whichever comes first; a signal (`EINTR`) only ends the wait early.
+/// Unix waits with `poll(2)` on the listener. The repo carries no libc
+/// dependency, so `poll`, `struct pollfd` and `POLLIN` are declared
+/// locally, as `signal(2)` is in [`install_drain_signals`].
+#[cfg(unix)]
+fn wait_for_connection(listener: &TcpListener, timeout: Duration) {
+    use std::os::unix::io::AsRawFd;
+
+    #[repr(C)]
+    struct PollFd {
+        fd: i32,
+        events: i16,
+        revents: i16,
+    }
+    /// `nfds_t`: `unsigned long` on Linux/Android, `unsigned int` on
+    /// Apple and the BSDs.
+    #[cfg(any(target_os = "linux", target_os = "android"))]
+    type Nfds = std::ffi::c_ulong;
+    #[cfg(not(any(target_os = "linux", target_os = "android")))]
+    type Nfds = std::ffi::c_uint;
+    extern "C" {
+        fn poll(fds: *mut PollFd, nfds: Nfds, timeout_ms: i32) -> i32;
+    }
+    const POLLIN: i16 = 0x1;
+
+    let mut fd = PollFd {
+        fd: listener.as_raw_fd(),
+        events: POLLIN,
+        revents: 0,
+    };
+    let timeout_ms = i32::try_from(timeout.as_millis()).unwrap_or(i32::MAX);
+    // SAFETY: `poll` is the POSIX call with the documented signature;
+    // `fd` is one live, exclusively borrowed `pollfd` (matching
+    // `nfds = 1`) for the whole call, and the borrowed listener keeps
+    // its descriptor open.
+    let ready = unsafe { poll(&mut fd, 1, timeout_ms) };
+    if ready < 0 && std::io::Error::last_os_error().kind() != ErrorKind::Interrupted {
+        // A poll that keeps failing must not turn the loop into a spin.
+        std::thread::sleep(timeout);
+    }
+}
+
+/// Non-Unix targets have no readiness wait here: sleep out the tick.
+#[cfg(not(unix))]
+fn wait_for_connection(_listener: &TcpListener, timeout: Duration) {
+    std::thread::sleep(timeout);
+}
+
 /// One reserved connection slot of the [`ServeConfig::max_connections`]
 /// cap, held by the connection thread and released on drop — so a
 /// connection thread that unwinds cannot leak its slot.
 struct ConnectionSlot(Arc<ServeCore>);
 
 impl ConnectionSlot {
-    fn reserve(core: &Arc<ServeCore>) -> ConnectionSlot {
-        core.shared
+    /// Takes a slot, waiting up to `patience` for one to free while the
+    /// cap is full; `None` when none freed in time. The cap is never
+    /// exceeded.
+    fn reserve(core: &Arc<ServeCore>, patience: Duration) -> Option<ConnectionSlot> {
+        let shared = &core.shared;
+        let deadline = Instant::now() + patience;
+        let mut active = shared
             .active_connections
-            .fetch_add(1, Ordering::SeqCst);
-        ConnectionSlot(Arc::clone(core))
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        while *active >= shared.max_connections {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return None;
+            }
+            active = shared
+                .slot_freed
+                .wait_timeout(active, left)
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
+        }
+        *active += 1;
+        Some(ConnectionSlot(Arc::clone(core)))
     }
 }
 
 impl Drop for ConnectionSlot {
     fn drop(&mut self) {
-        self.0
-            .shared
+        let shared = &self.0.shared;
+        *shared
             .active_connections
-            .fetch_sub(1, Ordering::SeqCst);
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner) -= 1;
+        shared.slot_freed.notify_one();
     }
 }
 
-/// Answers an over-cap accept with one retryable `overloaded` line,
-/// best-effort, and closes the socket.
-fn refuse_connection(stream: TcpStream, write_timeout: Option<Duration>) {
+/// Answers an over-cap accept with one retryable `overloaded` line, then
+/// closes with a linger: shut the write side, discard what the client
+/// sends until it closes, for at most one [`ACCEPT_POLL`] tick. Closing
+/// with the client's request unread would reset the connection, and the
+/// reset can beat the line to the client. Best-effort throughout.
+fn refuse_connection(mut stream: TcpStream, write_timeout: Option<Duration>) {
     let _ = stream.set_write_timeout(write_timeout);
-    let mut stream = stream;
     let line = protocol::render_error("overloaded: connection limit reached, retry later", true);
-    let _ = stream.write_all(line.as_bytes());
-    let _ = stream.write_all(b"\n");
-    let _ = stream.flush();
+    if stream.write_all(format!("{line}\n").as_bytes()).is_err() {
+        return;
+    }
+    let _ = stream.shutdown(Shutdown::Write);
+    let deadline = Instant::now() + ACCEPT_POLL;
+    let mut discard = [0u8; 512];
+    loop {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() || stream.set_read_timeout(Some(left)).is_err() {
+            return;
+        }
+        // EOF, a reset or the timeout ends the linger.
+        if !matches!(stream.read(&mut discard), Ok(n) if n > 0) {
+            return;
+        }
+    }
 }
 
 /// `true` for the error kinds a fired socket timeout surfaces as
@@ -766,12 +875,10 @@ fn handle_connection(stream: TcpStream, core: &Arc<ServeCore>) -> std::io::Resul
         if line.trim().is_empty() {
             continue;
         }
-        let reply = dispatch(core, &line);
-        let written = writer
-            .write_all(reply.as_bytes())
-            .and_then(|()| writer.write_all(b"\n"))
-            .and_then(|()| writer.flush());
-        if let Err(e) = written {
+        // One write per line: reply and newline leave in one segment.
+        let mut reply = dispatch(core, &line);
+        reply.push('\n');
+        if let Err(e) = writer.write_all(reply.as_bytes()) {
             if is_timeout(&e) {
                 Metrics::inc(&core.shared.metrics.socket_timeouts);
                 return Ok(());
@@ -799,7 +906,7 @@ fn dispatch(core: &Arc<ServeCore>, line: &str) -> String {
             Err((message, retryable)) => protocol::render_error(&message, retryable),
         },
         Ok(protocol::Request::Shutdown) => {
-            // The polling accept loop observes the flag on its own.
+            // The accept loop observes the flag within one tick.
             core.begin_shutdown();
             protocol::render_closing()
         }
@@ -968,11 +1075,8 @@ pub fn roundtrip_with_retry(
 /// Propagates connection and I/O failures; a daemon that closes without
 /// replying surfaces as `UnexpectedEof`.
 pub fn roundtrip(addr: &str, line: &str) -> std::io::Result<String> {
-    let stream = TcpStream::connect(addr)?;
-    let mut writer = stream.try_clone()?;
-    writer.write_all(line.as_bytes())?;
-    writer.write_all(b"\n")?;
-    writer.flush()?;
+    let mut stream = TcpStream::connect(addr)?;
+    stream.write_all(format!("{line}\n").as_bytes())?;
     let mut reply = String::new();
     let mut reader = BufReader::new(stream);
     reader.read_line(&mut reply)?;
@@ -1240,7 +1344,7 @@ mod tests {
         assert_realizes(&bench_3_17(), &reply.circuit, &reply.permutation);
         // The connection thread observes the client's close and releases
         // its slot.
-        let active = || core.shared.active_connections.load(Ordering::SeqCst);
+        let active = || active_connections(&core);
         for _ in 0..250 {
             if active() == 0 {
                 break;
@@ -1253,18 +1357,22 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
+    fn active_connections(core: &ServeCore) -> usize {
+        *core.shared.active_connections.lock().unwrap()
+    }
+
     #[test]
     fn connection_slot_is_released_when_its_thread_panics() {
         let core = Arc::new(ServeCore::start(&quick_config(), None));
-        let slot = ConnectionSlot::reserve(&core);
-        assert_eq!(core.shared.active_connections.load(Ordering::SeqCst), 1);
+        let slot = ConnectionSlot::reserve(&core, Duration::ZERO).unwrap();
+        assert_eq!(active_connections(&core), 1);
         let unwound = std::thread::spawn(move || {
             let _slot = slot;
             panic!("connection thread unwinds");
         })
         .join();
         assert!(unwound.is_err());
-        assert_eq!(core.shared.active_connections.load(Ordering::SeqCst), 0);
+        assert_eq!(active_connections(&core), 0);
     }
 
     #[test]
@@ -1427,6 +1535,69 @@ mod tests {
 
         roundtrip(&addr, &protocol::render_verb_request("shutdown")).unwrap();
         server.join().unwrap();
+    }
+
+    #[test]
+    fn fresh_connections_are_accepted_when_they_arrive_not_on_the_tick() {
+        let (addr, _core, server) = boot_tcp(&quick_config(), None);
+        let ping = protocol::render_verb_request("ping");
+        // Each round trip opens a fresh connection, the way `qsyn query`
+        // does; a loop that sleeps out ACCEPT_POLL between accepts would
+        // take about 40 ticks here.
+        let started = Instant::now();
+        for i in 0..40 {
+            assert_eq!(
+                roundtrip(&addr, &ping).unwrap(),
+                protocol::render_pong(),
+                "ping {i}"
+            );
+        }
+        let took = started.elapsed();
+        assert!(
+            took < Duration::from_millis(250),
+            "40 fresh pings took {took:?}"
+        );
+        roundtrip(&addr, &protocol::render_verb_request("shutdown")).unwrap();
+        server.join().unwrap();
+    }
+
+    #[test]
+    fn back_to_back_connections_at_the_cap_are_never_refused() {
+        let mut config = quick_config();
+        config.max_connections = 1;
+        let (addr, core, server) = boot_tcp(&config, None);
+        // A closed-loop client's next connection can arrive before the
+        // thread serving its last one has seen EOF and freed the slot.
+        let ping = protocol::render_verb_request("ping");
+        for i in 0..100 {
+            assert_eq!(
+                roundtrip(&addr, &ping).unwrap(),
+                protocol::render_pong(),
+                "ping {i}"
+            );
+        }
+        assert_eq!(core.snapshot().connections_refused, 0);
+        let bye = roundtrip(&addr, &protocol::render_verb_request("shutdown")).unwrap();
+        assert_eq!(bye, protocol::render_closing());
+        assert_eq!(server.join().unwrap().connections_refused, 0);
+    }
+
+    #[test]
+    fn a_full_cap_waits_for_a_slot_then_gives_up() {
+        let mut config = quick_config();
+        config.max_connections = 1;
+        let core = Arc::new(ServeCore::start(&config, None));
+        let held = ConnectionSlot::reserve(&core, Duration::ZERO).unwrap();
+        assert!(ConnectionSlot::reserve(&core, Duration::from_millis(5)).is_none());
+        // A slot freed mid-wait is taken, and the cap still holds.
+        let release = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(20));
+            drop(held);
+        });
+        let next = ConnectionSlot::reserve(&core, Duration::from_secs(10));
+        release.join().unwrap();
+        assert!(next.is_some());
+        assert_eq!(active_connections(&core), 1);
     }
 
     #[test]

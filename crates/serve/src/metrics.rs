@@ -2,18 +2,50 @@
 //!
 //! Counters are lock-free (`Relaxed` atomics — they are statistics, no
 //! other memory depends on their order) so the hot hit path never takes a
-//! metrics lock. Latencies go into a log2-bucketed histogram: exact
-//! enough for p50/p90/p99 reporting, fixed-size, and recordable with one
-//! atomic increment.
+//! metrics lock. Latencies go into a log-linear histogram: each power of
+//! two is split into 16 equal sub-buckets, so a reported percentile is
+//! within 1/16 of the sample it stands for, the array is fixed-size, and
+//! a sample is recorded with one atomic increment.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Number of log2 latency buckets. Bucket `i` holds samples in
-/// `[2^i, 2^(i+1))` microseconds, bucket 0 also catches 0; 40 buckets
-/// cover ~12 days, far beyond any request deadline.
-const BUCKETS: usize = 40;
+/// Sub-buckets per power of two, as a bit count: `2^SUB_BITS = 16`.
+const SUB_BITS: u32 = 4;
+/// Sub-buckets per power of two.
+const SUB: usize = 1 << SUB_BITS;
+/// Samples of `2^MAX_BITS` µs (~12 days, far beyond any request
+/// deadline) and more share the last bucket.
+const MAX_BITS: u32 = 40;
+/// Values below `SUB` get one exact bucket each; every octave
+/// `[2^e, 2^(e+1))` for `SUB_BITS <= e < MAX_BITS` gets `SUB` more.
+const BUCKETS: usize = SUB * (MAX_BITS - SUB_BITS + 1) as usize;
 
-/// A log2-bucketed latency histogram over microseconds.
+/// The bucket holding a sample of `micros`.
+fn bucket_of(micros: u64) -> usize {
+    if micros < SUB as u64 {
+        return micros as usize;
+    }
+    let octave = 63 - micros.leading_zeros();
+    if octave >= MAX_BITS {
+        return BUCKETS - 1;
+    }
+    // The top SUB_BITS + 1 bits: the leading 1, then the sub-bucket.
+    let top = (micros >> (octave - SUB_BITS)) as usize;
+    (octave - SUB_BITS + 1) as usize * SUB + (top - SUB)
+}
+
+/// The largest sample (µs) that lands in bucket `idx`.
+fn bucket_max(idx: usize) -> u64 {
+    if idx < SUB {
+        return idx as u64;
+    }
+    let shift = (idx / SUB - 1) as u32;
+    let lower = ((SUB + idx % SUB) as u64) << shift;
+    lower + (1u64 << shift) - 1
+}
+
+/// A log-linear latency histogram over microseconds: exact below 16 µs,
+/// then 16 sub-buckets per power of two.
 #[derive(Debug)]
 pub struct Histogram {
     buckets: [AtomicU64; BUCKETS],
@@ -35,8 +67,7 @@ impl Histogram {
 
     /// Records one sample of `micros` microseconds.
     pub fn record(&self, micros: u64) {
-        let idx = (63 - u64::leading_zeros(micros.max(1)) as usize).min(BUCKETS - 1);
-        self.buckets[idx].fetch_add(1, Ordering::Relaxed);
+        self.buckets[bucket_of(micros)].fetch_add(1, Ordering::Relaxed);
     }
 
     /// Total samples recorded.
@@ -44,9 +75,10 @@ impl Histogram {
         self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).sum()
     }
 
-    /// The upper bound (in microseconds) of the bucket containing the
-    /// `p`-th percentile sample, or 0 when the histogram is empty.
-    /// `p` is in `[0, 100]`.
+    /// The largest value (in microseconds) of the bucket holding the
+    /// `p`-th percentile sample by nearest rank, or 0 when the histogram
+    /// is empty. At least that sample and at most 1/16 above it. `p` is
+    /// in `[0, 100]`.
     pub fn percentile(&self, p: f64) -> u64 {
         let total = self.count();
         if total == 0 {
@@ -57,10 +89,10 @@ impl Histogram {
         for (i, b) in self.buckets.iter().enumerate() {
             seen += b.load(Ordering::Relaxed);
             if seen >= rank {
-                return 1u64 << (i + 1);
+                return bucket_max(i);
             }
         }
-        1u64 << BUCKETS
+        bucket_max(BUCKETS - 1)
     }
 }
 
@@ -136,11 +168,11 @@ pub struct MetricsSnapshot {
     pub store_records: u64,
     /// Committed bytes of the store file (0 without a disk store).
     pub store_bytes: u64,
-    /// Median request latency (bucket upper bound, µs).
+    /// Median request latency (µs; see [`Histogram::percentile`]).
     pub p50_us: u64,
-    /// 90th-percentile request latency (bucket upper bound, µs).
+    /// 90th-percentile request latency (µs).
     pub p90_us: u64,
-    /// 99th-percentile request latency (bucket upper bound, µs).
+    /// 99th-percentile request latency (µs).
     pub p99_us: u64,
 }
 
@@ -227,17 +259,17 @@ mod tests {
     #[test]
     fn percentiles_walk_the_buckets() {
         let h = Histogram::new();
-        // 90 fast samples (~8µs bucket), 10 slow (~1024µs bucket).
+        // 90 fast samples (8µs), 10 slow (1030µs, bucket [1024, 1088)).
         for _ in 0..90 {
             h.record(8);
         }
         for _ in 0..10 {
-            h.record(1024);
+            h.record(1030);
         }
         assert_eq!(h.count(), 100);
-        assert_eq!(h.percentile(50.0), 16); // bucket [8, 16)
-        assert_eq!(h.percentile(90.0), 16);
-        assert_eq!(h.percentile(99.0), 2048); // bucket [1024, 2048)
+        assert_eq!(h.percentile(50.0), 8); // exact below 16µs
+        assert_eq!(h.percentile(90.0), 8);
+        assert_eq!(h.percentile(99.0), 1087); // bucket [1024, 1088)
     }
 
     #[test]
@@ -246,7 +278,54 @@ mod tests {
         h.record(0);
         h.record(1);
         assert_eq!(h.count(), 2);
-        assert_eq!(h.percentile(100.0), 2);
+        assert_eq!(h.percentile(50.0), 0);
+        assert_eq!(h.percentile(100.0), 1);
+    }
+
+    #[test]
+    fn buckets_tile_the_range_without_gaps() {
+        assert_eq!(bucket_of(0), 0);
+        for idx in 1..BUCKETS {
+            let first = bucket_max(idx - 1) + 1;
+            assert_eq!(bucket_of(first), idx, "first value of bucket {idx}");
+            assert_eq!(
+                bucket_of(bucket_max(idx)),
+                idx,
+                "last value of bucket {idx}"
+            );
+        }
+        assert_eq!(bucket_of(u64::MAX), BUCKETS - 1);
+    }
+
+    #[test]
+    fn percentiles_are_within_a_sixteenth_of_the_nearest_rank_sample() {
+        let mut state = 0x5eed_u64;
+        let mut next = || crate::splitmix64(&mut state);
+        for round in 0..50 {
+            // Log-uniform samples from 0 µs to ~17 min: every octave the
+            // daemon can see, hits and misses alike.
+            let n = 1 + (next() % 500) as usize;
+            let mut samples: Vec<u64> = (0..n)
+                .map(|_| {
+                    let bits = next() % 31;
+                    next() % (1u64 << bits).max(2)
+                })
+                .collect();
+            let h = Histogram::new();
+            for &s in &samples {
+                h.record(s);
+            }
+            samples.sort_unstable();
+            for p in [50.0, 90.0, 99.0, 100.0] {
+                let rank = ((p / 100.0) * n as f64).ceil().max(1.0) as usize;
+                let sample = samples[rank - 1];
+                let reported = h.percentile(p);
+                assert!(
+                    reported >= sample && (reported - sample) * 16 <= sample,
+                    "round {round} p{p}: reported {reported} for sample {sample}"
+                );
+            }
+        }
     }
 
     #[test]

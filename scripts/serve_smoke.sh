@@ -13,7 +13,10 @@
 #      store verifies,
 #   6. kill a compaction at its staged crash points
 #      (QSYN_STORE_COMPACT_CRASH) and prove recovery: the reopened
-#      store verifies and a clean retry compacts it.
+#      store verifies and a clean retry compacts it,
+#   7. boot a daemon capped at one connection and prove 200
+#      back-to-back fresh-connection pings are all admitted (no retries,
+#      0 refused at the cap).
 #
 # Usage: scripts/serve_smoke.sh   (expects target/release/qsyn; override
 # with QSYN=path/to/qsyn)
@@ -150,5 +153,26 @@ for STAGE in before-tmp tmp-torn tmp-synced renamed; do
     exit 1
   fi
 done
+
+step "200 back-to-back pings at --max-connections 1 are never refused"
+"$QSYN" serve 127.0.0.1:0 --jobs 1 --max-connections 1 >"$DIR/serve4.log" 2>&1 &
+DAEMON=$!
+wait_ready "$DIR/serve4.log"
+ADDR=$(awk '/listening on /{print $3; exit}' "$DIR/serve4.log")
+# Each query is a new process on a fresh connection; the next one can
+# arrive before the daemon has released the previous one's slot.
+for i in $(seq 1 200); do
+  if ! "$QSYN" query "$ADDR" --ping --retries 0 >"$DIR/ping.log" 2>&1; then
+    echo "serve-smoke: ping $i at the cap failed" >&2
+    cat "$DIR/ping.log" >&2
+    exit 1
+  fi
+done
+STATS=$("$QSYN" query "$ADDR" --stats)
+echo "$STATS"
+echo "$STATS" | grep -q " 0 refused at the cap"
+"$QSYN" query "$ADDR" --shutdown
+wait "$DAEMON" 2>/dev/null || true
+DAEMON=""
 
 echo "serve-smoke: ok"
