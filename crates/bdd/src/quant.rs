@@ -202,21 +202,31 @@ impl Manager {
     /// The conjunction is quantified **as it is built**: the recursion
     /// descends the quantified block across *all* operands at once,
     /// cofactoring each operand by edge-following, so no intermediate ever
-    /// contains the unquantified product. Below the block each branch
-    /// reduces to a plain balanced conjunction of the (now `vars`-free)
-    /// cofactors, and the per-variable combination `∀v F = F|₀ ∧ F|₁`
-    /// terminates early — the first `⊥` cofactor kills the whole call
-    /// without visiting any sibling branch.
+    /// contains the unquantified product. Every leaf of the descent (one
+    /// assignment to the block) reduces to a balanced conjunction of its
+    /// now `vars`-free cofactors.
+    ///
+    /// The leaves are combined through **one threaded accumulator**: the
+    /// low branch's result is the high branch's accumulator, and each leaf
+    /// ANDs its conjunction into it, so the accumulator is always the
+    /// conjunction of the leaves visited so far. Combining per branch
+    /// (`∀v F = F|₀ ∧ F|₁`) would instead build the ∀-result of every
+    /// half, quarter, … of the block — functions that agree on only part
+    /// of the rows, far larger than the answer. The descent terminates
+    /// early twice over: a `⊥` cofactor kills its leaf, and a `⊥`
+    /// accumulator (rows that each are satisfiable but conflict with each
+    /// other) aborts it without visiting the remaining leaves.
     ///
     /// This is exactly the shape of the synthesis engine's `check()` step:
-    /// the inputs `X` sit on top of the order, each branch of the descent
+    /// the inputs `X` sit on top of the order, each leaf of the descent
     /// is one input row, and on unrealizable depths (most of iterative
-    /// deepening) the first failing row aborts the check before the
-    /// equivalence conjunction for the remaining rows is ever computed.
+    /// deepening) the first row that conflicts with the rows before it
+    /// aborts the check before the remaining rows are ever conjoined.
     ///
     /// When an unquantified variable sits *above* a quantified one (the
     /// `Y`-then-`X` ablation order) the descent stops paying off; the
-    /// remainder falls back to conjoin-then-quantify.
+    /// remainder falls back to conjoin-then-quantify, and that result is
+    /// ANDed into the accumulator like a leaf's.
     ///
     /// # Panics
     ///
@@ -226,27 +236,35 @@ impl Manager {
         if set.is_empty() {
             return self.and_all(operands.iter().copied());
         }
-        self.forall_and_rec(operands.to_vec(), &set, 0)
+        self.forall_and_acc(operands.to_vec(), &set, 0, Bdd::ONE)
     }
 
     /// Recursive core of [`Manager::forall_and_all`]: computes
-    /// `∀ set[pos..] (⋀ ops)` by n-ary descent over the quantified block.
-    /// Not memoized — the operand vector is a poor cache key and the
-    /// descent has at most `2^|set|` branches, each of whose pairwise
-    /// conjunctions below is cached as usual.
-    fn forall_and_rec(&mut self, mut ops: Vec<Bdd>, set: &[u32], mut pos: usize) -> Bdd {
+    /// `acc ∧ ∀ set[pos..] (⋀ ops)` by n-ary descent over the quantified
+    /// block, threading `acc` through the branches low-then-high.
+    /// Not memoized — the operand vector and accumulator make a poor cache
+    /// key, and the descent has at most `2^|set|` leaves, each of whose
+    /// pairwise conjunctions is cached as usual.
+    fn forall_and_acc(
+        &mut self,
+        mut ops: Vec<Bdd>,
+        set: &[u32],
+        mut pos: usize,
+        mut acc: Bdd,
+    ) -> Bdd {
         loop {
-            if self.aborted() || ops.iter().any(|f| f.is_zero()) {
+            if self.aborted() || acc.is_zero() || ops.iter().any(|f| f.is_zero()) {
                 return Bdd::ZERO;
             }
             ops.retain(|f| !f.is_one());
             ops.sort_unstable_by_key(|f| f.0);
             ops.dedup();
             if ops.is_empty() {
-                return Bdd::ONE;
+                return acc;
             }
             if pos == set.len() {
-                return self.and_all(ops.iter().copied());
+                let row = self.and_all(ops.iter().copied());
+                return self.and(acc, row);
             }
             let top = ops
                 .iter()
@@ -262,7 +280,8 @@ impl Manager {
                 // An unquantified variable above the rest of the block:
                 // the n-ary descent stops paying off here.
                 let eq = self.and_all(ops.iter().copied());
-                return self.forall(eq, &set[pos..]);
+                let rest = self.forall(eq, &set[pos..]);
+                return self.and(acc, rest);
             }
             // top == set[pos]: cofactor every operand on the shared var.
             let mut lo_ops = Vec::with_capacity(ops.len());
@@ -277,12 +296,11 @@ impl Manager {
                     hi_ops.push(f);
                 }
             }
-            let r0 = self.forall_and_rec(lo_ops, set, pos + 1);
-            if r0.is_zero() {
-                return Bdd::ZERO;
-            }
-            let r1 = self.forall_and_rec(hi_ops, set, pos + 1);
-            return self.and(r0, r1);
+            // The low branch's result is the high branch's accumulator; a
+            // ⊥ there aborts the high branch at its first check.
+            acc = self.forall_and_acc(lo_ops, set, pos + 1, acc);
+            ops = hi_ops;
+            pos += 1;
         }
     }
 
@@ -613,5 +631,31 @@ mod tests {
         let na = m.not(a);
         // ∀∅-free vars: a ∧ ¬a ∧ b = ⊥ regardless of quantification.
         assert_eq!(m.forall_and_all(&[a, na, b], &[0, 1]), Bdd::ZERO);
+    }
+
+    #[test]
+    fn forall_and_all_aborts_when_rows_conflict() {
+        // Inputs x0, x1 on top of selects y0, y1, as in the engine's check.
+        let mut m = Manager::new(4);
+        let (x0, x1, y0, y1) = (m.var(0), m.var(1), m.var(2), m.var(3));
+        let l1 = m.xnor(x1, y0); // rows with x1 = 0 need ¬y0, x1 = 1 need y0
+        let l2 = m.or(x0, y1); // rows with x0 = 0 need y1
+        let ops = [l1, l2];
+        // Every row is satisfiable on its own...
+        for (v0, v1) in [(false, false), (false, true), (true, false), (true, true)] {
+            let r0 = m.restrict(l1, 0, v0);
+            let r0 = m.restrict(r0, 1, v1);
+            let r1 = m.restrict(l2, 0, v0);
+            let r1 = m.restrict(r1, 1, v1);
+            assert!(!m.and(r0, r1).is_zero(), "row ({v0}, {v1})");
+        }
+        // ...but rows (·, 0) and (·, 1) conflict on y0, so the accumulator
+        // hits ⊥ and the whole descent returns ⊥.
+        let fused = m.forall_and_all(&ops, &[0, 1]);
+        assert_eq!(fused, Bdd::ZERO);
+        let conj = m.and_all(ops);
+        assert_eq!(m.forall(conj, &[0, 1]), fused);
+        // Without the conflicting operand the rows agree: ∀x (x0 ∨ y1) = y1.
+        assert_eq!(m.forall_and_all(&[l2], &[0, 1]), y1);
     }
 }

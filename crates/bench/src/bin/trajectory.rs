@@ -4,8 +4,9 @@
 //! Each scenario re-runs a fixed workload and returns rows of one schema,
 //! `{scenario, job, counters, wall{min,median,max,reps}}`:
 //!
-//! * `kernel` — the BDD engine on the small Table 1 functions: depth,
-//!   solution count and peak live nodes;
+//! * `kernel` — the BDD engine on the small Table 1 functions and on
+//!   alu-v1, whose time goes to the fused ∀-AND check: depth, solution
+//!   count and peak live nodes;
 //! * `session` — a 20-job batch through one recycled `SynthesisSession`:
 //!   depth and solution count per function, the session's managers and
 //!   resets;
@@ -204,10 +205,18 @@ fn rounds(name: &str, options: &SynthesisOptions, session: &mut SynthesisSession
 }
 
 /// The BDD kernel (fused ∀-AND, lossy computed table, arena GC) on every
-/// small Table 1 function.
+/// small Table 1 function, plus one 5-line row (alu-v1) whose peak is set
+/// by the ∀-AND check rather than the cascade build.
 fn kernel(rows: &mut Rows) {
     const BUDGET: Duration = Duration::from_secs(120);
-    for name in ["3_17", "rd32-v0", "rd32-v1", "decod24-v0", "decod24-v2"] {
+    for name in [
+        "3_17",
+        "rd32-v0",
+        "rd32-v1",
+        "decod24-v0",
+        "decod24-v2",
+        "alu-v1",
+    ] {
         let spec = bench(name);
         let start = Instant::now();
         let out = run_budgeted(&spec, &mct(Engine::Bdd), BUDGET);

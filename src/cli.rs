@@ -1181,6 +1181,19 @@ fn run_synth(
                     writeln!(out, "{note}")?;
                 }
                 emit_stats(&p.result, config, out)?;
+                if config.stats {
+                    let s = &p.stats;
+                    writeln!(
+                        out,
+                        "search: {} permutations, {} classes, {} engines built, \
+                         {} probes run, {} floor skips",
+                        s.permutations,
+                        s.classes,
+                        s.engines_built,
+                        s.probes_run,
+                        s.depth_floor_skips
+                    )?;
+                }
                 emit_circuits(&p.result, config, out)
             }
         }
@@ -2098,6 +2111,20 @@ mod tests {
         let text = String::from_utf8(buf).unwrap();
         assert!(text.contains("bdd: "), "{text}");
         assert!(text.contains("hit rate"), "{text}");
+        // Without --output-permutation there is no search to report.
+        assert!(!text.contains("search: "), "{text}");
+
+        let cmd = parse(&["bench", "rd32-v0", "--output-permutation", "--stats"]).unwrap();
+        let mut buf = Vec::new();
+        assert_eq!(run(&cmd, &mut buf).unwrap(), 0);
+        let text = String::from_utf8(buf).unwrap();
+        assert!(text.contains("bdd: "), "{text}");
+        assert!(
+            text.contains(
+                "search: 24 permutations, 3 classes, 3 engines built, 7 probes run, 0 floor skips"
+            ),
+            "{text}"
+        );
     }
 
     #[test]

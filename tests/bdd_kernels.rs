@@ -34,7 +34,7 @@ fn fused_and_legacy_agree_on_the_fast_suite() {
 /// The fast functions must never be skipped, so the test still fails
 /// outright if a kernel regression makes them blow the budget.
 #[test]
-#[ignore = "minutes of wall clock; run with --ignored (CI bench tier)"]
+#[ignore = "minutes of wall clock; run with --ignored (nightly CI job)"]
 fn fused_and_legacy_agree_on_the_full_table1_set() {
     const BUDGET: Duration = Duration::from_secs(60);
     let mut compared = Vec::new();
@@ -63,4 +63,18 @@ fn fused_and_legacy_agree_on_the_full_table1_set() {
             "{name} is a fast benchmark and must fit the budget"
         );
     }
+}
+
+/// 4_49 is the deepest Table 1 row: the paper reports D = 12, and its
+/// Table 2 a best quantum cost of 32 against a worst above 70. The fused
+/// check's threaded accumulator keeps the depth-12 arena under the
+/// default 20M-node budget.
+#[test]
+#[ignore = "about half a minute and ~13M live nodes; run with --ignored (nightly CI job)"]
+fn four_49_reaches_the_papers_depth() {
+    let b = benchmarks::by_name("4_49").expect("known benchmark");
+    let r = synthesize(&b.spec, &options(true)).unwrap_or_else(|e| panic!("4_49: {e}"));
+    assert_eq!(r.depth(), 12);
+    assert_eq!(r.solutions().count(), 374);
+    assert_eq!(r.solutions().quantum_cost_range(), (32, 72));
 }
