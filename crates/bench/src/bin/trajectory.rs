@@ -509,12 +509,19 @@ fn permute(rows: &mut Rows) {
             "{name}: {} probes, not under the blind {blind}",
             s.probes_run
         );
+        // One shared cascade, extended once per depth for every class.
+        assert_eq!(
+            s.levels_built,
+            u64::from(r.result.depth()),
+            "{name}: cascade levels built"
+        );
         answer.extend(counters(&[
             ("permutations", &s.permutations),
             ("classes", &s.classes),
             ("engines_built", &s.engines_built),
             ("probes_run", &s.probes_run),
             ("floor_skips", &s.depth_floor_skips),
+            ("levels_built", &s.levels_built),
         ]));
         rows.record(name, ms, answer);
     }

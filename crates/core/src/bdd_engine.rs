@@ -7,6 +7,12 @@
 //! functions), the inputs are universally quantified, and the surviving
 //! BDD over `Y` encodes **every** minimal network at once: each model is
 //! one realization.
+//!
+//! Only that check reads the specification; the cascade depends on the
+//! line count and the gate library alone. So the engine keeps the cascade
+//! apart from its *targets* — the specs checked against it, each held as
+//! per-line ON/DC sets in the same arena — and the output-permutation
+//! search checks all of its classes against one cascade.
 
 use crate::encode::{decode_circuit, select_bits};
 use crate::error::SynthesisError;
@@ -18,17 +24,19 @@ use qsyn_revlogic::{Circuit, Gate, Spec};
 
 /// BDD-based depth oracle; see the module docs.
 pub struct BddEngine {
-    spec: Spec,
     options: SynthesisOptions,
     gates: Vec<Gate>,
     sbits: u32,
     governor: ResourceGovernor,
-    pool: ManagerPool,
-    built: Built,
+    cascade: Cascade,
+    targets: Vec<Target>,
+    /// Cascade levels constructed so far, across rebuilds.
+    levels_built: u64,
 }
 
-/// The mutable BDD state of a (possibly partial) cascade construction.
-struct Built {
+/// The spec-independent BDD state of a (possibly partial) cascade
+/// construction. Its arena also holds every registered [`Target`]'s sets.
+struct Cascade {
     m: PooledManager,
     /// Variable index of each input line.
     x_vars: Vec<u32>,
@@ -36,9 +44,6 @@ struct Built {
     y_vars: Vec<u32>,
     /// Cascade outputs `F_d` per line, over `X ∪ Y`.
     state: Vec<Bdd>,
-    /// ON-set and don't-care-set BDDs of the spec per line (over `X`).
-    spec_on: Vec<Bdd>,
-    spec_dc: Vec<Bdd>,
     depth: u32,
     /// Per-line gate-slot scratch for `extend_one_level`, reused across
     /// depths to avoid reallocating `n · 2^sbits` slot tables every level.
@@ -46,6 +51,16 @@ struct Built {
     /// Live-node count right after the last garbage collection (or after
     /// construction); the opportunistic trigger compares against it.
     last_gc_live: usize,
+}
+
+/// One registered specification: the only part of the engine that
+/// `check()` reads besides the cascade.
+struct Target {
+    spec: Spec,
+    /// ON-set and don't-care-set BDDs of the spec per line (over `X`), in
+    /// the cascade's arena.
+    on: Vec<Bdd>,
+    dc: Vec<Bdd>,
 }
 
 /// Below this arena size an opportunistic collection is never worth its
@@ -60,9 +75,10 @@ const GC_GROWTH_FACTOR: usize = 2;
 impl std::fmt::Debug for BddEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("BddEngine")
-            .field("lines", &self.spec.lines())
+            .field("lines", &self.cascade.x_vars.len())
             .field("gates", &self.gates.len())
-            .field("depth", &self.built.depth)
+            .field("depth", &self.cascade.depth)
+            .field("targets", &self.targets.len())
             .finish_non_exhaustive()
     }
 }
@@ -79,6 +95,10 @@ impl BddEngine {
     /// the session's [`ManagerPool`] (recycled with warm table capacity
     /// when a retired one is available) and all budgets are enforced
     /// through a [`ResourceGovernor`] built from `options`.
+    ///
+    /// `spec` becomes target 0, the one [`solve_depth`](Self::solve_depth)
+    /// answers for; the output-permutation search registers more targets
+    /// on the same cascade.
     pub fn new_in(
         spec: &Spec,
         options: &SynthesisOptions,
@@ -88,33 +108,65 @@ impl BddEngine {
         let sbits = select_bits(gates.len());
         let governor = ResourceGovernor::from_options(options);
         governor.arm();
-        let pool = session.pool();
-        let built = Built::fresh(spec, options, sbits, &pool, &governor);
-        BddEngine {
-            spec: spec.clone(),
+        let cascade = Cascade::fresh(spec.lines(), options, sbits, &session.pool(), &governor);
+        let mut engine = BddEngine {
             options: options.clone(),
             gates,
             sbits,
             governor,
-            pool,
-            built,
-        }
+            cascade,
+            targets: Vec::new(),
+            levels_built: 0,
+        };
+        engine.add_target(spec);
+        engine.cascade.last_gc_live = engine.cascade.m.node_count();
+        engine
+    }
+
+    /// Registers another specification over the same lines and returns
+    /// its index for [`solve_target`](Self::solve_target). The cascade
+    /// `F_d` depends only on the line count and the gate library, so every
+    /// target shares it; a target adds only its per-line ON/DC sets.
+    ///
+    /// # Panics
+    ///
+    /// If `spec` has a different line count than the engine.
+    pub(crate) fn add_target(&mut self, spec: &Spec) -> usize {
+        assert_eq!(
+            spec.lines() as usize,
+            self.cascade.x_vars.len(),
+            "a target must have the cascade's line count"
+        );
+        let (on, dc) = self.cascade.spec_sets(spec);
+        self.targets.push(Target {
+            spec: spec.clone(),
+            on,
+            dc,
+        });
+        self.targets.len() - 1
     }
 
     /// Nodes currently live in the BDD manager (for the benchmark
     /// harness and the variable-order ablation).
     pub fn bdd_nodes(&self) -> usize {
-        self.built.m.node_count()
+        self.cascade.m.node_count()
     }
 
     /// Full manager counters — live/peak nodes, GC activity, computed-table
     /// hit rate — for the CLI's `--stats` report and the benchmark emitter.
     pub fn manager_stats(&self) -> qsyn_bdd::ManagerStats {
-        self.built.m.stats()
+        self.cascade.m.stats()
     }
 
-    /// Decides whether a `d`-gate realization exists and, if so, returns
-    /// all of them (up to `options.max_solutions` materialized circuits).
+    /// Cascade levels `F_{d−1} → F_d` constructed so far, counting each
+    /// level again when the non-incremental mode rebuilds it.
+    pub(crate) fn levels_built(&self) -> u64 {
+        self.levels_built
+    }
+
+    /// Decides whether a `d`-gate realization of target 0 (the spec the
+    /// engine was built for) exists and, if so, returns all of them (up to
+    /// `options.max_solutions` materialized circuits).
     ///
     /// Depths must be queried in increasing order when the engine is
     /// incremental.
@@ -122,47 +174,64 @@ impl BddEngine {
     /// # Errors
     ///
     /// * [`SynthesisError::BudgetExceeded`] when the BDD node budget runs
-    ///   out (and, via the governor, when the wall clock does).
+    ///   out (and, via the governor, when the wall clock does). The budget
+    ///   covers the whole arena, every target's sets included; once it has
+    ///   overflowed every query fails.
     /// * [`SynthesisError::Cancelled`] when the governed token trips; it is
     ///   polled between cascade levels, between quantification steps, and
     ///   (through the manager's interrupt probe) inside long node
     ///   constructions, so cancellation is observed even mid-operation.
     pub fn solve_depth(&mut self, d: u32) -> Result<Option<SolutionSet>, SynthesisError> {
+        self.solve_target(0, d)
+    }
+
+    /// [`solve_depth`](Self::solve_depth) for target `target`. Depths must
+    /// be queried in non-decreasing order across all targets when the
+    /// engine is incremental: the cascade is extended to `d` once and
+    /// every target's check at `d` reuses it.
+    pub(crate) fn solve_target(
+        &mut self,
+        target: usize,
+        d: u32,
+    ) -> Result<Option<SolutionSet>, SynthesisError> {
         self.governor.check(d)?;
-        if self.built.m.is_overflowed() {
+        if self.cascade.m.is_overflowed() {
             // A previous depth ran out of nodes; the incremental state is
             // unusable.
-            return Err(self.governor.nodes_exceeded(d, self.built.m.node_count()));
+            return Err(self.governor.nodes_exceeded(d, self.cascade.m.node_count()));
         }
-        if !self.options.incremental {
-            self.built = Built::fresh(
-                &self.spec,
-                &self.options,
-                self.sbits,
-                &self.pool,
-                &self.governor,
-            );
+        if !self.options.incremental && self.cascade.depth != d {
+            // Ablation B: every depth builds its cascade from F_0 — once
+            // per depth, shared by every target checked at it.
+            self.restart();
         }
         assert!(
-            self.built.depth <= d,
+            self.cascade.depth <= d,
             "depths must be queried in increasing order (at {}, asked {d})",
-            self.built.depth
+            self.cascade.depth
         );
-        while self.built.depth < d {
+        while self.cascade.depth < d {
             self.governor.check(d)?;
-            self.built
+            self.cascade
                 .extend_one_level(&self.gates, self.sbits, &self.options)?;
+            self.levels_built += 1;
             // The budget counts *live* nodes: garbage from earlier depths
             // and checks is collected before concluding it is exhausted.
-            self.built.enforce_budget(&self.governor, &[], d)?;
+            self.cascade
+                .enforce_budget(&self.governor, &self.targets, &[], d)?;
         }
         // Depth boundary is a GC safe point: every handle the engine still
-        // needs is in the root set (state, spec). Collect opportunistically
-        // so dead intermediates from previous checks never pile up.
-        self.built.maybe_collect();
-        let solutions_bdd =
-            self.built
-                .check(&self.governor, d, self.options.fused_quantification)?;
+        // needs is in the root set (state, every target's sets). Collect
+        // opportunistically so dead intermediates from previous checks
+        // never pile up.
+        self.cascade.maybe_collect(&self.targets);
+        let solutions_bdd = self.cascade.check(
+            &self.governor,
+            &self.targets,
+            target,
+            d,
+            self.options.fused_quantification,
+        )?;
         if solutions_bdd.is_zero() {
             return Ok(None);
         }
@@ -176,37 +245,45 @@ impl BddEngine {
         #[cfg(debug_assertions)]
         {
             const AUDIT_NODE_CAP: usize = 100_000;
-            if self.built.m.node_count() <= AUDIT_NODE_CAP {
-                if let Err(e) = qsyn_audit::bdd_audit::audit_manager(&self.built.m) {
+            if self.cascade.m.node_count() <= AUDIT_NODE_CAP {
+                if let Err(e) = qsyn_audit::bdd_audit::audit_manager(&self.cascade.m) {
                     panic!("BDD manager failed its audit after depth {d}: {e}");
                 }
             }
         }
-        Ok(Some(self.materialize(solutions_bdd, d)))
+        Ok(Some(self.materialize(target, solutions_bdd, d)))
+    }
+
+    /// Back to `F_0` in a recycled arena, with every target's sets
+    /// rebuilt in it. The old arena returns to the pool before the new
+    /// loan, so a rebuild never holds two managers.
+    fn restart(&mut self) {
+        self.cascade
+            .restart(&self.options, self.sbits, &self.governor);
+        for t in &mut self.targets {
+            (t.on, t.dc) = self.cascade.spec_sets(&t.spec);
+        }
+        self.cascade.last_gc_live = self.cascade.m.node_count();
     }
 
     /// Turns the final BDD over `Y` into circuits — "each path to the
     /// 1-terminal represents an assignment to all variables `y_ij`".
-    fn materialize(&self, solutions: Bdd, d: u32) -> SolutionSet {
-        let b = &self.built;
+    fn materialize(&self, target: usize, solutions: Bdd, d: u32) -> SolutionSet {
+        let b = &self.cascade;
+        let spec = &self.targets[target].spec;
         if self.sbits == 0 {
             // Single-gate library: there is exactly one candidate cascade.
-            let circuit = Circuit::from_gates(
-                self.spec.lines(),
-                std::iter::repeat_n(self.gates[0], d as usize),
-            );
-            debug_assert!(self.spec.is_realized_by(&circuit));
+            let circuit =
+                Circuit::from_gates(spec.lines(), std::iter::repeat_n(self.gates[0], d as usize));
+            debug_assert!(spec.is_realized_by(&circuit));
             return SolutionSet::new(vec![circuit], 1, true);
         }
         let total = b.m.count_models(solutions, &b.y_vars);
         let cap = self.options.max_solutions;
         let mut circuits = Vec::new();
         for model in b.m.models(solutions, &b.y_vars).take(cap) {
-            let c = decode_circuit(self.spec.lines(), &self.gates, self.sbits, &model);
-            debug_assert!(
-                self.spec.is_realized_by(&c),
-                "decoded circuit violates the spec"
-            );
+            let c = decode_circuit(spec.lines(), &self.gates, self.sbits, &model);
+            debug_assert!(spec.is_realized_by(&c), "decoded circuit violates the spec");
             // When d is the minimal depth (the iterative-deepening driver's
             // invariant), no model selects an identity padding slot — that
             // would imply a shorter realization. Queried beyond the minimal
@@ -218,93 +295,111 @@ impl BddEngine {
     }
 }
 
-impl Built {
-    /// Fresh depth-0 state: `F_0 = (x_1, …, x_n)`, over a manager checked
-    /// out of `pool` (recycled when one is available) and wired to the
-    /// governor's interrupt probe.
-    fn fresh(
-        spec: &Spec,
-        options: &SynthesisOptions,
-        sbits: u32,
-        pool: &ManagerPool,
-        governor: &ResourceGovernor,
-    ) -> Built {
-        let n = spec.lines();
-        let (mut m, x_vars): (PooledManager, Vec<u32>) = match options.var_order {
-            VarOrder::XThenY => {
-                let m = pool.checkout(n);
-                (m, (0..n).collect())
-            }
+impl Cascade {
+    /// Manager variable count and the index of input line 0 under the
+    /// options' variable order.
+    fn layout(lines: u32, options: &SynthesisOptions, sbits: u32) -> (u32, u32) {
+        match options.var_order {
+            VarOrder::XThenY => (lines, 0),
             VarOrder::YThenX => {
                 // Pre-allocate the select block for the worst-case depth so
                 // that every Y variable sits above every X variable.
                 let y_total = options.max_depth * sbits;
-                let m = pool.checkout(y_total + n);
-                (m, (y_total..y_total + n).collect())
+                (y_total + lines, y_total)
             }
+        }
+    }
+
+    /// Fresh depth-0 state: `F_0 = (x_1, …, x_n)`, over a manager checked
+    /// out of `pool` (recycled when one is available) and wired to the
+    /// governor's interrupt probe.
+    fn fresh(
+        lines: u32,
+        options: &SynthesisOptions,
+        sbits: u32,
+        pool: &ManagerPool,
+        governor: &ResourceGovernor,
+    ) -> Cascade {
+        let (num_vars, x_base) = Cascade::layout(lines, options, sbits);
+        let mut cascade = Cascade {
+            m: pool.checkout(num_vars),
+            x_vars: (x_base..x_base + lines).collect(),
+            y_vars: Vec::new(),
+            state: Vec::new(),
+            depth: 0,
+            slot_scratch: Vec::new(),
+            last_gc_live: 0,
         };
+        cascade.start(options, governor);
+        cascade
+    }
+
+    /// Returns the arena to its pool, takes a fresh loan and restarts at
+    /// `F_0`. Every handle into the old arena dangles afterwards.
+    fn restart(&mut self, options: &SynthesisOptions, sbits: u32, governor: &ResourceGovernor) {
+        let (num_vars, _) = Cascade::layout(self.x_vars.len() as u32, options, sbits);
+        self.m.recycle(num_vars);
+        self.start(options, governor);
+    }
+
+    /// Configures a just-checked-out manager and sets `F_0`. The caller
+    /// registers the targets and then sets `last_gc_live`.
+    fn start(&mut self, options: &SynthesisOptions, governor: &ResourceGovernor) {
         // Hard caps: a single apply/quantify call must not allocate nodes
         // or memoization entries past the budget (out-of-memory
         // containment; see Manager::set_node_cap / set_cache_cap).
-        m.set_node_cap(options.bdd_node_limit.saturating_add(1_000));
-        m.set_cache_cap(options.bdd_node_limit.saturating_mul(2));
+        self.m
+            .set_node_cap(options.bdd_node_limit.saturating_add(1_000));
+        self.m
+            .set_cache_cap(options.bdd_node_limit.saturating_mul(2));
         // Long node constructions poll this probe and collapse to ⊥ when
         // the run is cancelled or out of time; `enforce_budget` turns the
         // latched interrupt into the structured error before any ⊥ can be
         // misread as UNSAT.
-        m.set_interrupt_poll(Some(governor.interrupt_probe()));
-        let state: Vec<Bdd> = x_vars.iter().map(|&v| m.var(v)).collect();
+        self.m.set_interrupt_poll(Some(governor.interrupt_probe()));
+        self.state = self.x_vars.iter().map(|&v| self.m.var(v)).collect();
+        self.y_vars.clear();
+        self.depth = 0;
+    }
+
+    /// The per-line ON-set and don't-care-set BDDs of `spec` over `X`.
+    fn spec_sets(&mut self, spec: &Spec) -> (Vec<Bdd>, Vec<Bdd>) {
+        let n = spec.lines();
+        let m = &mut self.m;
         // Row minterms over X, shared by the per-line ON/DC set BDDs.
         let minterms: Vec<Bdd> = (0..spec.num_rows() as u32)
             .map(|row| {
                 let lits: Vec<Bdd> = (0..n)
-                    .map(|l| m.literal(x_vars[l as usize], (row >> l) & 1 == 1))
+                    .map(|l| m.literal(self.x_vars[l as usize], (row >> l) & 1 == 1))
                     .collect();
                 m.and_all(lits)
             })
             .collect();
-        let spec_on: Vec<Bdd> = (0..n)
-            .map(|l| {
-                let rows = spec.on_set(l);
-                m.or_all(rows.iter().map(|&r| minterms[r as usize]))
-            })
-            .collect();
-        let spec_dc: Vec<Bdd> = (0..n)
-            .map(|l| {
-                let rows = spec.dc_set(l);
-                m.or_all(rows.iter().map(|&r| minterms[r as usize]))
-            })
-            .collect();
-        let last_gc_live = m.node_count();
-        Built {
-            m,
-            x_vars,
-            y_vars: Vec::new(),
-            state,
-            spec_on,
-            spec_dc,
-            depth: 0,
-            slot_scratch: Vec::new(),
-            last_gc_live,
-        }
+        let mut sets = |rows: &[u32]| m.or_all(rows.iter().map(|&r| minterms[r as usize]));
+        let on = (0..n).map(|l| sets(&spec.on_set(l))).collect();
+        let dc = (0..n).map(|l| sets(&spec.dc_set(l))).collect();
+        (on, dc)
     }
 
     /// The engine's GC root set: every handle that must survive a
-    /// collection at a safe point — the cascade state `F_d` and the
-    /// per-line spec ON/DC sets. (Projection BDDs of bare variables are
-    /// deliberately not rooted: `Manager::var` re-creates them on demand.)
-    fn gc_roots(&self) -> Vec<Bdd> {
-        let mut roots = Vec::with_capacity(self.state.len() * 3);
+    /// collection at a safe point — the cascade state `F_d` and every
+    /// registered target's per-line ON/DC sets. (Projection BDDs of bare
+    /// variables are deliberately not rooted: `Manager::var` re-creates
+    /// them on demand.)
+    fn gc_roots(&self, targets: &[Target]) -> Vec<Bdd> {
+        let mut roots = Vec::with_capacity(self.state.len() * (1 + 2 * targets.len()));
         roots.extend_from_slice(&self.state);
-        roots.extend_from_slice(&self.spec_on);
-        roots.extend_from_slice(&self.spec_dc);
+        for t in targets {
+            roots.extend_from_slice(&t.on);
+            roots.extend_from_slice(&t.dc);
+        }
         roots
     }
 
     /// Mark-and-sweep with the engine roots plus `extra` (handles a caller
     /// mid-computation still needs, e.g. the check() accumulator).
-    fn collect(&mut self, extra: &[Bdd]) -> usize {
-        let mut roots = self.gc_roots();
+    fn collect(&mut self, targets: &[Target], extra: &[Bdd]) -> usize {
+        let mut roots = self.gc_roots(targets);
         roots.extend_from_slice(extra);
         let freed = self.m.collect_garbage(&roots);
         self.last_gc_live = self.m.node_count();
@@ -314,10 +409,10 @@ impl Built {
     /// Opportunistic collection at a depth boundary: only once the arena
     /// has outgrown `GC_GROWTH_FACTOR` times its post-GC size (and is big
     /// enough for the sweep to beat its computed-table flush).
-    fn maybe_collect(&mut self) {
+    fn maybe_collect(&mut self, targets: &[Target]) {
         let live = self.m.node_count();
         if live >= GC_MIN_NODES && live >= self.last_gc_live.saturating_mul(GC_GROWTH_FACTOR) {
-            self.collect(&[]);
+            self.collect(targets, &[]);
         }
     }
 
@@ -328,6 +423,7 @@ impl Built {
     fn enforce_budget(
         &mut self,
         governor: &ResourceGovernor,
+        targets: &[Target],
         extra: &[Bdd],
         d: u32,
     ) -> Result<(), SynthesisError> {
@@ -347,7 +443,7 @@ impl Built {
             return Err(governor.nodes_exceeded(d, self.m.node_count()));
         }
         if self.m.node_count() > governor.node_limit() {
-            self.collect(extra);
+            self.collect(targets, extra);
             if self.m.node_count() > governor.node_limit() {
                 return Err(governor.nodes_exceeded(d, self.m.node_count()));
             }
@@ -466,8 +562,10 @@ impl Built {
         self.m.and_all(parts)
     }
 
-    /// Computes `∀X ⋀_l (f_l^dc ∨ (F_{d,l} ⊙ f_l^on))` — the quantified
-    /// formula of Section 4 — and returns the BDD over `Y`.
+    /// Computes `∀X ⋀_l (f_l^dc ∨ (F_{d,l} ⊙ f_l^on))` for the spec of
+    /// `targets[target]` — the quantified formula of Section 4 — and
+    /// returns the BDD over `Y`. Every target stays rooted across the
+    /// collections this triggers.
     ///
     /// With `fused` (the default), the conjunction is **quantified as it is
     /// built**: the accumulator is folded through the fused ∀-AND kernel
@@ -487,36 +585,39 @@ impl Built {
     fn check(
         &mut self,
         governor: &ResourceGovernor,
+        targets: &[Target],
+        target: usize,
         d: u32,
         fused: bool,
     ) -> Result<Bdd, SynthesisError> {
         let n = self.state.len();
+        let Target { on, dc, .. } = &targets[target];
         if fused {
             let mut oks = Vec::with_capacity(n);
             for l in 0..n {
                 governor.check(d)?;
-                let agree = self.m.xnor(self.state[l], self.spec_on[l]);
-                let ok = self.m.or(self.spec_dc[l], agree);
+                let agree = self.m.xnor(self.state[l], on[l]);
+                let ok = self.m.or(dc[l], agree);
                 oks.push(ok);
                 // Between lines is a safe point: root the agreement
                 // functions built so far.
-                self.enforce_budget(governor, &oks, d)?;
+                self.enforce_budget(governor, targets, &oks, d)?;
             }
             // Quantify the conjunction as it is built: the fused descent
             // walks the X block across all lines at once, so the
             // conjunction over X is never materialized and the first
             // failing input row aborts the whole check.
             let acc = self.m.forall_and_all(&oks, &self.x_vars);
-            self.enforce_budget(governor, &[acc], d)?;
+            self.enforce_budget(governor, targets, &[acc], d)?;
             return Ok(acc);
         }
         let mut eq = self.m.one();
         for l in 0..n {
             governor.check(d)?;
-            let agree = self.m.xnor(self.state[l], self.spec_on[l]);
-            let ok = self.m.or(self.spec_dc[l], agree);
+            let agree = self.m.xnor(self.state[l], on[l]);
+            let ok = self.m.or(dc[l], agree);
             eq = self.m.and(eq, ok);
-            self.enforce_budget(governor, &[eq], d)?;
+            self.enforce_budget(governor, targets, &[eq], d)?;
             if eq.is_zero() {
                 return Ok(eq);
             }
@@ -527,7 +628,7 @@ impl Built {
             governor.check(d)?;
             let v = self.x_vars[i];
             eq = self.m.forall_var(eq, v);
-            self.enforce_budget(governor, &[eq], d)?;
+            self.enforce_budget(governor, targets, &[eq], d)?;
             if eq.is_zero() {
                 return Ok(eq);
             }
@@ -727,6 +828,82 @@ mod tests {
             }
         }
         panic!("no realization found");
+    }
+
+    #[test]
+    fn non_incremental_mode_holds_one_manager() {
+        // Each depth's rebuild returns the old arena to the pool before it
+        // checks one out, so ablation B never holds two managers.
+        let spec = qsyn_revlogic::benchmarks::spec_3_17();
+        for incremental in [true, false] {
+            let mut session = SynthesisSession::new();
+            let options = opts(GateLibrary::mct()).with_incremental(incremental);
+            let r = crate::synthesize_in(&spec, &options, &mut session).unwrap();
+            assert_eq!(r.depth(), 6);
+            assert_eq!(session.stats().managers, 1, "incremental: {incremental}");
+        }
+    }
+
+    /// Runs every target through depths `0..=max` (stopping each at its
+    /// first SAT) on one shared engine and on one engine per spec, and
+    /// asserts identical answers; returns the shared engine.
+    fn shared_matches_separate(specs: &[Spec], options: &SynthesisOptions, max: u32) -> BddEngine {
+        let mut shared = BddEngine::new(&specs[0], options);
+        for spec in &specs[1..] {
+            shared.add_target(spec);
+        }
+        let mut alone: Vec<BddEngine> = specs.iter().map(|s| BddEngine::new(s, options)).collect();
+        let mut open = vec![true; specs.len()];
+        for d in 0..=max {
+            for (t, engine) in alone.iter_mut().enumerate() {
+                if !open[t] {
+                    continue;
+                }
+                let a = shared.solve_target(t, d).unwrap();
+                let b = engine.solve_depth(d).unwrap();
+                let answer = |s: &SolutionSet| (s.count(), s.circuits().to_vec());
+                assert_eq!(
+                    a.as_ref().map(answer),
+                    b.as_ref().map(answer),
+                    "target {t}, depth {d}"
+                );
+                open[t] = a.is_none();
+            }
+        }
+        assert!(
+            open.iter().all(|o| !o),
+            "every target is realizable by depth {max}"
+        );
+        shared
+    }
+
+    /// Unrelated 3-line functions, all realizable within 6 gates: not
+    /// output permutations of one another, so their ON/DC sets share no
+    /// nodes. The deepest comes last, so the collections at the deep
+    /// levels run while a target other than target 0 is still open.
+    fn unrelated_specs() -> [Spec; 3] {
+        [
+            Spec::from_permutation(&Permutation::from_map(3, vec![1, 0, 3, 2, 5, 4, 7, 6])),
+            Spec::from_permutation(&Permutation::from_map(3, vec![1, 2, 3, 4, 5, 6, 7, 0])),
+            qsyn_revlogic::benchmarks::spec_3_17(),
+        ]
+    }
+
+    #[test]
+    fn targets_share_the_cascade_and_answer_like_separate_engines() {
+        // Collections during one target's check must keep every other
+        // target's sets alive.
+        let shared = shared_matches_separate(&unrelated_specs(), &opts(GateLibrary::mct()), 6);
+        assert!(shared.manager_stats().gc_runs > 0, "no collection ran");
+        assert_eq!(shared.levels_built(), 6, "each level built once");
+    }
+
+    #[test]
+    fn non_incremental_mode_rebuilds_once_per_depth() {
+        let options = opts(GateLibrary::mct()).with_incremental(false);
+        let shared = shared_matches_separate(&unrelated_specs(), &options, 6);
+        // Depths 1..=6 each rebuilt from F_0 once, for all targets.
+        assert_eq!(shared.levels_built(), (1..=6).sum::<u64>());
     }
 
     #[test]

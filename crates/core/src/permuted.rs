@@ -21,8 +21,12 @@
 //!    *simultaneous* relabeling of the circuit lines (conjugation): every
 //!    gate library here is closed under line relabeling, so relabeling the
 //!    wires of a depth-`d` realization of one member yields a depth-`d`
-//!    realization of any other. One engine per class decides SAT/UNSAT for
-//!    all of its members at once.
+//!    realization of any other. One probe per class decides SAT/UNSAT for
+//!    all of its members at once. Under the BDD engine a probe is not an
+//!    engine of its own: the cascade `F_d` depends only on the line count
+//!    and the gate library, so every class is a *target* of one shared
+//!    [`BddEngine`] that builds each depth's cascade once and checks every
+//!    class against it. The SAT and QBF engines keep one engine per class.
 //! 2. **Transferred depth floors.** The driver's
 //!    [`depth_lower_bound`] counts lines whose
 //!    function differs from their input projection — a count that is
@@ -30,10 +34,11 @@
 //!    representative applies to every sibling probe in the class. Each
 //!    class enters the lock-step at its transferred floor instead of depth
 //!    0, and the whole search starts at the smallest floor.
-//! 3. **First-SAT cancellation.** All probe engines run under one merged
-//!    [`CancelToken`]; the first SAT hit cancels it, so sibling probes
-//!    (and their pooled managers) stop and unwind immediately instead of
-//!    finishing their depth.
+//! 3. **First-SAT cancellation.** All probes run under one merged
+//!    [`CancelToken`]; the first SAT hit cancels it, so sibling probe
+//!    engines stop and unwind immediately instead of finishing their
+//!    depth, and the shared cascade's pooled manager returns to the
+//!    session.
 //!
 //! The winning class's own solutions are returned directly (its
 //! representative *is* the first — identity-preferring — member of the
@@ -58,14 +63,19 @@ pub struct PermutedSearchStats {
     pub permutations: u64,
     /// Equivalence classes after table-identity + conjugation grouping.
     pub classes: u64,
-    /// Probe engines actually constructed (classes whose floor was
-    /// reached before the winner).
+    /// Class probes set up (classes whose floor was reached before the
+    /// winner): an engine each under SAT and QBF, a target of the shared
+    /// cascade under BDD.
     pub engines_built: u64,
     /// Per-depth probe calls actually issued across all classes.
     pub probes_run: u64,
     /// Per-depth probe calls skipped because a class's transferred lower
     /// bound proved the depth UNSAT without running an engine.
     pub depth_floor_skips: u64,
+    /// BDD cascade levels `F_{d−1} → F_d` the search constructed: the
+    /// winning depth when the shared cascade is incremental, 0 under SAT
+    /// and QBF.
+    pub levels_built: u64,
     /// Persistent-solver reuse across all class probe engines (zeros for
     /// the BDD engine, which has no SAT instance to keep warm): each class
     /// engine survives across the transferred depth floors, so its learnt
@@ -176,8 +186,16 @@ struct ProbeClass {
     /// Transferred depth floor: [`depth_lower_bound`] of the
     /// representative, valid for every member (conjugation-invariant).
     floor: u32,
-    /// Lazily built engine; `None` until the lock-step reaches `floor`.
-    engine: Option<Box<dyn DepthSolver>>,
+    /// Lazily set-up probe; `None` until the lock-step reaches `floor`.
+    probe: Option<Probe>,
+}
+
+/// How one class is decided depth by depth.
+enum Probe {
+    /// A target of the search's shared BDD cascade.
+    Target(usize),
+    /// An engine of its own (SAT and QBF).
+    Engine(Box<dyn DepthSolver>),
 }
 
 /// Bit-permutation lookup tables for one line relabeling `σ`: `fwd[v]`
@@ -294,10 +312,31 @@ fn build_probe_classes(
             spec: permuted,
             members: 1,
             floor,
-            engine: None,
+            probe: None,
         });
     }
     classes
+}
+
+/// Sets up the probe for a class reaching its floor: a new target of the
+/// shared `cascade` (created by the first BDD class) or an engine of its
+/// own.
+fn open_probe(
+    spec: &Spec,
+    options: &SynthesisOptions,
+    session: &mut SynthesisSession,
+    cascade: &mut Option<BddEngine>,
+) -> Probe {
+    if options.engine != Engine::Bdd {
+        return Probe::Engine(build_engine(spec, options, session));
+    }
+    match cascade {
+        Some(engine) => Probe::Target(engine.add_target(spec)),
+        None => {
+            *cascade = Some(BddEngine::new_in(spec, options, session));
+            Probe::Target(0)
+        }
+    }
 }
 
 fn build_engine(
@@ -331,9 +370,10 @@ pub fn synthesize_with_output_permutation(
 }
 
 /// [`synthesize_with_output_permutation`], but borrowing a caller-owned
-/// [`SynthesisSession`]. Probe engines are built lazily — one per
-/// equivalence class, only once the lock-step reaches the class's depth
-/// floor — and draw their BDD managers from the session's pool.
+/// [`SynthesisSession`]. Probes are set up lazily — one per equivalence
+/// class, only once the lock-step reaches the class's depth floor. Under
+/// the BDD engine every class is a target of one shared cascade whose
+/// manager comes from the session's pool.
 ///
 /// # Errors
 ///
@@ -378,6 +418,7 @@ pub fn synthesize_with_output_permutation_in(
     } else {
         0
     };
+    let mut cascade: Option<BddEngine> = None;
     let mut winner: Option<(usize, u32, SolutionSet)> = None;
     let mut depth_times = Vec::new();
     'deepen: for d in first_depth..=options.max_depth {
@@ -390,17 +431,23 @@ pub fn synthesize_with_output_permutation_in(
                 stats.depth_floor_skips += 1;
                 continue;
             }
-            let engine = match &mut class.engine {
-                Some(e) => e,
+            let probe = match &mut class.probe {
+                Some(p) => p,
                 None => {
                     stats.engines_built += 1;
-                    class
-                        .engine
-                        .insert(build_engine(&class.spec, &probe_options, session))
+                    let p = open_probe(&class.spec, &probe_options, session, &mut cascade);
+                    class.probe.insert(p)
                 }
             };
             stats.probes_run += 1;
-            match engine.solve_depth(d) {
+            let outcome = match probe {
+                Probe::Target(t) => cascade
+                    .as_mut()
+                    .expect("targets live in the shared cascade")
+                    .solve_target(*t, d),
+                Probe::Engine(e) => e.solve_depth(d),
+            };
+            match outcome {
                 Ok(Some(solutions)) => {
                     winner = Some((idx, d, solutions));
                     depth_times.push(depth_start.elapsed());
@@ -421,23 +468,26 @@ pub fn synthesize_with_output_permutation_in(
         });
     };
     // First SAT at depth d: cancel the sibling probes (any engine state
-    // polling the merged token observes it), then tear them down so their
-    // pooled managers return to the session.
+    // polling the merged token observes it), then tear them down so the
+    // shared cascade's pooled manager returns to the session.
     probe_token.cancel();
-    let class = classes.swap_remove(idx);
-    let engine = class.engine.expect("winning class has an engine");
-    let (name, manager_stats) = (engine.name(), engine.manager_stats());
     // Fold every probe engine's persistent-solver reuse counters — winner
     // and cancelled siblings alike — before tearing the engines down.
-    if let Some(s) = engine.incremental_stats() {
-        stats.incremental.absorb(&s);
-    }
-    for sibling in &classes {
-        if let Some(s) = sibling.engine.as_ref().and_then(|e| e.incremental_stats()) {
-            stats.incremental.absorb(&s);
+    for class in &classes {
+        if let Some(Probe::Engine(e)) = &class.probe {
+            if let Some(s) = e.incremental_stats() {
+                stats.incremental.absorb(&s);
+            }
         }
     }
-    drop(engine);
+    stats.levels_built = cascade.as_ref().map_or(0, BddEngine::levels_built);
+    let class = classes.swap_remove(idx);
+    let (name, manager_stats) = match (&cascade, &class.probe) {
+        (Some(shared), _) => ("BDD", Some(shared.manager_stats())),
+        (None, Some(Probe::Engine(e))) => (e.name(), e.manager_stats()),
+        (None, _) => unreachable!("the winning class was probed"),
+    };
+    drop(cascade);
     drop(classes);
     // Debug builds lint every materialized circuit, exactly as the plain
     // driver does after a SAT depth — see `qsyn_audit`.
@@ -470,15 +520,16 @@ pub fn synthesize_with_output_permutation_in(
     })
 }
 
-/// The pre-pruning reference search: one engine per permutation, all `n!`
-/// built up front and driven in lock-step from depth 0, the winner
+/// The pre-pruning reference search: one independent engine per
+/// permutation (each BDD engine with its own cascade and manager), all
+/// `n!` built up front and driven in lock-step from depth 0, the winner
 /// re-synthesized through the stock driver.
 ///
 /// Kept (test-only) as the oracle the pruned path is validated against —
 /// property tests and the `permute` scenario of the `trajectory` gate
-/// compare minimal depths and winning permutations between the two. Do
-/// not use in production paths: this is exactly the `n!` blowup the
-/// pruned search exists to avoid.
+/// compare minimal depths, winning permutations and solutions between the
+/// two. Do not use in production paths: this is exactly the `n!` blowup
+/// the pruned search exists to avoid.
 ///
 /// # Errors
 ///
@@ -724,6 +775,14 @@ mod tests {
                     .unwrap();
             prop_assert_eq!(pruned.result.depth(), brute.result.depth());
             prop_assert_eq!(&pruned.permutation, &brute.permutation);
+            prop_assert_eq!(
+                pruned.result.solutions().count(),
+                brute.result.solutions().count()
+            );
+            prop_assert_eq!(
+                pruned.result.solutions().circuits(),
+                brute.result.solutions().circuits()
+            );
             let pspec = permute_spec(&spec, &pruned.permutation).unwrap();
             for c in pruned.result.solutions().circuits() {
                 prop_assert!(pspec.is_realized_by(c));
@@ -748,10 +807,86 @@ mod tests {
                 synthesize_with_output_permutation_brute_in(spec, &options, &mut session).unwrap();
             assert_eq!(pruned.result.depth(), brute.result.depth());
             assert_eq!(pruned.permutation, brute.permutation);
+            assert_eq!(
+                pruned.result.solutions().count(),
+                brute.result.solutions().count()
+            );
+            assert_eq!(
+                pruned.result.solutions().circuits(),
+                brute.result.solutions().circuits()
+            );
             assert!(
                 pruned.stats.probes_run
                     <= pruned.stats.permutations * (brute.result.depth() as u64 + 1)
             );
         }
+    }
+
+    #[test]
+    fn bdd_classes_share_one_cascade_built_once_per_depth() {
+        // decod24-v1: 14 classes, all targets of one cascade that is
+        // extended exactly to the winning depth and held in one manager.
+        let spec = qsyn_revlogic::benchmarks::by_name("decod24-v1")
+            .unwrap()
+            .spec;
+        let mut session = SynthesisSession::new();
+        let r = synthesize_with_output_permutation_in(&spec, &opts(), &mut session).unwrap();
+        assert_eq!(r.stats.classes, 14);
+        assert_eq!(r.stats.engines_built, 14);
+        assert_eq!(r.stats.levels_built, u64::from(r.result.depth()));
+        assert_eq!(session.stats().managers, 1);
+        // SAT keeps one engine per class and builds no cascade.
+        let sat = SynthesisOptions::new(GateLibrary::mct(), Engine::Sat).with_max_depth(8);
+        let r = synthesize_with_output_permutation(&spec, &sat).unwrap();
+        assert_eq!(r.stats.levels_built, 0);
+    }
+
+    #[test]
+    fn shared_cascade_gc_keeps_every_target_rooted() {
+        // decod24-v1 probes 14 classes through one arena. A budget just
+        // under the unconstrained peak must be overshot at some safe point
+        // (live nodes only fall at a collection), so `enforce_budget`
+        // collects there with the earlier targets' ON/DC sets registered:
+        // the answer must not change. Any budget must either give that
+        // same answer or fail — never answer from an overflowed arena,
+        // which would read ⊥ ("UNSAT") for the later classes.
+        let spec = qsyn_revlogic::benchmarks::by_name("decod24-v1")
+            .unwrap()
+            .spec;
+        let free = synthesize_with_output_permutation(&spec, &opts()).unwrap();
+        let peak = free.result.bdd_stats().unwrap().peak_live;
+        let same_answer = |r: &PermutedSynthesisResult, limit: usize| {
+            assert_eq!(r.result.depth(), free.result.depth(), "limit {limit}");
+            assert_eq!(r.permutation, free.permutation, "limit {limit}");
+            assert_eq!(
+                r.result.solutions().circuits(),
+                free.result.solutions().circuits(),
+                "limit {limit}"
+            );
+        };
+        let squeezed = peak - 500;
+        let r = synthesize_with_output_permutation(&spec, &opts().with_bdd_node_limit(squeezed))
+            .unwrap();
+        same_answer(&r, squeezed);
+        let mut refused = 0;
+        for limit in (1..8).map(|k| peak * k / 8) {
+            match synthesize_with_output_permutation(&spec, &opts().with_bdd_node_limit(limit)) {
+                Ok(r) => same_answer(&r, limit),
+                Err(e) => {
+                    refused += 1;
+                    assert!(
+                        matches!(
+                            e,
+                            SynthesisError::BudgetExceeded {
+                                resource: crate::Resource::BddNodes,
+                                ..
+                            }
+                        ),
+                        "limit {limit}: {e}"
+                    );
+                }
+            }
+        }
+        assert!(refused > 0, "no budget was too small");
     }
 }

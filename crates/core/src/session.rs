@@ -350,6 +350,17 @@ pub struct PooledManager {
 }
 
 impl PooledManager {
+    /// Ends this loan and starts a new one over `num_vars` variables from
+    /// the same pool. The manager is checked in *before* the checkout, so
+    /// the pool re-issues it (reset, capacity kept) instead of allocating a
+    /// second one while the first is still held.
+    pub(crate) fn recycle(&mut self, num_vars: u32) {
+        if let Some(m) = self.m.take() {
+            self.pool.check_in(m);
+        }
+        *self = self.pool.checkout(num_vars);
+    }
+
     /// Quarantines the manager explicitly: it is dropped, counted in
     /// [`SessionStats::quarantined`], and never returns to the pool. Use
     /// when the holder knows the manager's state is suspect (a failed
@@ -559,6 +570,7 @@ impl SynthesisSession {
         self.perm.engines_built += s.engines_built;
         self.perm.probes_run += s.probes_run;
         self.perm.depth_floor_skips += s.depth_floor_skips;
+        self.perm.levels_built += s.levels_built;
         self.inc.absorb(&s.incremental);
     }
 

@@ -1186,12 +1186,13 @@ fn run_synth(
                     writeln!(
                         out,
                         "search: {} permutations, {} classes, {} engines built, \
-                         {} probes run, {} floor skips",
+                         {} probes run, {} floor skips, {} levels built",
                         s.permutations,
                         s.classes,
                         s.engines_built,
                         s.probes_run,
-                        s.depth_floor_skips
+                        s.depth_floor_skips,
+                        s.levels_built
                     )?;
                 }
                 emit_circuits(&p.result, config, out)
@@ -2121,7 +2122,7 @@ mod tests {
         assert!(text.contains("bdd: "), "{text}");
         assert!(
             text.contains(
-                "search: 24 permutations, 3 classes, 3 engines built, 7 probes run, 0 floor skips"
+                "search: 24 permutations, 3 classes, 3 engines built, 7 probes run, 0 floor skips, 4 levels built"
             ),
             "{text}"
         );
