@@ -4,7 +4,9 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use qsyn_bdd::Manager;
+use qsyn_core::{Engine, GateLibrary, SatEngine, SynthesisOptions};
 use qsyn_qbf::{ExpansionSolver, QbfFormula, QdpllSolver, Quantifier};
+use qsyn_revlogic::benchmarks;
 use qsyn_sat::{CnfFormula, Lit, Solver};
 
 /// n-queens as CNF — a classic CDCL workload.
@@ -86,6 +88,23 @@ fn bench_sat(c: &mut Criterion) {
             assert!(!s.solve().is_sat());
         })
     });
+    // A real Table 1 instance: decod24-v3's row-wise encoding one gate
+    // short of its minimum of 6, refuted after about 3.8k conflicts and
+    // 0.4M propagations, so the propagation kernel dominates.
+    let Some(decod) = benchmarks::by_name("decod24-v3") else {
+        panic!("decod24-v3 is a built-in benchmark");
+    };
+    let options = SynthesisOptions::new(GateLibrary::mct(), Engine::Sat);
+    let f = SatEngine::new(&decod.spec, &options).encode(5);
+    let mut group = c.benchmark_group("sat");
+    group.sample_size(5);
+    group.bench_function("decod24-v3_depth5_unsat", |b| {
+        b.iter(|| {
+            let mut s = Solver::from_formula(&f);
+            assert!(!s.solve().is_sat());
+        })
+    });
+    group.finish();
 }
 
 fn bench_qbf(c: &mut Criterion) {

@@ -19,7 +19,8 @@
 //! * `permute` — the pruned output-permutation search, checked against
 //!   the brute oracle: probe-space counters;
 //! * `incremental` — incremental SAT deepening, checked against the
-//!   from-scratch oracle: reuse counters.
+//!   from-scratch oracle: reuse counters and the solver's conflicts,
+//!   decisions and propagations.
 //!
 //! Every counter is exact for a given tree (the engines, the probe loop
 //! and the single-worker scheduler are deterministic), and each scenario
@@ -552,6 +553,8 @@ fn incremental(rows: &mut Rows) {
             ("clauses_retained", &inc.clauses_retained),
             ("learnt_reused", &inc.learnt_reused),
             ("conflicts", &inc.conflicts),
+            ("decisions", &inc.decisions),
+            ("propagations", &inc.propagations),
         ]));
         rows.record(name, ms, answer);
     }

@@ -71,6 +71,10 @@ pub struct IncrementalSolveStats {
     /// Total solver conflicts across the run (the conflict budget accounts
     /// across depths for a persistent solver, not per call).
     pub conflicts: u64,
+    /// Total solver decisions across the run.
+    pub decisions: u64,
+    /// Total literals the solver propagated across the run.
+    pub propagations: u64,
 }
 
 impl IncrementalSolveStats {
@@ -83,6 +87,8 @@ impl IncrementalSolveStats {
         self.clauses_retained += other.clauses_retained;
         self.learnt_reused += other.learnt_reused;
         self.conflicts += other.conflicts;
+        self.decisions += other.decisions;
+        self.propagations += other.propagations;
     }
 }
 
@@ -137,6 +143,7 @@ pub struct SynthesisResult {
     depth_times: Vec<Duration>,
     total_time: Duration,
     bdd_stats: Option<qsyn_bdd::ManagerStats>,
+    incremental_stats: Option<IncrementalSolveStats>,
 }
 
 impl SynthesisResult {
@@ -153,6 +160,7 @@ impl SynthesisResult {
             depth_times: Vec::new(),
             total_time: Duration::ZERO,
             bdd_stats: None,
+            incremental_stats: None,
         }
     }
 
@@ -166,6 +174,7 @@ impl SynthesisResult {
         depth_times: Vec<Duration>,
         total_time: Duration,
         bdd_stats: Option<qsyn_bdd::ManagerStats>,
+        incremental_stats: Option<IncrementalSolveStats>,
     ) -> SynthesisResult {
         SynthesisResult {
             solutions,
@@ -174,6 +183,7 @@ impl SynthesisResult {
             depth_times,
             total_time,
             bdd_stats,
+            incremental_stats,
         }
     }
 
@@ -208,6 +218,15 @@ impl SynthesisResult {
     /// a BDD manager (SAT, QBF, mocks).
     pub fn bdd_stats(&self) -> Option<qsyn_bdd::ManagerStats> {
         self.bdd_stats
+    }
+
+    /// Persistent SAT solver counters of the run — depth queries,
+    /// conflicts, decisions, propagations, learnt reuse — summed over every
+    /// probe engine of an output-permutation search. `None` when no engine
+    /// kept a persistent instance (BDD, the from-scratch SAT oracle) and
+    /// for replayed results.
+    pub fn incremental_stats(&self) -> Option<IncrementalSolveStats> {
+        self.incremental_stats
     }
 }
 
@@ -343,6 +362,7 @@ pub fn drive<S: DepthSolver>(
                 depth_times,
                 total_time: start.elapsed(),
                 bdd_stats: engine.manager_stats(),
+                incremental_stats: engine.incremental_stats(),
             });
         }
     }

@@ -473,13 +473,15 @@ pub fn synthesize_with_output_permutation_in(
     probe_token.cancel();
     // Fold every probe engine's persistent-solver reuse counters — winner
     // and cancelled siblings alike — before tearing the engines down.
+    let mut incremental: Option<crate::driver::IncrementalSolveStats> = None;
     for class in &classes {
         if let Some(Probe::Engine(e)) = &class.probe {
             if let Some(s) = e.incremental_stats() {
-                stats.incremental.absorb(&s);
+                incremental.get_or_insert_default().absorb(&s);
             }
         }
     }
+    stats.incremental = incremental.unwrap_or_default();
     stats.levels_built = cascade.as_ref().map_or(0, BddEngine::levels_built);
     let class = classes.swap_remove(idx);
     let (name, manager_stats) = match (&cascade, &class.probe) {
@@ -512,6 +514,7 @@ pub fn synthesize_with_output_permutation_in(
         depth_times,
         start.elapsed(),
         manager_stats,
+        incremental,
     );
     Ok(PermutedSynthesisResult {
         result,

@@ -299,9 +299,16 @@ impl PersistentSolve {
         }
     }
 
-    /// Reuse counters accumulated so far.
+    /// Reuse counters accumulated so far, with the solver's running
+    /// search totals.
     pub(crate) fn stats(&self) -> IncrementalSolveStats {
-        self.stats
+        let totals = self.solver.stats();
+        IncrementalSolveStats {
+            conflicts: totals.conflicts,
+            decisions: totals.decisions,
+            propagations: totals.propagations,
+            ..self.stats
+        }
     }
 
     /// Size `(variables, clauses)` of the accumulated instance.
@@ -357,7 +364,6 @@ impl PersistentSolve {
         }
         self.stats.clauses_added += delta.clauses.len() as u64;
         let result = solve_chunked_assuming(&mut self.solver, governor, d, &[act]);
-        self.stats.conflicts = self.solver.stats().conflicts;
         match result? {
             SolveResult::Unsat => {
                 // Depth d is refuted for good: unit-assert ¬a_d so the

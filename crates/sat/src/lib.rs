@@ -10,7 +10,9 @@
 //! * [`CnfBuilder`] — structural-to-CNF translation (Tseitin encoding \[20\])
 //!   with gate helpers (`and`, `or`, `xor`, `mux`, `equal`, …),
 //! * [`Solver`] — CDCL with two-watched literals, VSIDS decision heuristic,
-//!   first-UIP clause learning, phase saving and Luby restarts,
+//!   first-UIP clause learning, phase saving and Luby restarts, over one
+//!   flat clause arena (every clause inline in a single `Vec<u32>`,
+//!   compacted in clause order as learnt clauses are deleted),
 //! * [`dimacs`] — DIMACS CNF reading/writing.
 //!
 //! # Example
@@ -35,6 +37,7 @@
 
 #![warn(missing_docs)]
 
+mod arena;
 mod builder;
 mod cnf;
 pub mod dimacs;
@@ -47,5 +50,7 @@ pub use cnf::{Clause, CnfFormula};
 pub use solver::{SolveResult, Solver, SolverStats};
 pub use types::{Lit, Var};
 
+#[cfg(test)]
+mod golden_tests;
 #[cfg(test)]
 mod random_tests;

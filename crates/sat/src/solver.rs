@@ -3,8 +3,10 @@
 //! Features: two-watched-literal propagation, VSIDS (exponentially decayed
 //! variable activities with an indexed max-heap), first-UIP conflict
 //! analysis with non-chronological backjumping, phase saving, Luby-sequence
-//! restarts and activity-based learnt-clause database reduction.
+//! restarts and activity-based learnt-clause database reduction. Clauses
+//! live inline in one flat arena (see [`crate::arena`]).
 
+use crate::arena::ClauseArena;
 use crate::cnf::CnfFormula;
 use crate::types::{Lit, Var};
 
@@ -47,24 +49,6 @@ pub struct SolverStats {
     pub learnts: usize,
 }
 
-const CLAUSE_DELETED: u8 = 1;
-const CLAUSE_LEARNT: u8 = 2;
-
-struct ClauseData {
-    lits: Vec<Lit>,
-    flags: u8,
-    activity: f64,
-}
-
-impl ClauseData {
-    fn is_deleted(&self) -> bool {
-        self.flags & CLAUSE_DELETED != 0
-    }
-    fn is_learnt(&self) -> bool {
-        self.flags & CLAUSE_LEARNT != 0
-    }
-}
-
 #[derive(Clone, Copy)]
 struct Watcher {
     cref: u32,
@@ -74,8 +58,8 @@ struct Watcher {
 /// CDCL SAT solver. Build with [`Solver::new`]/[`Solver::from_formula`],
 /// add clauses, then call [`Solver::solve`].
 pub struct Solver {
-    // Clause store.
-    clauses: Vec<ClauseData>,
+    /// Every clause, inline; a `cref` is a clause's offset in it.
+    arena: ClauseArena,
     /// `watches[l.code()]`: clauses in which `¬l` is watched — inspected
     /// when `l` becomes true.
     watches: Vec<Vec<Watcher>>,
@@ -94,11 +78,19 @@ pub struct Solver {
     cla_inc: f64,
     // Conflict analysis scratch.
     seen: Vec<bool>,
+    /// The clause `analyze` learns, reused across conflicts.
+    learnt: Vec<Lit>,
+    /// Variables `analyze` marked seen, reused across conflicts.
+    to_clear: Vec<usize>,
+    /// Normalization buffer of `add_clause`.
+    add_buf: Vec<Lit>,
     // Status.
     ok: bool,
     stats: SolverStats,
     num_learnts: usize,
     max_learnts: usize,
+    /// Clause-arena compactions so far.
+    compactions: u64,
     /// Optional conflict budget; `solve` returns `None` via `solve_limited`
     /// when exhausted.
     conflict_budget: Option<u64>,
@@ -122,7 +114,8 @@ impl std::fmt::Debug for Solver {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Solver")
             .field("vars", &self.assign.len())
-            .field("clauses", &self.clauses.len())
+            .field("arena_words", &self.arena.len())
+            .field("compactions", &self.compactions)
             .field("stats", &self.stats)
             .finish_non_exhaustive()
     }
@@ -133,7 +126,7 @@ impl Solver {
     pub fn new(num_vars: u32) -> Solver {
         let n = num_vars as usize;
         Solver {
-            clauses: Vec::new(),
+            arena: ClauseArena::default(),
             watches: vec![Vec::new(); 2 * n],
             assign: vec![None; n],
             level: vec![0; n],
@@ -147,10 +140,14 @@ impl Solver {
             phase: vec![false; n],
             cla_inc: 1.0,
             seen: vec![false; n],
+            learnt: Vec::new(),
+            to_clear: Vec::new(),
+            add_buf: Vec::new(),
             ok: true,
             stats: SolverStats::default(),
             num_learnts: 0,
             max_learnts: 4000,
+            compactions: 0,
             conflict_budget: None,
             budget_callback: None,
             externally_aborted: false,
@@ -266,51 +263,66 @@ impl Solver {
     ///
     /// Panics if called after search has started (the trail is not at
     /// decision level 0), or if a literal is out of range.
-    pub fn add_clause<I: IntoIterator<Item = Lit>>(&mut self, lits: I) -> bool {
+    pub fn add_clause<I: IntoIterator<Item = Lit>>(&mut self, new_lits: I) -> bool {
         assert!(self.trail_lim.is_empty(), "add_clause during search");
         if !self.ok {
             return false;
         }
-        let mut lits: Vec<Lit> = lits.into_iter().collect();
+        let mut lits = std::mem::take(&mut self.add_buf);
+        lits.clear();
+        lits.extend(new_lits);
         for l in &lits {
             assert!(l.var().index() < self.assign.len(), "literal out of range");
         }
         lits.sort_unstable();
         lits.dedup();
-        // Tautology / level-0 simplification.
-        let mut simplified = Vec::with_capacity(lits.len());
-        for (i, &l) in lits.iter().enumerate() {
+        // Tautology / level-0 simplification, in place: the kept prefix
+        // never overtakes the literal being examined.
+        let mut kept = 0;
+        let mut satisfied = false;
+        for i in 0..lits.len() {
+            let l = lits[i];
             if i + 1 < lits.len() && lits[i + 1] == !l {
-                return true; // tautology: x, ¬x adjacent after sort
+                satisfied = true; // tautology: x, ¬x adjacent after sort
+                break;
             }
             match self.value(l) {
-                Some(true) => return true, // already satisfied at level 0
-                Some(false) => continue,   // false at level 0: drop literal
-                None => simplified.push(l),
+                Some(true) => {
+                    satisfied = true; // already satisfied at level 0
+                    break;
+                }
+                Some(false) => {} // false at level 0: drop literal
+                None => {
+                    lits[kept] = l;
+                    kept += 1;
+                }
             }
         }
-        match simplified.len() {
+        lits.truncate(kept);
+        let ok = match lits.len() {
+            _ if satisfied => true,
             0 => {
                 self.ok = false;
                 false
             }
             1 => {
-                self.enqueue(simplified[0], None);
+                self.enqueue(lits[0], None);
                 if self.propagate().is_some() {
                     self.ok = false;
                 }
                 self.ok
             }
             _ => {
-                self.attach_clause(simplified, false);
+                self.attach_clause(&lits, false);
                 true
             }
-        }
+        };
+        self.add_buf = lits;
+        ok
     }
 
-    fn attach_clause(&mut self, lits: Vec<Lit>, learnt: bool) -> u32 {
-        debug_assert!(lits.len() >= 2);
-        let cref = u32::try_from(self.clauses.len()).expect("clause arena overflow");
+    fn attach_clause(&mut self, lits: &[Lit], learnt: bool) -> u32 {
+        let cref = self.arena.alloc(lits, learnt);
         let w0 = Watcher {
             cref,
             blocker: lits[1],
@@ -321,11 +333,6 @@ impl Solver {
         };
         self.watches[(!lits[0]).code()].push(w0);
         self.watches[(!lits[1]).code()].push(w1);
-        self.clauses.push(ClauseData {
-            lits,
-            flags: if learnt { CLAUSE_LEARNT } else { 0 },
-            activity: 0.0,
-        });
         if learnt {
             self.num_learnts += 1;
         }
@@ -334,7 +341,7 @@ impl Solver {
 
     #[inline]
     fn value(&self, l: Lit) -> Option<bool> {
-        self.assign[l.var().index()].map(|v| l.apply(v))
+        lit_value(&self.assign, l)
     }
 
     #[inline]
@@ -378,32 +385,27 @@ impl Solver {
                     i += 1;
                     continue;
                 }
-                let cref = w.cref as usize;
-                if self.clauses[cref].is_deleted() {
+                let Some(lits) = self.arena.live_lits_mut(w.cref) else {
                     ws.swap_remove(i);
                     continue;
-                }
+                };
                 // Make sure the false literal (¬p) is at position 1.
-                let false_lit = !p;
-                {
-                    let lits = &mut self.clauses[cref].lits;
-                    if lits[0] == false_lit {
-                        lits.swap(0, 1);
-                    }
-                    debug_assert_eq!(lits[1], false_lit);
+                let false_lit = (!p).raw();
+                if lits[0] == false_lit {
+                    lits.swap(0, 1);
                 }
-                let first = self.clauses[cref].lits[0];
-                if first != w.blocker && self.value(first) == Some(true) {
+                debug_assert_eq!(lits[1], false_lit);
+                let first = Lit::from_raw(lits[0]);
+                if first != w.blocker && lit_value(&self.assign, first) == Some(true) {
                     ws[i].blocker = first;
                     i += 1;
                     continue;
                 }
                 // Look for a new literal to watch.
-                let len = self.clauses[cref].lits.len();
-                for k in 2..len {
-                    let cand = self.clauses[cref].lits[k];
-                    if self.value(cand) != Some(false) {
-                        self.clauses[cref].lits.swap(1, k);
+                for k in 2..lits.len() {
+                    let cand = Lit::from_raw(lits[k]);
+                    if lit_value(&self.assign, cand) != Some(false) {
+                        lits.swap(1, k);
                         self.watches[(!cand).code()].push(Watcher {
                             cref: w.cref,
                             blocker: first,
@@ -453,12 +455,11 @@ impl Solver {
         self.var_inc /= 0.95;
     }
 
-    fn bump_clause(&mut self, cref: usize) {
-        self.clauses[cref].activity += self.cla_inc;
-        if self.clauses[cref].activity > 1e20 {
-            for c in &mut self.clauses {
-                c.activity *= 1e-20;
-            }
+    fn bump_clause(&mut self, cref: u32) {
+        let activity = self.arena.activity(cref) + self.cla_inc;
+        self.arena.set_activity(cref, activity);
+        if activity > 1e20 {
+            self.arena.scale_activities(1e-20);
             self.cla_inc *= 1e-20;
         }
     }
@@ -467,26 +468,27 @@ impl Solver {
         self.cla_inc /= 0.999;
     }
 
-    /// First-UIP conflict analysis. Returns the learnt clause (asserting
-    /// literal first) and the backjump level.
-    fn analyze(&mut self, confl: u32) -> (Vec<Lit>, u32) {
-        let mut learnt: Vec<Lit> = vec![Lit::pos(0)]; // placeholder slot 0
+    /// First-UIP conflict analysis. Leaves the learnt clause (asserting
+    /// literal first) in `self.learnt` and returns the backjump level.
+    fn analyze(&mut self, confl: u32) -> u32 {
+        let mut learnt = std::mem::take(&mut self.learnt);
+        learnt.clear();
+        learnt.push(Lit::pos(0)); // placeholder slot 0
         let mut counter = 0u32;
         let mut p: Option<Lit> = None;
-        let mut cref = confl as usize;
+        let mut cref = confl;
         let mut idx = self.trail.len();
-        let mut to_clear: Vec<usize> = Vec::new();
         loop {
-            if self.clauses[cref].is_learnt() {
+            if self.arena.is_learnt(cref) {
                 self.bump_clause(cref);
             }
             let start = usize::from(p.is_some()); // skip lits[0] for reasons
-            for k in start..self.clauses[cref].lits.len() {
-                let q = self.clauses[cref].lits[k];
+            for k in start..self.arena.lits(cref).len() {
+                let q = Lit::from_raw(self.arena.lits(cref)[k]);
                 let v = q.var().index();
                 if !self.seen[v] && self.level[v] > 0 {
                     self.seen[v] = true;
-                    to_clear.push(v);
+                    self.to_clear.push(v);
                     self.bump_var(v);
                     if self.level[v] >= self.decision_level() {
                         counter += 1;
@@ -508,7 +510,7 @@ impl Solver {
             if counter == 0 {
                 break;
             }
-            cref = self.reason[pl.var().index()].expect("non-decision on path") as usize;
+            cref = self.reason[pl.var().index()].expect("non-decision on path");
         }
         learnt[0] = !p.expect("UIP literal");
         // Clause minimization: drop literals implied by the rest.
@@ -526,10 +528,12 @@ impl Solver {
             learnt.swap(1, max_i);
             self.level[learnt[1].var().index()]
         };
-        for v in to_clear {
+        for &v in &self.to_clear {
             self.seen[v] = false;
         }
-        (learnt, blevel)
+        self.to_clear.clear();
+        self.learnt = learnt;
+        blevel
     }
 
     /// Local clause minimization: removes a literal whose reason clause's
@@ -541,9 +545,10 @@ impl Solver {
             let v = learnt[i].var().index();
             let redundant = match self.reason[v] {
                 None => false,
-                Some(cref) => self.clauses[cref as usize].lits[1..]
-                    .iter()
-                    .all(|q| self.seen[q.var().index()] || self.level[q.var().index()] == 0),
+                Some(cref) => self.arena.lits(cref)[1..].iter().all(|&q| {
+                    let u = Lit::from_raw(q).var().index();
+                    self.seen[u] || self.level[u] == 0
+                }),
             };
             if redundant {
                 learnt.swap_remove(i);
@@ -583,32 +588,60 @@ impl Solver {
     /// Deletes the lower-activity half of the learnt clauses (except those
     /// locked as reasons).
     fn reduce_db(&mut self) {
-        let mut learnt_refs: Vec<usize> = (0..self.clauses.len())
-            .filter(|&i| {
-                let c = &self.clauses[i];
-                c.is_learnt() && !c.is_deleted() && c.lits.len() > 2 && !self.is_locked(i)
+        let mut learnt_refs: Vec<u32> = self
+            .arena
+            .crefs()
+            .filter(|&c| {
+                self.arena.is_learnt(c)
+                    && !self.arena.is_deleted(c)
+                    && self.arena.lits(c).len() > 2
+                    && !self.is_locked(c)
             })
             .collect();
         learnt_refs.sort_by(|&a, &b| {
-            self.clauses[a]
-                .activity
-                .partial_cmp(&self.clauses[b].activity)
+            self.arena
+                .activity(a)
+                .partial_cmp(&self.arena.activity(b))
                 .unwrap_or(std::cmp::Ordering::Equal)
         });
         let to_delete = learnt_refs.len() / 2;
-        for &i in &learnt_refs[..to_delete] {
-            self.clauses[i].flags |= CLAUSE_DELETED;
-            self.clauses[i].lits.clear();
-            self.clauses[i].lits.shrink_to_fit();
+        for &c in &learnt_refs[..to_delete] {
+            self.arena.delete(c);
             self.num_learnts -= 1;
         }
         // Deleted clauses are purged from watch lists lazily in propagate.
+        if self.arena.needs_compaction() {
+            self.compact_arena();
+        }
     }
 
-    fn is_locked(&self, cref: usize) -> bool {
-        let first = self.clauses[cref].lits[0];
-        self.assign[first.var().index()].is_some()
-            && self.reason[first.var().index()] == Some(cref as u32)
+    /// Compacts the clause arena and rewrites every `cref` the solver
+    /// holds: watchers (deleted clauses still watched keep a tombstone, so
+    /// no watcher moves within its list) and reasons (always live: a
+    /// clause that is a reason is locked, so never deleted).
+    fn compact_arena(&mut self) {
+        let mut pinned: Vec<u32> = self
+            .watches
+            .iter()
+            .flatten()
+            .map(|w| w.cref)
+            .filter(|&c| self.arena.is_deleted(c))
+            .collect();
+        pinned.sort_unstable();
+        pinned.dedup();
+        let moved = self.arena.compact(&pinned);
+        for w in self.watches.iter_mut().flatten() {
+            w.cref = moved.get(w.cref);
+        }
+        for r in self.reason.iter_mut().flatten() {
+            *r = moved.get(*r);
+        }
+        self.compactions += 1;
+    }
+
+    fn is_locked(&self, cref: u32) -> bool {
+        let first = Lit::from_raw(self.arena.lits(cref)[0]);
+        self.assign[first.var().index()].is_some() && self.reason[first.var().index()] == Some(cref)
     }
 
     /// Runs the CDCL search to completion.
@@ -682,7 +715,8 @@ impl Solver {
                     self.log_proof_step(&[]);
                     return Some(SolveResult::Unsat);
                 }
-                let (learnt, blevel) = self.analyze(confl);
+                let blevel = self.analyze(confl);
+                let learnt = std::mem::take(&mut self.learnt);
                 self.log_proof_step(&learnt);
                 self.cancel_until(blevel);
                 if learnt.len() == 1 {
@@ -697,10 +731,11 @@ impl Solver {
                     }
                 } else {
                     let asserting = learnt[0];
-                    let cref = self.attach_clause(learnt, true);
-                    self.bump_clause(cref as usize);
+                    let cref = self.attach_clause(&learnt, true);
+                    self.bump_clause(cref);
                     self.enqueue(asserting, Some(cref));
                 }
+                self.learnt = learnt;
                 self.decay_var_activity();
                 self.decay_clause_activity();
             } else {
@@ -770,6 +805,35 @@ impl Solver {
             _ => None,
         }
     }
+}
+
+#[cfg(test)]
+impl Solver {
+    /// How many times `reduce_db` ran, read back from the growth of
+    /// `max_learnts` (each reduction raises it by half).
+    pub(crate) fn db_reductions(&self) -> u32 {
+        let (mut limit, mut n) = (Solver::new(0).max_learnts, 0);
+        while limit < self.max_learnts {
+            limit += limit / 2;
+            n += 1;
+        }
+        n
+    }
+
+    /// Whether clause activities were ever rescaled. Without a rescale,
+    /// `cla_inc` is `0.999^-k` after `k` decays, `k ≤ conflicts`; each
+    /// rescale multiplies it by `1e-20`.
+    pub(crate) fn clause_activity_rescaled(&self) -> bool {
+        let conflicts = i32::try_from(self.stats.conflicts).unwrap_or(i32::MAX);
+        self.cla_inc < 1e-10 * 0.999f64.powi(-conflicts)
+    }
+}
+
+/// Value of `l` under `assign`, free of `&self` so propagation can read
+/// assignments while it holds a clause's literals mutably.
+#[inline]
+fn lit_value(assign: &[Option<bool>], l: Lit) -> Option<bool> {
+    assign[l.var().index()].map(|v| l.apply(v))
 }
 
 /// Luby restart sequence: 1,1,2,1,1,2,4,1,1,2,1,1,2,4,8,…
@@ -1195,5 +1259,152 @@ mod tests {
         s.set_budget_callback(Some(Box::new(|| false)));
         assert_eq!(s.solve_limited(), Some(SolveResult::Unsat));
         assert!(!s.was_interrupted());
+    }
+
+    /// Random 3-SAT block over variables `0..nvars`.
+    fn random_block(rng: &mut rand::rngs::StdRng, nvars: u32, nclauses: usize) -> CnfFormula {
+        use rand::Rng;
+        let mut f = CnfFormula::new(nvars);
+        for _ in 0..nclauses {
+            let mut vars = Vec::with_capacity(3);
+            while vars.len() < 3 {
+                let v = rng.gen_range(0..nvars);
+                if !vars.contains(&v) {
+                    vars.push(v);
+                }
+            }
+            f.add_clause(vars.iter().map(|&v| Lit::new(v, rng.gen())));
+        }
+        f
+    }
+
+    /// Every watcher points at a record of the arena (a live clause or a
+    /// tombstone), and every reason at a live clause whose first literal
+    /// is the one it implies.
+    fn assert_crefs_valid(s: &Solver) {
+        let records: std::collections::BTreeSet<u32> = s.arena.crefs().collect();
+        for w in s.watches.iter().flatten() {
+            assert!(records.contains(&w.cref), "watcher of a dropped record");
+        }
+        for (v, r) in s.reason.iter().enumerate() {
+            if let Some(c) = *r {
+                assert!(records.contains(&c) && !s.arena.is_deleted(c));
+                assert_eq!(Lit::from_raw(s.arena.lits(c)[0]).var().index(), v);
+            }
+        }
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore = "tens of thousands of conflicts")]
+    fn persistent_solver_matches_fresh_solvers_across_compactions() {
+        // One guarded 3-SAT block per round, the shape of incremental
+        // deepening: grow the universe by an activation variable a_k, add
+        // the block with ¬a_k in every clause, solve under a_k (every third
+        // round under a_{k-1} too), and retire a_k when its block alone is
+        // refuted. Twelve rounds run several reductions and compactions.
+        use rand::SeedableRng;
+        const BASE: u32 = 150;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(19);
+        let mut s = Solver::new(BASE);
+        let mut blocks: Vec<CnfFormula> = Vec::new();
+        for k in 0..12u32 {
+            let act = Lit::pos(BASE + k);
+            s.ensure_vars(BASE + k + 1);
+            let block = random_block(&mut rng, BASE, 600 + 5 * k as usize);
+            for c in block.clauses() {
+                assert!(s.add_clause(c.lits().iter().copied().chain([!act])));
+            }
+            blocks.push(block);
+            let mut assumptions = vec![act];
+            if k % 3 == 2 {
+                assumptions.push(Lit::pos(BASE + k - 1));
+            }
+            let answer = s.solve_assuming(&assumptions);
+            // A fresh solver over just the assumed blocks, unguarded.
+            let mut fresh = CnfFormula::new(BASE);
+            for a in &assumptions {
+                for c in blocks[(a.var().0 - BASE) as usize].clauses() {
+                    fresh.add_clause(c.lits().iter().copied());
+                }
+            }
+            assert_eq!(
+                answer.is_sat(),
+                Solver::from_formula(&fresh).solve().is_sat(),
+                "round {k}"
+            );
+            match &answer {
+                SolveResult::Sat(m) => assert!(fresh.eval(&m[..BASE as usize]), "round {k}"),
+                SolveResult::Unsat if assumptions.len() == 1 => {
+                    assert!(s.add_clause([!act]));
+                }
+                SolveResult::Unsat => {}
+            }
+            assert!(
+                s.arena.wasted() * 5 <= s.arena.len(),
+                "round {k}: {} of {} words dead",
+                s.arena.wasted(),
+                s.arena.len()
+            );
+            assert_crefs_valid(&s);
+        }
+        assert!(s.db_reductions() >= 3, "{} reductions", s.db_reductions());
+        assert!(s.compactions >= 2, "{} compactions", s.compactions);
+    }
+
+    #[test]
+    fn compaction_keeps_a_learnt_reason_valid() {
+        // Two learnt clauses are deleted ahead of a third, R = x0 ∨ ¬x1 ∨
+        // ¬x2, which is the reason for x0 at level 2. Compaction shrinks
+        // the deleted pair to tombstones (their watchers were never
+        // purged), slides R down and must re-point x0's reason at it.
+        let originals: &[&[i32]] = &[&[-1, 4], &[-1, -5, 6], &[-1, -5, -6], &[6, 7, 8]];
+        let mut s = solver_with(8, originals);
+        let dead: Vec<u32> = [lits(&[4, 5, 6]), lits(&[6, 7, 8])]
+            .iter()
+            .map(|c| s.attach_clause(c, true))
+            .collect();
+        let r = s.attach_clause(&lits(&[1, -2, -3]), true);
+        for &c in &dead {
+            s.arena.delete(c);
+            s.num_learnts -= 1;
+        }
+        for decision in lits(&[2, 3]) {
+            s.trail_lim.push(s.trail.len());
+            s.enqueue(decision, None);
+            assert_eq!(s.propagate(), None);
+        }
+        assert_eq!(s.reason[0], Some(r), "R implies x0");
+        assert!(s.is_locked(r));
+        s.compact_arena();
+        let moved = s.reason[0].unwrap();
+        assert!(moved < r, "R slid over the dead words");
+        assert_eq!(Lit::from_raw(s.arena.lits(moved)[0]), Lit::pos(0));
+        let mut got: Vec<Lit> = s
+            .arena
+            .lits(moved)
+            .iter()
+            .map(|&l| Lit::from_raw(l))
+            .collect();
+        got.sort_unstable();
+        assert_eq!(got, {
+            let mut want = lits(&[1, -2, -3]);
+            want.sort_unstable();
+            want
+        });
+        assert!(s.is_locked(moved) && s.arena.is_learnt(moved));
+        assert_eq!(s.arena.wasted(), 2, "two tombstones, one word each");
+        assert_crefs_valid(&s);
+        // The search goes on over the moved reason: deciding x4 at level 3
+        // conflicts on ¬x0 ∨ ¬x4 ∨ ¬x5, and minimizing the learnt ¬x4 ∨ ¬x0
+        // reads R's literals through x0's rewritten reason.
+        s.trail_lim.push(s.trail.len());
+        s.enqueue(Lit::pos(4), None);
+        let confl = s.propagate().expect("¬x0 ∨ ¬x4 ∨ ¬x5 is falsified");
+        assert_eq!(s.analyze(confl), 2);
+        assert_eq!(s.learnt, vec![Lit::neg(4), Lit::neg(0)]);
+        s.cancel_until(0);
+        let mut fresh = solver_with(8, originals);
+        assert!(fresh.add_clause(lits(&[1, -2, -3])));
+        assert_eq!(s.solve().is_sat(), fresh.solve().is_sat());
     }
 }

@@ -91,6 +91,18 @@ impl Lit {
         Lit(u32::try_from(code).expect("literal code fits u32"))
     }
 
+    /// Packed code as a `u32`, the form the solver's clause arena stores.
+    #[inline]
+    pub(crate) fn raw(self) -> u32 {
+        self.0
+    }
+
+    /// Inverse of [`raw`](Lit::raw).
+    #[inline]
+    pub(crate) fn from_raw(raw: u32) -> Lit {
+        Lit(raw)
+    }
+
     /// Value of this literal when its variable is assigned `value`.
     #[inline]
     pub fn apply(self, value: bool) -> bool {

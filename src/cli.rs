@@ -1325,6 +1325,14 @@ fn emit_stats(
                 result.engine()
             )?,
         }
+        if let Some(s) = result.incremental_stats() {
+            writeln!(
+                out,
+                "sat: {} depth queries, {} conflicts, {} decisions, {} propagations, \
+                 {} learnts reused",
+                s.depths, s.conflicts, s.decisions, s.propagations, s.learnt_reused
+            )?;
+        }
     }
     Ok(())
 }
@@ -2112,8 +2120,10 @@ mod tests {
         let text = String::from_utf8(buf).unwrap();
         assert!(text.contains("bdd: "), "{text}");
         assert!(text.contains("hit rate"), "{text}");
-        // Without --output-permutation there is no search to report.
+        // Without --output-permutation there is no search to report, and
+        // the BDD engine keeps no SAT solver.
         assert!(!text.contains("search: "), "{text}");
+        assert!(!text.contains("sat: "), "{text}");
 
         let cmd = parse(&["bench", "rd32-v0", "--output-permutation", "--stats"]).unwrap();
         let mut buf = Vec::new();
@@ -2123,6 +2133,41 @@ mod tests {
         assert!(
             text.contains(
                 "search: 24 permutations, 3 classes, 3 engines built, 7 probes run, 0 floor skips, 4 levels built"
+            ),
+            "{text}"
+        );
+
+        // The SAT engine's persistent solver reports its search counters,
+        // summed over every class probe on a permuted run.
+        let cmd = parse(&["bench", "rd32-v0", "--engine", "sat", "--stats"]).unwrap();
+        let mut buf = Vec::new();
+        assert_eq!(run(&cmd, &mut buf).unwrap(), 0);
+        let text = String::from_utf8(buf).unwrap();
+        assert!(
+            text.contains("bdd: n/a (SAT engine has no BDD manager)"),
+            "{text}"
+        );
+        assert!(
+            text.contains(
+                "sat: 3 depth queries, 802 conflicts, 2504 decisions, 139449 propagations, 346 learnts reused"
+            ),
+            "{text}"
+        );
+        let cmd = parse(&[
+            "bench",
+            "rd32-v0",
+            "--engine",
+            "sat",
+            "--output-permutation",
+            "--stats",
+        ])
+        .unwrap();
+        let mut buf = Vec::new();
+        assert_eq!(run(&cmd, &mut buf).unwrap(), 0);
+        let text = String::from_utf8(buf).unwrap();
+        assert!(
+            text.contains(
+                "sat: 7 depth queries, 1312 conflicts, 4323 decisions, 211718 propagations, 442 learnts reused"
             ),
             "{text}"
         );
