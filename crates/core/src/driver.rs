@@ -114,10 +114,6 @@ impl DepthSolver for QbfEngine {
     fn solve_depth(&mut self, d: u32) -> Result<Option<SolutionSet>, SynthesisError> {
         QbfEngine::solve_depth(self, d)
     }
-
-    fn incremental_stats(&self) -> Option<IncrementalSolveStats> {
-        QbfEngine::incremental_stats(self)
-    }
 }
 
 impl DepthSolver for SatEngine {
@@ -223,8 +219,8 @@ impl SynthesisResult {
     /// Persistent SAT solver counters of the run — depth queries,
     /// conflicts, decisions, propagations, learnt reuse — summed over every
     /// probe engine of an output-permutation search. `None` when no engine
-    /// kept a persistent instance (BDD, the from-scratch SAT oracle) and
-    /// for replayed results.
+    /// kept a persistent instance (BDD, QBF, the from-scratch SAT oracle)
+    /// and for replayed results.
     pub fn incremental_stats(&self) -> Option<IncrementalSolveStats> {
         self.incremental_stats
     }
@@ -298,9 +294,7 @@ pub fn synthesize_in(
         }
         Engine::Qbf => {
             let mut engine = QbfEngine::new_in(spec, options, session);
-            let result = drive(spec, options, &mut engine);
-            session.note_incremental(DepthSolver::incremental_stats(&engine));
-            result
+            drive(spec, options, &mut engine)
         }
         Engine::Sat => {
             let mut engine = SatEngine::new_in(spec, options, session);

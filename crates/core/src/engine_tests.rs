@@ -1,8 +1,9 @@
 //! Cross-engine tests: all three engines must agree on minimal depths, and
 //! every returned circuit must realize its specification.
 
-use crate::driver::synthesize;
+use crate::driver::{drive, synthesize};
 use crate::options::{Engine, QbfBackend, SatSelectEncoding, SynthesisOptions, VarOrder};
+use crate::{QbfEngine, SatEngine};
 use proptest::prelude::*;
 use qsyn_revlogic::benchmarks::random_permutation;
 use qsyn_revlogic::{GateLibrary, Permutation, Spec};
@@ -133,20 +134,20 @@ proptest! {
 }
 
 proptest! {
-    // Incremental-vs-oracle runs four full deepening searches per case
-    // (two engines, warm and cold); a small case count keeps the suite
-    // fast while the nightly-style seeds still rotate.
+    // Incremental-vs-oracle runs two full deepening searches per case
+    // (warm and cold); a small case count keeps the suite fast while the
+    // nightly-style seeds still rotate.
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     #[test]
     fn incremental_solving_agrees_with_from_scratch(lines in 2u32..=4, seed in 0u64..4000) {
-        // The persistent-solver path (default) against the retained
-        // from-scratch oracle: identical minimal depth, identical solution
-        // count, and every circuit realizes the spec. Complete random
-        // permutations stay at n ≤ 3; n = 4 runs through sparse
-        // incompletely-specified functions (always realizable, shallow)
-        // and exercises only the SAT engine — the QBF expansion already
-        // rides the identical persistent instance and is far slower cold.
+        // The SAT engine's persistent-solver path (default) against the
+        // retained from-scratch oracle: identical minimal depth, identical
+        // solution count, and every circuit realizes the spec. Complete
+        // random permutations stay at n ≤ 3; n = 4 runs through sparse
+        // incompletely-specified functions (always realizable, shallow).
+        // The QBF engine has no warm path: every depth solves its own
+        // prenex instance.
         let spec = match lines {
             4 => qsyn_revlogic::benchmarks::random_incomplete_spec(4, seed, 250),
             _ => {
@@ -157,25 +158,13 @@ proptest! {
                 }
             }
         };
-        let engines: &[Engine] = if lines == 4 {
-            &[Engine::Sat]
-        } else {
-            &[Engine::Sat, Engine::Qbf]
-        };
-        for &engine in engines {
-            let warm = synthesize(&spec, &mct_opts(engine)).unwrap();
-            let cold = synthesize(&spec, &mct_opts(engine).with_incremental(false)).unwrap();
-            prop_assert_eq!(warm.depth(), cold.depth(), "{:?}", engine);
-            prop_assert_eq!(
-                warm.solutions().count(),
-                cold.solutions().count(),
-                "{:?}",
-                engine
-            );
-            for r in [&warm, &cold] {
-                for c in r.solutions().circuits() {
-                    prop_assert!(spec.is_realized_by(c), "{:?}", engine);
-                }
+        let warm = synthesize(&spec, &mct_opts(Engine::Sat)).unwrap();
+        let cold = synthesize(&spec, &mct_opts(Engine::Sat).with_incremental(false)).unwrap();
+        prop_assert_eq!(warm.depth(), cold.depth());
+        prop_assert_eq!(warm.solutions().count(), cold.solutions().count());
+        for r in [&warm, &cold] {
+            for c in r.solutions().circuits() {
+                prop_assert!(spec.is_realized_by(c));
             }
         }
     }
@@ -199,6 +188,39 @@ fn three_line_spot_check_across_engines() {
     assert_eq!(bdd.depth(), 2);
     assert_eq!(sat.depth(), 2);
     assert_eq!(qbf.depth(), 2);
+}
+
+#[test]
+fn qbf_engine_solves_the_prenex_instance_not_the_sat_encoding() {
+    // The QBF engine hands each depth's `∃Y ∀X ∃A` instance to its
+    // backend; the binary-select SAT engine keeps its persistent row-wise
+    // instance. Same depth, different work.
+    for name in ["3_17", "rd32-v0"] {
+        let spec = qsyn_revlogic::benchmarks::by_name(name).unwrap().spec;
+        let options = mct_opts(Engine::Qbf);
+        let mut qbf = QbfEngine::new(&spec, &options);
+        let qbf_run = drive(&spec, &options, &mut qbf).unwrap();
+        let d = qbf_run.depth();
+        let prenex = qbf.instance(d);
+        assert_eq!(
+            qbf.last_instance_size(),
+            (prenex.num_vars(), prenex.matrix().len()),
+            "{name}"
+        );
+        assert!(qbf_run.incremental_stats().is_none(), "{name}");
+
+        let options = mct_opts(Engine::Sat).with_sat_encoding(SatSelectEncoding::Binary);
+        let mut sat = SatEngine::new(&spec, &options);
+        let sat_run = drive(&spec, &options, &mut sat).unwrap();
+        assert_eq!(sat_run.depth(), d, "{name}");
+        assert!(sat_run.incremental_stats().is_some(), "{name}");
+        assert!(
+            qbf.last_instance_size().1 < sat.last_instance_size().1,
+            "{name}: prenex {:?} vs row-wise {:?}",
+            qbf.last_instance_size(),
+            sat.last_instance_size()
+        );
+    }
 }
 
 #[test]

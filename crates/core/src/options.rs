@@ -90,9 +90,12 @@ pub struct SynthesisOptions {
     pub sat_encoding: SatSelectEncoding,
     /// BDD variable order.
     pub var_order: VarOrder,
-    /// Keep the cascade BDD/state across depth iterations (the incremental
-    /// `F_d = U_G(F_{d−1}, Y_d)` construction). Turning this off rebuilds
-    /// from scratch at every depth — an ablation.
+    /// Keep per-depth state across depth iterations: the BDD engine's
+    /// incremental `F_d = U_G(F_{d−1}, Y_d)` cascade construction and the
+    /// SAT engine's one persistent solver. Turning this off rebuilds from
+    /// scratch at every depth — BDD ablation B and the SAT engine's
+    /// warm/cold oracle. The QBF engine ignores it: every depth solves its
+    /// own prenex instance.
     pub incremental: bool,
     /// Hard cap on the search depth; exceeding it is an error.
     pub max_depth: u32,
@@ -207,7 +210,8 @@ impl SynthesisOptions {
         self
     }
 
-    /// Enables or disables the incremental cascade construction (ablation).
+    /// Enables or disables carrying state across depths (see
+    /// [`incremental`](Self::incremental)).
     #[must_use]
     pub fn with_incremental(mut self, incremental: bool) -> SynthesisOptions {
         self.incremental = incremental;

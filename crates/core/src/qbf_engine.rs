@@ -6,12 +6,17 @@
 //! the Tseitin auxiliaries. Unlike the row-wise SAT encoding, the network
 //! constraints appear **once**; the specification is enforced by the
 //! universal quantification of the inputs.
+//!
+//! Every depth builds and solves its own prenex instance — there is no
+//! state carried across depths, so [`SynthesisOptions::incremental`] does
+//! not apply. The default backend expands `∀X` and hands the expanded CNF
+//! to the CDCL solver; the QDPLL backend decides the prenex formula
+//! directly first.
 
-use crate::driver::IncrementalSolveStats;
 use crate::encode::{decode_circuit, level_outputs, select_bits, LevelSelects};
 use crate::error::SynthesisError;
-use crate::options::{QbfBackend, SatSelectEncoding, SynthesisOptions};
-use crate::sat_engine::{solve_chunked, PersistentSolve, FIRST_CONFLICT_CHUNK};
+use crate::options::{QbfBackend, SynthesisOptions};
+use crate::sat_engine::{solve_chunked, FIRST_CONFLICT_CHUNK};
 use crate::session::{ResourceGovernor, SynthesisSession};
 use crate::solutions::SolutionSet;
 use qsyn_qbf::{ExpansionSolver, QbfFormula, QdpllSolver, Quantifier};
@@ -27,10 +32,6 @@ pub struct QbfEngine {
     governor: ResourceGovernor,
     /// Size (vars, clauses) of the last generated instance.
     last_instance_size: (u32, usize),
-    /// The persistent ∀-expansion instance (structurally the row-wise
-    /// binary-select encoding — see `qsyn_qbf::expand`), built lazily on
-    /// the first depth query when `options.incremental` is set.
-    inc: Option<PersistentSolve>,
 }
 
 impl std::fmt::Debug for QbfEngine {
@@ -69,12 +70,13 @@ impl QbfEngine {
             sbits,
             governor,
             last_instance_size: (0, 0),
-            inc: None,
         }
     }
 
-    /// Size `(variables, clauses)` of the most recently generated QBF
-    /// instance — the paper's polynomial-size claim is observable here.
+    /// Size `(variables, clauses)` of the prenex instance the most recent
+    /// [`solve_depth`](Self::solve_depth) call solved — equal to
+    /// [`instance`](Self::instance)`(d)`'s, so the paper's polynomial-size
+    /// claim is observable here.
     pub fn last_instance_size(&self) -> (u32, usize) {
         self.last_instance_size
     }
@@ -146,25 +148,18 @@ impl QbfEngine {
         level_outputs(b, &self.gates, self.sbits, state, &sel)
     }
 
-    /// Decides whether a `d`-gate realization exists.
-    ///
-    /// On the default (incremental) path the ∀-expansion rides the shared
-    /// persistent row-wise instance (depths must then be queried in
-    /// ascending order, as the driver does); with
-    /// [`SynthesisOptions::with_incremental`]`(false)` every depth expands
-    /// and solves a fresh instance. The QDPLL backend still decides truth
-    /// first in both modes — the witness always comes from the expansion.
+    /// Decides whether a `d`-gate realization exists by solving the
+    /// prenex instance [`instance`](Self::instance)`(d)`: the QDPLL backend
+    /// decides truth first, and the witness always comes from one
+    /// ∀-expansion solve. Depths may be queried in any order.
     ///
     /// # Errors
     ///
     /// [`SynthesisError::BudgetExceeded`] when the decision/conflict budget
     /// runs out; cancellation errors from the governor, polled between
-    /// budget chunks of both backends.
+    /// budget chunks and inside both backends' search loops.
     pub fn solve_depth(&mut self, d: u32) -> Result<Option<SolutionSet>, SynthesisError> {
         self.governor.check(d)?;
-        if self.options.incremental {
-            return self.solve_depth_incremental(d);
-        }
         let qbf = self.instance(d);
         // Debug builds re-check the instance's prefix and matrix invariants,
         // including closure — every matrix variable must be quantified (see
@@ -206,59 +201,11 @@ impl QbfEngine {
         );
         Ok(Some(SolutionSet::single(circuit)))
     }
-
-    /// The incremental ∀-expansion path: expanding `∃Y ∀X ∃A . CNF(F_d=f)`
-    /// over the universally quantified inputs yields one cascade copy per
-    /// constrained truth-table row sharing the `Y` selects — structurally
-    /// the row-wise binary-select encoding — so the depth-`d` expansion is
-    /// a strict prefix of depth `d+1`'s and one persistent solver can carry
-    /// learnt clauses across the whole run.
-    fn solve_depth_incremental(&mut self, d: u32) -> Result<Option<SolutionSet>, SynthesisError> {
-        if self.options.qbf_backend == QbfBackend::Qdpll {
-            // The measured solver still decides truth from the prenex
-            // instance; only the witness extraction rides the shared
-            // persistent expansion.
-            let qbf = self.instance(d);
-            #[cfg(debug_assertions)]
-            if let Err(e) = qsyn_audit::formula_audit::audit_qbf(&qbf, true) {
-                panic!("QBF instance for depth {d} failed the formula audit: {e}");
-            }
-            if !qdpll_chunked(&qbf, &self.governor, d)? {
-                return Ok(None);
-            }
-        }
-        let inc = self.inc.get_or_insert_with(|| {
-            PersistentSolve::new(
-                &self.spec,
-                &self.gates,
-                self.sbits,
-                SatSelectEncoding::Binary,
-            )
-        });
-        let outcome = inc.query(&self.governor, d)?;
-        self.last_instance_size = inc.size();
-        match outcome {
-            None => Ok(None),
-            Some(circuit) => {
-                debug_assert!(
-                    self.spec.is_realized_by(&circuit),
-                    "incremental expansion witness decodes to a circuit violating the spec"
-                );
-                Ok(Some(SolutionSet::single(circuit)))
-            }
-        }
-    }
-
-    /// Reuse counters of the persistent expansion instance (`None` until
-    /// the first incremental depth query, or when the from-scratch oracle
-    /// ran).
-    pub fn incremental_stats(&self) -> Option<IncrementalSolveStats> {
-        self.inc.as_ref().map(PersistentSolve::stats)
-    }
 }
 
 /// Decides `qbf` with QDPLL under the governor's decision limit, polling
-/// the governor between doubling budget chunks. The solver's decision
+/// the governor between doubling budget chunks and, through the solver's
+/// abort probe, at every search node within a chunk. The solver's decision
 /// counter is cumulative while its search restarts per call, so doubling
 /// amortizes the restarted work to a constant factor.
 ///
@@ -273,6 +220,7 @@ fn qdpll_chunked(
 ) -> Result<bool, SynthesisError> {
     let limit = governor.conflict_limit();
     let mut solver = QdpllSolver::new(qbf);
+    solver.set_abort_probe(Some(governor.qdpll_abort_probe()));
     let mut budget = FIRST_CONFLICT_CHUNK.min(limit);
     loop {
         governor.check(d)?;
@@ -281,7 +229,9 @@ fn qdpll_chunked(
         if let Some(verdict) = solver.solve_limited() {
             return Ok(verdict);
         }
-        if budget >= limit {
+        // `None` is either the probe firing (the governor check above
+        // reports it next iteration) or the chunk budget running dry.
+        if !solver.was_interrupted() && budget >= limit {
             return Err(governor.decisions_exceeded(d, budget));
         }
         budget = budget.saturating_mul(2).min(limit);
@@ -293,6 +243,7 @@ mod tests {
     use super::*;
     use crate::options::Engine;
     use qsyn_revlogic::{GateLibrary, LineSet, Permutation};
+    use std::time::{Duration, Instant};
 
     fn opts() -> SynthesisOptions {
         SynthesisOptions::new(GateLibrary::mct(), Engine::Qbf)
@@ -344,6 +295,34 @@ mod tests {
         assert_eq!(
             e.solve_depth(1).unwrap_err(),
             SynthesisError::Cancelled { depth: 1 }
+        );
+    }
+
+    #[test]
+    fn cancellation_stops_qdpll_mid_solve() {
+        // QDPLL refutes 3_17 at depth 4 in doubling decision chunks that
+        // run for seconds each in a debug build (the whole refutation for
+        // about a minute in release); the in-search abort probe must stop
+        // the chunk in flight, not wait for its end.
+        let spec = qsyn_revlogic::benchmarks::spec_3_17();
+        let token = crate::CancelToken::new();
+        let options = opts()
+            .with_qbf_backend(QbfBackend::Qdpll)
+            .with_cancel_token(token.clone());
+        let mut e = QbfEngine::new(&spec, &options);
+        let canceller = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(100));
+            token.cancel();
+            Instant::now()
+        });
+        let outcome = e.solve_depth(4);
+        let returned = Instant::now();
+        let cancelled_at = canceller.join().unwrap();
+        assert_eq!(outcome.unwrap_err(), SynthesisError::Cancelled { depth: 4 });
+        let lag = returned.saturating_duration_since(cancelled_at);
+        assert!(
+            lag < Duration::from_secs(1),
+            "returned {lag:?} after the cancel"
         );
     }
 

@@ -275,18 +275,17 @@ impl SatEngine {
 }
 
 /// One persistent [`IncrementalEncoder`] + [`Solver`] pair carrying the
-/// row-wise instance across an iterative-deepening run. Shared by the SAT
-/// engine and the QBF engine's ∀-expansion path (the expansion of the
-/// prenex instance *is* the row-wise encoding — see `qsyn_qbf::expand`), so
-/// both ride the same learnt clauses, activities and saved phases.
-pub(crate) struct PersistentSolve {
+/// row-wise instance across an iterative-deepening run, so every depth
+/// rides the learnt clauses, activities and saved phases of the ones
+/// before it.
+struct PersistentSolve {
     encoder: IncrementalEncoder,
     solver: Solver,
     stats: IncrementalSolveStats,
 }
 
 impl PersistentSolve {
-    pub(crate) fn new(
+    fn new(
         spec: &Spec,
         gates: &[Gate],
         sbits: u32,
@@ -301,7 +300,7 @@ impl PersistentSolve {
 
     /// Reuse counters accumulated so far, with the solver's running
     /// search totals.
-    pub(crate) fn stats(&self) -> IncrementalSolveStats {
+    fn stats(&self) -> IncrementalSolveStats {
         let totals = self.solver.stats();
         IncrementalSolveStats {
             conflicts: totals.conflicts,
@@ -312,7 +311,7 @@ impl PersistentSolve {
     }
 
     /// Size `(variables, clauses)` of the accumulated instance.
-    pub(crate) fn size(&self) -> (u32, usize) {
+    fn size(&self) -> (u32, usize) {
         (self.encoder.num_vars(), self.encoder.num_clauses())
     }
 
@@ -326,7 +325,7 @@ impl PersistentSolve {
     /// conflict limit is spent (the budget accounts across depths, not per
     /// call); cancellation/deadline errors from the governor, polled at the
     /// clause-retention point and between conflict chunks.
-    pub(crate) fn query(
+    fn query(
         &mut self,
         governor: &ResourceGovernor,
         d: u32,
@@ -423,7 +422,7 @@ pub(crate) fn solve_chunked(
 ///
 /// [`SynthesisError::BudgetExceeded`] once the limit's conflicts are spent
 /// without an answer; cancellation/deadline errors from the governor.
-pub(crate) fn solve_chunked_assuming(
+fn solve_chunked_assuming(
     solver: &mut Solver,
     governor: &ResourceGovernor,
     d: u32,

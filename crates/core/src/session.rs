@@ -173,6 +173,17 @@ impl ResourceGovernor {
         })
     }
 
+    /// The same probe shaped for
+    /// [`QdpllSolver::set_abort_probe`](qsyn_qbf::QdpllSolver::set_abort_probe):
+    /// aborts a QDPLL search mid-chunk when the run is cancelled or out of
+    /// time. It carries no fault site — the solver polls it at every search
+    /// node, and `qbf.decision` stays between decision chunks
+    /// ([`qbf_fault_probe`](Self::qbf_fault_probe)).
+    pub fn qdpll_abort_probe(&self) -> Box<dyn FnMut() -> bool + Send> {
+        let token = self.cancel.clone();
+        Box::new(move || token.is_cancelled() || token.deadline_expired())
+    }
+
     /// Polls the fault-plane site `qbf.decision` between QDPLL
     /// decision-budget chunks; an injected fault reports the decision
     /// budget as exhausted at `spent` decisions.

@@ -21,6 +21,10 @@ pub struct QdpllSolver {
     decisions: u64,
     /// Optional decision budget for bail-out.
     budget: Option<u64>,
+    /// External abort probe, polled at every search node.
+    abort_probe: Option<Box<dyn FnMut() -> bool + Send>>,
+    /// Latched when `abort_probe` fires; cleared at the start of a solve.
+    interrupted: bool,
 }
 
 impl std::fmt::Debug for QdpllSolver {
@@ -59,6 +63,8 @@ impl QdpllSolver {
             assign: vec![None; formula.num_vars() as usize],
             decisions: 0,
             budget: None,
+            abort_probe: None,
+            interrupted: false,
         }
     }
 
@@ -68,14 +74,36 @@ impl QdpllSolver {
         self.budget = Some(budget);
     }
 
+    /// Installs (or removes) an external abort probe. The probe is polled
+    /// at every search node; the first time it returns `true`, the
+    /// in-flight [`solve_limited`](Self::solve_limited) call unwinds and
+    /// returns `None`, exactly like an exhausted decision budget. The
+    /// solver remains usable afterwards.
+    ///
+    /// Callers using the panicking [`solve`](Self::solve) must not install
+    /// a probe.
+    pub fn set_abort_probe(&mut self, probe: Option<Box<dyn FnMut() -> bool + Send>>) {
+        self.abort_probe = probe;
+        self.interrupted = false;
+    }
+
+    /// `true` if the most recent solve call stopped because the abort
+    /// probe fired (as opposed to exhausting the decision budget).
+    pub fn was_interrupted(&self) -> bool {
+        self.interrupted
+    }
+
     /// Decides the formula. `true` = satisfiable (valid).
     pub fn solve(&mut self) -> bool {
         self.budget = None;
-        self.search().expect("unlimited search cannot bail out")
+        self.solve_limited()
+            .expect("unlimited search cannot bail out")
     }
 
-    /// Budgeted variant; `None` when the decision budget is exhausted.
+    /// Budgeted variant; `None` when the decision budget is exhausted or
+    /// the abort probe fired.
     pub fn solve_limited(&mut self) -> Option<bool> {
+        self.interrupted = false;
         self.search()
     }
 
@@ -87,6 +115,11 @@ impl QdpllSolver {
     fn search(&mut self) -> Option<bool> {
         let mut trail: Vec<u32> = Vec::new();
         let result = loop {
+            if self.abort_probe.as_mut().is_some_and(|probe| probe()) {
+                self.interrupted = true;
+                self.unwind(&trail);
+                return None;
+            }
             match self.simplify() {
                 Status::Sat => break true,
                 Status::Conflict => break false,
@@ -358,6 +391,21 @@ mod tests {
         let mut s = QdpllSolver::new(&q);
         s.set_decision_budget(0);
         assert_eq!(s.solve_limited(), None);
+    }
+
+    #[test]
+    fn abort_probe_interrupts_and_solver_stays_usable() {
+        let mut q = QbfFormula::new(2);
+        q.add_block(Quantifier::Forall, [0]);
+        q.add_block(Quantifier::Exists, [1]);
+        xor_clauses(&mut q, 0, 1);
+        let mut s = QdpllSolver::new(&q);
+        s.set_abort_probe(Some(Box::new(|| true)));
+        assert_eq!(s.solve_limited(), None, "probe must abort the search");
+        assert!(s.was_interrupted());
+        s.set_abort_probe(Some(Box::new(|| false)));
+        assert_eq!(s.solve_limited(), Some(true));
+        assert!(!s.was_interrupted());
     }
 
     #[test]
