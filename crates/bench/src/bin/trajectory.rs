@@ -55,13 +55,13 @@ use qsyn_core::permuted::{
 use qsyn_core::{
     synthesize_in, Engine, GateLibrary, SynthesisError, SynthesisOptions, SynthesisSession,
 };
+use qsyn_portfolio::json::{Object, Value, Writer};
 use qsyn_revlogic::{benchmarks, Spec};
 use qsyn_serve::{ServeConfig, ServeCore, Source};
 use qsyn_store::Store;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::{Display, Write as _};
 use std::process::{Command, ExitCode};
-use std::str::FromStr;
 use std::time::{Duration, Instant};
 
 /// A scenario: name, repetitions, and the function that runs one
@@ -614,138 +614,90 @@ fn check(run: &[Row], baseline: &[Row]) -> Vec<String> {
 const HEADER: &str = "{\n  \"rows\": [\n";
 const FOOTER: &str = "  ]\n}\n";
 
-fn quote(s: &str) -> String {
-    assert!(
-        !s.contains(['"', '\\']),
-        "{s:?}: the report format has no escapes"
-    );
-    format!("\"{s}\"")
-}
-
 /// Writes the report: one row per line, integers bare, labels quoted.
 fn write_report(rows: &[Row]) -> String {
     let mut out = String::from(HEADER);
     for (i, row) in rows.iter().enumerate() {
-        let counters: Vec<String> = row
-            .counters
-            .iter()
-            .map(|(name, v)| {
-                let integer = !v.is_empty() && v.bytes().all(|b| b.is_ascii_digit());
-                format!(
-                    " {}: {}",
-                    quote(name),
-                    if integer { v.clone() } else { quote(v) }
-                )
-            })
-            .collect();
+        let counters = row.counters.iter().fold(Writer::new(), |w, (name, v)| {
+            if !v.is_empty() && v.bytes().all(|b| b.is_ascii_digit()) {
+                w.number(name, v)
+            } else {
+                w.string(name, v)
+            }
+        });
         let w = &row.wall;
-        let _ = writeln!(
-            out,
-            "    {{ \"scenario\": {}, \"job\": {}, \"counters\": {{{} }}, \"wall\": {{ \"min\": {:.3}, \"median\": {:.3}, \"max\": {:.3}, \"reps\": {} }} }}{}",
-            quote(&row.scenario),
-            quote(&row.job),
-            counters.join(","),
-            w.min,
-            w.median,
-            w.max,
-            w.reps,
-            if i + 1 == rows.len() { "" } else { "," }
-        );
+        let wall = Writer::new()
+            .number("min", format_args!("{:.3}", w.min))
+            .number("median", format_args!("{:.3}", w.median))
+            .number("max", format_args!("{:.3}", w.max))
+            .number("reps", w.reps);
+        let line = Writer::new()
+            .string("scenario", &row.scenario)
+            .string("job", &row.job)
+            .object("counters", counters)
+            .object("wall", wall)
+            .finish();
+        let comma = if i + 1 == rows.len() { "" } else { "," };
+        let _ = writeln!(out, "    {line}{comma}");
     }
     out.push_str(FOOTER);
     out
 }
 
-/// A read position in one report line.
-struct Cursor<'a>(&'a str);
-
-impl<'a> Cursor<'a> {
-    fn eat(&mut self, token: &str) -> bool {
-        self.0
-            .strip_prefix(token)
-            .map(|rest| self.0 = rest)
-            .is_some()
+/// Refuses a field of `object` that `names` does not list.
+fn only(object: &Object, names: &[&str]) -> Result<(), String> {
+    match object.iter().find(|(name, _)| !names.contains(name)) {
+        Some((name, _)) => Err(format!("unknown field `{name}`")),
+        None => Ok(()),
     }
+}
 
-    fn expect(&mut self, token: &str) -> Result<(), String> {
-        if self.eat(token) {
-            Ok(())
-        } else {
-            Err(format!("expected `{token}` at `{}`", self.0))
-        }
-    }
+/// The field `name` of `object`, converted by `convert`.
+fn read<'o, T>(
+    object: &'o Object,
+    name: &str,
+    convert: impl Fn(&'o Value) -> Option<T>,
+) -> Result<T, String> {
+    object
+        .get(name)
+        .and_then(convert)
+        .ok_or_else(|| format!("`{name}` is missing or mistyped"))
+}
 
-    fn string(&mut self) -> Result<&'a str, String> {
-        self.expect("\"")?;
-        let (s, rest) = self.0.split_once('"').ok_or("unterminated string")?;
-        self.0 = rest;
-        Ok(s)
-    }
-
-    /// A quoted label or a bare number.
-    fn value(&mut self) -> Result<&'a str, String> {
-        if self.0.starts_with('"') {
-            return self.string();
-        }
-        let end = self.0.find([',', ' ']).unwrap_or(self.0.len());
-        let (v, rest) = self.0.split_at(end);
-        self.0 = rest;
-        if v.is_empty() {
-            Err("empty value".to_string())
-        } else {
-            Ok(v)
-        }
-    }
-
-    fn number<T: FromStr>(&mut self) -> Result<T, String> {
-        let v = self.value()?;
-        v.parse().map_err(|_| format!("`{v}` is not a number"))
+fn as_object(value: &Value) -> Option<&Object> {
+    match value {
+        Value::Object(o) => Some(o),
+        _ => None,
     }
 }
 
 fn parse_row(line: &str) -> Result<Row, String> {
-    let mut c = Cursor(line);
-    c.expect("{ \"scenario\": ")?;
-    let scenario = c.string()?.to_string();
-    c.expect(", \"job\": ")?;
-    let job = c.string()?.to_string();
-    c.expect(", \"counters\": {")?;
-    let mut counters = Counters::new();
-    while !c.eat(" }") {
-        if !counters.is_empty() {
-            c.expect(",")?;
-        }
-        c.expect(" ")?;
-        let name = c.string()?;
-        c.expect(": ")?;
-        if counters
-            .insert(name.to_string(), c.value()?.to_string())
-            .is_some()
-        {
-            return Err(format!("counter `{name}` appears twice"));
-        }
-    }
-    c.expect(", \"wall\": { \"min\": ")?;
-    let min = c.number()?;
-    c.expect(", \"median\": ")?;
-    let median = c.number()?;
-    c.expect(", \"max\": ")?;
-    let max = c.number()?;
-    c.expect(", \"reps\": ")?;
-    let reps = c.number()?;
-    c.expect(" } }")?;
-    if !c.0.is_empty() {
-        return Err(format!("trailing `{}`", c.0));
-    }
+    let row = Object::parse(line)?;
+    only(&row, &["scenario", "job", "counters", "wall"])?;
+    let counters = read(&row, "counters", as_object)?
+        .iter()
+        .map(|(name, value)| match value {
+            Value::Number(v) if v.bytes().all(|b| b.is_ascii_digit()) => {
+                Ok((name.to_string(), v.clone()))
+            }
+            Value::String(v) => Ok((name.to_string(), v.clone())),
+            _ => Err(format!(
+                "counter `{name}` is neither a label nor an integer"
+            )),
+        })
+        .collect::<Result<Counters, String>>()?;
+    let wall = read(&row, "wall", as_object)?;
+    only(wall, &["min", "median", "max", "reps"])?;
+    let ms = |name| read(wall, name, Value::number);
     Ok(Row {
-        scenario,
-        job,
+        scenario: read(&row, "scenario", Value::as_str)?.to_string(),
+        job: read(&row, "job", Value::as_str)?.to_string(),
         counters,
         wall: Wall {
-            min,
-            median,
-            max,
-            reps,
+            min: ms("min")?,
+            median: ms("median")?,
+            max: ms("max")?,
+            reps: read(wall, "reps", Value::number)?,
         },
     })
 }
@@ -758,7 +710,6 @@ fn parse_report(text: &str) -> Result<Vec<Row>, String> {
         .ok_or("not a trajectory report")?;
     let mut rows: Vec<Row> = Vec::new();
     for (i, line) in body.lines().enumerate() {
-        let line = line.strip_prefix("    ").unwrap_or(line);
         let row = parse_row(line.strip_suffix(',').unwrap_or(line))
             .map_err(|e| format!("row {}: {e}", i + 1))?;
         if rows
@@ -1004,8 +955,8 @@ mod tests {
     #[test]
     fn the_parser_rejects_what_the_writer_never_writes() {
         let text = write_report(&baseline());
-        assert!(parse_report(&text.replace("\"depth\": 6", "\"depth\" 6")).is_err());
-        assert!(parse_report(&text.replace("\"reps\": 3 }", "\"reps\": 3, \"x\": 1 }")).is_err());
+        assert!(parse_report(&text.replace("\"depth\":6", "\"depth\"6")).is_err());
+        assert!(parse_report(&text.replace("\"reps\":3}", "\"reps\":3,\"x\":1}")).is_err());
         assert!(parse_report(&text.replace("seed-1", "3_17").replace("faults", "kernel")).is_err());
         assert!(parse_report(&text[1..]).is_err());
     }

@@ -11,15 +11,17 @@
 //! # Format
 //!
 //! One JSON object per line, written by [`render_record`] and parsed by
-//! [`parse_record`]:
+//! [`parse_record`] through the crate's one JSON codec
+//! ([`crate::json`]):
 //!
 //! ```json
 //! {"key":"0:ham3:5bd5…","name":"ham3","depth":5,"solutions":"24",
 //!  "permutation":"[0, 1, 2]","elapsed_ns":10731042,"digest":"9f0a…"}
 //! ```
 //!
-//! The reader is **torn-write tolerant**: a malformed line (the usual
-//! cause is the crash interrupting an append mid-line) is skipped and
+//! The reader is **torn-write tolerant**: a malformed line — anything
+//! the strict parser refuses; the usual cause is the crash interrupting
+//! an append mid-line — is skipped and
 //! every well-formed line stands — including records a resumed run
 //! appended *after* the torn one, which [`JournalWriter::open`] places on
 //! a fresh line by repairing the missing newline. A job dropped this way
@@ -33,6 +35,7 @@
 //! list where index `i` now means a different function.
 
 use crate::cache::canonicalize;
+use crate::json::{Object, Writer};
 use qsyn_revlogic::Spec;
 use qsyn_store::Fnv1a;
 use std::fs::{File, OpenOptions};
@@ -160,96 +163,32 @@ pub fn read_journal(path: &Path) -> std::io::Result<Vec<JournalRecord>> {
 
 /// Serializes `record` as one JSON line (no trailing newline).
 pub fn render_record(r: &JournalRecord) -> String {
-    format!(
-        "{{\"key\":{},\"name\":{},\"depth\":{},\"solutions\":{},\"permutation\":{},\"elapsed_ns\":{},\"digest\":{}}}",
-        json_string(&r.key),
-        json_string(&r.name),
-        r.depth,
-        json_string(&r.solutions),
-        json_string(&r.permutation),
-        r.elapsed_ns,
-        json_string(&r.digest),
-    )
+    Writer::new()
+        .string("key", &r.key)
+        .string("name", &r.name)
+        .number("depth", r.depth)
+        .string("solutions", &r.solutions)
+        .string("permutation", &r.permutation)
+        .number("elapsed_ns", r.elapsed_ns)
+        .string("digest", &r.digest)
+        .finish()
 }
 
 /// Parses one line written by [`render_record`]; `None` on any
-/// malformation (truncation, bad escapes, missing fields).
+/// malformation (truncation, bad escapes, missing or mistyped fields).
+/// Fields the record does not know are ignored.
 pub fn parse_record(line: &str) -> Option<JournalRecord> {
-    let line = line.trim();
-    if !line.starts_with('{') || !line.ends_with('}') {
-        return None;
-    }
+    let o = Object::parse(line).ok()?;
+    let string = |key| o.str(key).map(str::to_string);
     Some(JournalRecord {
-        key: string_field(line, "key")?,
-        name: string_field(line, "name")?,
-        depth: u32::try_from(number_field(line, "depth")?).ok()?,
-        solutions: string_field(line, "solutions")?,
-        permutation: string_field(line, "permutation")?,
-        elapsed_ns: number_field(line, "elapsed_ns")?,
-        digest: string_field(line, "digest")?,
+        key: string("key")?,
+        name: string("name")?,
+        depth: o.number("depth")?,
+        solutions: string("solutions")?,
+        permutation: string("permutation")?,
+        elapsed_ns: o.number("elapsed_ns")?,
+        digest: string("digest")?,
     })
-}
-
-/// Minimal JSON string escaping (quote, backslash, control characters) —
-/// names come from benchmark tables and file stems, so this is already
-/// more than the data needs.
-pub fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Extracts the string value of `"field":"…"` from `line`, unescaping.
-pub fn string_field(line: &str, field: &str) -> Option<String> {
-    let marker = format!("\"{field}\":\"");
-    let start = line.find(&marker)? + marker.len();
-    let mut out = String::new();
-    let mut chars = line[start..].chars();
-    loop {
-        match chars.next()? {
-            '"' => return Some(out),
-            '\\' => match chars.next()? {
-                '"' => out.push('"'),
-                '\\' => out.push('\\'),
-                'n' => out.push('\n'),
-                'r' => out.push('\r'),
-                't' => out.push('\t'),
-                'u' => {
-                    let hex: String = (0..4).map(|_| chars.next().unwrap_or('x')).collect();
-                    let code = u32::from_str_radix(&hex, 16).ok()?;
-                    out.push(char::from_u32(code)?);
-                }
-                _ => return None,
-            },
-            c => out.push(c),
-        }
-    }
-}
-
-/// Extracts the numeric value of `"field":123` from `line`.
-pub fn number_field(line: &str, field: &str) -> Option<u64> {
-    let marker = format!("\"{field}\":");
-    let start = line.find(&marker)? + marker.len();
-    let digits: String = line[start..]
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect();
-    if digits.is_empty() {
-        return None;
-    }
-    digits.parse().ok()
 }
 
 #[cfg(test)]

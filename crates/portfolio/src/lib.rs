@@ -3,7 +3,7 @@
 //! pool, and resolve results by canonical spec through a memo over the
 //! circuit store.
 //!
-//! Three independent pieces, composable but not entangled:
+//! Independent pieces, composable but not entangled:
 //!
 //! * [`mod@race`] — spawn one thread per engine with per-racer
 //!   [`CancelToken`](qsyn_core::CancelToken)s; the first engine to *prove*
@@ -18,6 +18,9 @@
 //!   and the `qsyn-serve` daemon share it.
 //! * [`journal`] — crash-safe batch resume: fsync'd JSONL records of
 //!   completed jobs, replayed by `qsyn batch --resume`.
+//! * [`json`] — the one JSON codec: a strict one-object parser and a
+//!   compact one-line writer, shared by the journal, the daemon's wire
+//!   protocol, the chaos harness and the trajectory gate.
 //!
 //! Everything is built on `std::thread`/`std::sync` only.
 
@@ -25,6 +28,7 @@
 
 pub mod cache;
 pub mod journal;
+pub mod json;
 pub mod race;
 pub mod scheduler;
 

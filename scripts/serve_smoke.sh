@@ -16,7 +16,9 @@
 #      store verifies and a clean retry compacts it,
 #   7. boot a daemon capped at one connection and prove 200
 #      back-to-back fresh-connection pings are all admitted (no retries,
-#      0 refused at the cap).
+#      0 refused at the cap),
+#   8. send `{"verb": "ping"}`, spaced the way common JSON encoders
+#      write it, over a raw bash /dev/tcp socket and require a pong.
 #
 # Usage: scripts/serve_smoke.sh   (expects target/release/qsyn; override
 # with QSYN=path/to/qsyn)
@@ -171,6 +173,28 @@ done
 STATS=$("$QSYN" query "$ADDR" --stats)
 echo "$STATS"
 echo "$STATS" | grep -q " 0 refused at the cap"
+"$QSYN" query "$ADDR" --shutdown
+wait "$DAEMON" 2>/dev/null || true
+DAEMON=""
+
+step "a spaced request over a raw socket is answered"
+"$QSYN" serve 127.0.0.1:0 --jobs 1 >"$DIR/serve5.log" 2>&1 &
+DAEMON=$!
+wait_ready "$DIR/serve5.log"
+ADDR=$(awk '/listening on /{print $3; exit}' "$DIR/serve5.log")
+exec 3<>"/dev/tcp/${ADDR%:*}/${ADDR##*:}"
+printf '{"verb": "ping"}\n' >&3
+REPLY=""
+read -r -t 10 REPLY <&3 || true
+exec 3<&-
+echo "$REPLY"
+case $REPLY in
+  *'"pong":1'*) ;;
+  *)
+    echo "serve-smoke: raw spaced ping got '$REPLY', want a pong" >&2
+    exit 1
+    ;;
+esac
 "$QSYN" query "$ADDR" --shutdown
 wait "$DAEMON" 2>/dev/null || true
 DAEMON=""

@@ -254,8 +254,11 @@ pub struct SynthConfig {
     pub timeout: Option<u64>,
     /// `--all` — print every minimal circuit, not just the cheapest.
     pub all: bool,
-    /// `--stats` — print BDD manager counters (live/peak nodes, GC runs,
-    /// computed-table hit rate) after the run.
+    /// `--stats` — print counters after the run: a `bdd:` line (BDD
+    /// manager: live/peak nodes, GC runs, computed-table hit rate), a
+    /// `sat:` line when the incremental SAT solver ran, and a `search:`
+    /// line under `--output-permutation`. `batch` prints one `sessions:`
+    /// line for the whole batch instead.
     pub stats: bool,
     /// `-o FILE` — write the best circuit to FILE instead of stdout.
     pub output: Option<String>,
@@ -400,7 +403,9 @@ OPTIONS (synth/bench/batch):
   --max-depth N              depth cap                   [default: 32]
   --timeout SECS             wall-clock budget (per job under `batch`)
   --all                      print every minimal circuit
-  --stats                    print BDD manager counters (nodes, GC, cache)
+  --stats                    print counters: `bdd:` (nodes, GC, cache),
+                             `sat:` (incremental SAT), `search:` (output
+                             permutations); `batch` prints `sessions:`
   -o FILE                    write the cheapest circuit to FILE
   --retries N                extra attempts for budget-tripped jobs;
                              budgets double per retry     [default: 0]

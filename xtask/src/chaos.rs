@@ -45,6 +45,11 @@ use std::path::Path;
 use std::process::{Command, ExitCode, Stdio};
 use std::time::{Duration, Instant};
 
+// The chaos harness reads only; the writer half goes unused here.
+#[allow(dead_code)]
+#[path = "../../crates/portfolio/src/json.rs"]
+mod json;
+
 /// The `--fast` subset: the Table 1 jobs that batch in under a second
 /// each, for quick local sweeps. The default sweep covers the whole
 /// suite — the permutation search prunes the `n!` probe space down to
@@ -487,50 +492,31 @@ fn normalize_record_line(line: &str) -> String {
     tokens.join(" ")
 }
 
-/// Parses the result fields out of a batch journal. A tiny field-level
-/// JSONL reader is duplicated here on purpose: xtask stays dependency-free
-/// (it must build before — and lint — the workspace crates).
+/// Parses the result fields out of a batch journal. xtask stays free of
+/// dependencies (it must build before, and lint, the workspace crates),
+/// so it compiles the workspace's JSON codec in by path.
 fn parse_journal(path: &Path) -> Result<Vec<ResultRecord>, String> {
     let text =
         std::fs::read_to_string(path).map_err(|e| format!("read {}: {e}", path.display()))?;
-    let mut records = Vec::new();
-    for line in text.lines().filter(|l| !l.trim().is_empty()) {
-        let record = (|| {
-            Some(ResultRecord {
-                key: string_field(line, "key")?,
-                name: string_field(line, "name")?,
-                depth: number_field(line, "depth")?,
-                solutions: string_field(line, "solutions")?,
-                permutation: string_field(line, "permutation")?,
-                digest: string_field(line, "digest")?,
-            })
-        })();
-        match record {
-            Some(r) => records.push(r),
-            None => return Err(format!("malformed journal line: {line}")),
-        }
-    }
-    Ok(records)
+    text.lines()
+        .filter(|l| !l.trim().is_empty())
+        .map(|line| parse_record(line).ok_or_else(|| format!("malformed journal line: {line}")))
+        .collect()
 }
 
-/// Extracts `"field":"…"` (the journal writes no escapes for these
-/// fields: keys, counts and permutations are plain ASCII).
-fn string_field(line: &str, field: &str) -> Option<String> {
-    let marker = format!("\"{field}\":\"");
-    let start = line.find(&marker)? + marker.len();
-    let end = line[start..].find('"')? + start;
-    Some(line[start..end].to_string())
-}
-
-/// Extracts `"field":123`.
-fn number_field(line: &str, field: &str) -> Option<u64> {
-    let marker = format!("\"{field}\":");
-    let start = line.find(&marker)? + marker.len();
-    let digits: String = line[start..]
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect();
-    digits.parse().ok()
+/// One journal line's result fields; `None` when the line is not one
+/// well-formed record.
+fn parse_record(line: &str) -> Option<ResultRecord> {
+    let r = json::Object::parse(line).ok()?;
+    let string = |key| r.str(key).map(str::to_string);
+    Some(ResultRecord {
+        key: string("key")?,
+        name: string("name")?,
+        depth: r.number("depth")?,
+        solutions: string("solutions")?,
+        permutation: string("permutation")?,
+        digest: string("digest")?,
+    })
 }
 
 #[cfg(test)]
@@ -540,10 +526,22 @@ mod tests {
     #[test]
     fn journal_line_fields_parse() {
         let line = r#"{"key":"0:a:00ff","name":"a","depth":5,"solutions":"24","permutation":"[0, 1]","elapsed_ns":12,"digest":"beef"}"#;
-        assert_eq!(string_field(line, "name").as_deref(), Some("a"));
-        assert_eq!(string_field(line, "permutation").as_deref(), Some("[0, 1]"));
-        assert_eq!(number_field(line, "depth"), Some(5));
-        assert_eq!(string_field(line, "missing"), None);
+        assert_eq!(
+            parse_record(line),
+            Some(ResultRecord {
+                key: "0:a:00ff".into(),
+                name: "a".into(),
+                depth: 5,
+                solutions: "24".into(),
+                permutation: "[0, 1]".into(),
+                digest: "beef".into(),
+            })
+        );
+        assert_eq!(
+            parse_record(&line.replace(r#""digest":"beef""#, r#""x":1"#)),
+            None
+        );
+        assert_eq!(parse_record(&line[..line.len() / 2]), None);
     }
 
     #[test]
