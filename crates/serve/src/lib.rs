@@ -83,7 +83,7 @@ pub mod metrics;
 pub mod protocol;
 
 use metrics::{Metrics, MetricsSnapshot};
-use qsyn_core::permuted::{synthesize_with_output_permutation_in, PermutedSynthesisResult};
+use qsyn_core::permuted::synthesize_with_output_permutation_in;
 use qsyn_core::{
     CancelToken, Engine, GateLibrary, SynthesisError, SynthesisOptions, SynthesisSession,
 };
@@ -119,17 +119,6 @@ pub struct ServeConfig {
     /// [`ResourceGovernor`](qsyn_core::ResourceGovernor) deadline); a
     /// request over budget fails retryable instead of pinning a worker.
     pub time_budget: Option<Duration>,
-    /// Run the output-permutation search during `--preload` warm-starts.
-    ///
-    /// Off by default: a preload is a bulk cache fill, and plain synthesis
-    /// of the canonical representative is enough to answer every later
-    /// request correctly (the canonical spec *is* what workers solve, so
-    /// the replay composition holds with the identity search permutation).
-    /// The tradeoff is that a preloaded record's depth is minimal for the
-    /// canonical labeling only, not necessarily over the whole
-    /// permutation class; interactive requests always run the full
-    /// search.
-    pub preload_permute: bool,
     /// Per-socket read timeout: a connection that sends no complete
     /// request line within this window is reaped (its thread exits and
     /// `socket_timeouts` counts it). `None` waits forever — the
@@ -152,7 +141,6 @@ impl Default for ServeConfig {
             engine: Engine::Bdd,
             max_depth: 32,
             time_budget: Some(Duration::from_secs(120)),
-            preload_permute: false,
             read_timeout: Some(Duration::from_secs(30)),
             write_timeout: Some(Duration::from_secs(30)),
             max_connections: 64,
@@ -246,9 +234,6 @@ pub struct ServedResult {
 struct Job {
     canonical: Spec,
     name: String,
-    /// Run the full output-permutation search (`false` for plain preload
-    /// fills — see [`ServeConfig::preload_permute`]).
-    permute: bool,
     slot: Arc<Slot>,
 }
 
@@ -297,9 +282,6 @@ struct Shared {
     inflight: Mutex<HashMap<Spec, Arc<Slot>>>,
     metrics: Metrics,
     options: SynthesisOptions,
-    /// [`ServeConfig::preload_permute`]: whether preload fills run the
-    /// output-permutation search.
-    preload_permute: bool,
     /// Socket lifecycle knobs, copied from [`ServeConfig`] for the
     /// accept loop and connection threads.
     read_timeout: Option<Duration>,
@@ -339,7 +321,6 @@ impl ServeCore {
             inflight: Mutex::new(HashMap::new()),
             metrics: Metrics::new(),
             options,
-            preload_permute: config.preload_permute,
             read_timeout: config.read_timeout,
             write_timeout: config.write_timeout,
             max_connections: config.max_connections.max(1),
@@ -370,15 +351,6 @@ impl ServeCore {
     /// [`ServeError`]; [`ServeError::is_retryable`] tells transient from
     /// deterministic failures.
     pub fn request(&self, name: &str, spec: &Spec) -> Result<ServedResult, ServeError> {
-        self.request_inner(name, spec, true)
-    }
-
-    fn request_inner(
-        &self,
-        name: &str,
-        spec: &Spec,
-        permute: bool,
-    ) -> Result<ServedResult, ServeError> {
         let start = Instant::now();
         let m = &self.shared.metrics;
         Metrics::inc(&m.requests);
@@ -429,7 +401,6 @@ impl ServeCore {
                 let job = Job {
                     canonical: canonical.spec.clone(),
                     name: name.to_string(),
-                    permute,
                     slot: Arc::clone(&slot),
                 };
                 if self.shared.queue.try_push(job).is_err() {
@@ -455,7 +426,7 @@ impl ServeCore {
         let mut failed = 0;
         for (name, spec) in jobs {
             loop {
-                match self.request_inner(name, spec, self.shared.preload_permute) {
+                match self.request(name, spec) {
                     Ok(_) => {
                         served += 1;
                         break;
@@ -601,20 +572,8 @@ fn worker_loop(shared: &Arc<Shared>) {
         // zero for every request (ResourceGovernor deadlines are
         // first-arming-wins per token).
         let options = shared.options.clone().with_cancel_token(CancelToken::new());
-        let canonical = job.canonical.clone();
-        let permute = job.permute;
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            if permute {
-                synthesize_with_output_permutation_in(&canonical, &options, &mut session)
-            } else {
-                // Plain preload fill: solve the canonical spec under its
-                // own labeling. The record's permutation is the search
-                // identity, so the usual replay composition holds; only
-                // class-wide depth minimality is waived (documented on
-                // `ServeConfig::preload_permute`).
-                qsyn_core::synthesize_in(&canonical, &options, &mut session)
-                    .map(|r| PermutedSynthesisResult::plain(r, canonical.lines()))
-            }
+            synthesize_with_output_permutation_in(&job.canonical, &options, &mut session)
         }));
         match outcome {
             Ok(Ok(r)) => {
@@ -1211,13 +1170,11 @@ mod tests {
     #[test]
     fn plain_preload_records_replay_correctly_for_every_class_member() {
         // SWAP's class contains the identity, so its canonical
-        // representative needs zero gates — the case where a plain
-        // (default) preload and a permuted one differ most. The worker
-        // solves the *canonical* spec, so the stored record must still
-        // answer the original phrasing through permutation composition.
+        // representative needs zero gates. The worker solves the
+        // *canonical* spec, so the stored record must still answer the
+        // original phrasing through permutation composition.
         let swap = Spec::from_permutation(&Permutation::from_map(2, vec![0, 2, 1, 3]));
         let core = ServeCore::start(&quick_config(), None);
-        assert!(!quick_config().preload_permute, "plain is the default");
         let (served, failed) = core.preload(&[("swap".to_string(), swap.clone())]);
         assert_eq!((served, failed), (1, 0));
 

@@ -18,7 +18,10 @@
 #      back-to-back fresh-connection pings are all admitted (no retries,
 #      0 refused at the cap),
 #   8. send `{"verb": "ping"}`, spaced the way common JSON encoders
-#      write it, over a raw bash /dev/tcp socket and require a pong.
+#      write it, over a raw bash /dev/tcp socket and require a pong,
+#   9. preload a fresh store (no --preload-permute), shut down, and
+#      require `batch --store` to replay the same depths a storeless
+#      `batch` computes: preload fills must be class-minimal.
 #
 # Usage: scripts/serve_smoke.sh   (expects target/release/qsyn; override
 # with QSYN=path/to/qsyn)
@@ -198,5 +201,31 @@ esac
 "$QSYN" query "$ADDR" --shutdown
 wait "$DAEMON" 2>/dev/null || true
 DAEMON=""
+
+step "preloaded records replay class-minimal depths"
+# [3,1,6,7,2,0,5,4] needs 8 gates under its canonical labeling but 4 with
+# free output relabeling, which is what batch reports.
+printf '.numvars 3\n.begin\n000 011\n001 001\n010 110\n011 111\n100 010\n101 000\n110 101\n111 100\n.end\n' \
+  >"$DIR/relabel.spec"
+printf '3_17\nrd32-v0\n%s\n' "$DIR/relabel.spec" >"$DIR/minimal.list"
+"$QSYN" serve 127.0.0.1:0 --store "$DIR/minimal.store" --preload "$DIR/minimal.list" --jobs 1 \
+  >"$DIR/serve6.log" 2>&1 &
+DAEMON=$!
+wait_ready "$DIR/serve6.log"
+ADDR=$(awk '/listening on /{print $3; exit}' "$DIR/serve6.log")
+grep -q "preloaded 3 jobs (0 failed)" "$DIR/serve6.log"
+"$QSYN" query "$ADDR" --shutdown
+wait "$DAEMON" 2>/dev/null || true
+DAEMON=""
+# Each row's name and gate count, without the header and summary lines.
+depths() { awk 'NR > 1 && $NF == "ok" {print $1, $2}'; }
+"$QSYN" batch "$DIR/minimal.list" | depths >"$DIR/fresh.depths"
+"$QSYN" batch "$DIR/minimal.list" --store "$DIR/minimal.store" >"$DIR/replay.log"
+grep -q "store 3 hits / 0 misses" "$DIR/replay.log"
+depths <"$DIR/replay.log" >"$DIR/replay.depths"
+if ! diff "$DIR/fresh.depths" "$DIR/replay.depths"; then
+  echo "serve-smoke: preloaded records replay depths above the class minimum" >&2
+  exit 1
+fi
 
 echo "serve-smoke: ok"

@@ -2,13 +2,16 @@
 //! writes answer the daemon, and the records the daemon's `--preload`
 //! writes answer `qsyn batch --store`. Both go through the same record
 //! derivation and permutation composition, so either side replays the
-//! other's records without an engine.
+//! other's records without an engine. A preload fill runs the same
+//! output-permutation search as a request, so what it stores is the
+//! class minimum.
 
 use qsyn::cli::{run, Command};
-use qsyn::revlogic::{benchmarks, real, Spec};
+use qsyn::revlogic::{benchmarks, real, spec_format, GateLibrary, Permutation, Spec};
 use qsyn::serve::{ServeConfig, ServeCore, Source};
 use qsyn::store::Store;
-use qsyn::synth::permuted::permute_spec;
+use qsyn::synth::permuted::{permute_spec, synthesize_with_output_permutation};
+use qsyn::synth::{Engine, SynthesisOptions};
 use std::path::{Path, PathBuf};
 
 fn fresh_dir(tag: &str) -> PathBuf {
@@ -124,5 +127,46 @@ fn daemon_preload_answers_batch_store_with_all_store_hits() {
             "{row}"
         );
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn daemon_preload_stores_the_class_minimal_depth() {
+    // Synthesized under its own canonical labeling, this function needs 8
+    // gates; the search over output relabelings finds 4. A preload fill
+    // must store the class minimum, as an interactive request does.
+    let spec = Spec::from_permutation(&Permutation::from_map(3, vec![3, 1, 6, 7, 2, 0, 5, 4]));
+    let options = SynthesisOptions::new(GateLibrary::mct(), Engine::Bdd);
+    let minimum = synthesize_with_output_permutation(&spec, &options)
+        .unwrap()
+        .result
+        .depth();
+    assert_eq!(minimum, 4);
+
+    let dir = fresh_dir("preload-minimal");
+    let db = dir.join("circuits.store");
+    let core = ServeCore::start(&ServeConfig::default(), Some(Store::open(&db).unwrap()));
+    assert_eq!(core.preload(&[("f".to_string(), spec.clone())]), (1, 0));
+    let served = core.request("f", &spec).unwrap();
+    assert_eq!(served.source, Source::Store);
+    assert_eq!(served.record.depth, minimum);
+    assert!(realizes(&spec, &served.record.circuit, &served.permutation));
+    core.stop();
+
+    let spec_path = dir.join("f.spec");
+    std::fs::write(&spec_path, spec_format::write_spec(&spec)).unwrap();
+    let list = dir.join("jobs.txt");
+    std::fs::write(&list, format!("{}\n", spec_path.display())).unwrap();
+    let text = batch_with_store(&list, &db);
+    assert!(
+        text.contains("store 1 hits / 0 misses (1 records)"),
+        "{text}"
+    );
+    let row = text.lines().find(|l| l.starts_with("f ")).unwrap();
+    assert_eq!(
+        row.split_whitespace().nth(1),
+        Some(minimum.to_string().as_str()),
+        "{row}"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
