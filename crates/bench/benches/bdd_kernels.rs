@@ -1,10 +1,10 @@
-//! Criterion bench for the PR 3 BDD kernel overhaul: the fused ∀-AND
-//! `check()` against the legacy build-then-quantify path, plus a
-//! manager-level microbench of `and_forall` against `forall(and(..))`.
+//! Criterion bench for the BDD kernels: the engine's fused ∀-AND `check()`
+//! on small Table 1 functions, plus a manager-level microbench of
+//! `and_forall` against `forall(and(..))`.
 //!
 //! The `kernel` scenario of the `trajectory` binary gates the same small
 //! Table 1 functions' deterministic counters; this bench gives
-//! statistically robust timings for both `check()` paths.
+//! statistically robust timings for them.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qsyn_bdd::Manager;
@@ -13,31 +13,19 @@ use qsyn_revlogic::benchmarks;
 
 const FAST: &[&str] = &["3_17", "rd32-v0", "rd32-v1", "decod24-v0"];
 
-fn bench_fused_vs_legacy(c: &mut Criterion) {
+fn bench_check(c: &mut Criterion) {
     let mut group = c.benchmark_group("bdd_kernels/check");
     group.sample_size(10);
+    let options = SynthesisOptions::new(GateLibrary::mct(), Engine::Bdd);
     for name in FAST {
         let bench = benchmarks::by_name(name).expect("known benchmark");
-        let configs: [(&str, SynthesisOptions); 2] = [
-            (
-                "fused",
-                SynthesisOptions::new(GateLibrary::mct(), Engine::Bdd),
-            ),
-            (
-                "legacy",
-                SynthesisOptions::new(GateLibrary::mct(), Engine::Bdd)
-                    .with_fused_quantification(false),
-            ),
-        ];
-        for (mode, options) in configs {
-            group.bench_with_input(BenchmarkId::new(mode, name), &options, |b, options| {
-                b.iter(|| {
-                    let r = synthesize(&bench.spec, options).expect("synthesizes");
-                    assert!(r.depth() > 0);
-                    r.depth()
-                })
-            });
-        }
+        group.bench_with_input(BenchmarkId::new("fused", name), &options, |b, options| {
+            b.iter(|| {
+                let r = synthesize(&bench.spec, options).expect("synthesizes");
+                assert!(r.depth() > 0);
+                r.depth()
+            })
+        });
     }
     group.finish();
 }
@@ -85,5 +73,5 @@ fn operands(vars: u32) -> (Manager, qsyn_bdd::Bdd, qsyn_bdd::Bdd) {
     (m, f, g)
 }
 
-criterion_group!(benches, bench_fused_vs_legacy, bench_and_forall_kernel);
+criterion_group!(benches, bench_check, bench_and_forall_kernel);
 criterion_main!(benches);

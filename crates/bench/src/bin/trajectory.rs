@@ -260,11 +260,10 @@ fn session(rows: &mut Rows) {
 /// Repetitions of the fault-plane workload, here and under `--ab`.
 const FAULT_REPS: usize = 3;
 
-/// Table 1 functions over all three engines, so the BDD and SAT injection
-/// sites' disarmed checks sit on a timed hot path (BDD alloc and GC sweep,
-/// SAT propagation — the `3_17/QBF` row's ∀-expansion solve polls
-/// `sat.propagate` too). `qbf.decision` is polled only by the QDPLL
-/// backend, which no row runs.
+/// Table 1 functions over all three engines, so the engines' injection
+/// sites' disarmed checks sit on a timed hot path: BDD alloc and GC sweep,
+/// and SAT propagation, which the `3_17/QBF` row's ∀-expansion solve polls
+/// too.
 fn fault_workload(rows: &mut Rows) {
     let mut session = SynthesisSession::new();
     for (name, engine) in [

@@ -263,7 +263,7 @@ pub fn depth_lower_bound(spec: &Spec, options: &SynthesisOptions) -> u32 {
 /// * [`SynthesisError::DepthLimitReached`] when `options.max_depth` is
 ///   exhausted — every depth up to the cap is then *proven* unrealizable.
 /// * [`SynthesisError::BudgetExceeded`] when any resource budget (wall
-///   clock, BDD nodes, SAT conflicts, QBF decisions) runs out.
+///   clock, BDD nodes, SAT conflicts) runs out.
 /// * [`SynthesisError::Cancelled`] when the options'
 ///   [`CancelToken`](crate::CancelToken) is cancelled by a supervisor.
 pub fn synthesize(

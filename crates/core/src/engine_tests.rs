@@ -2,7 +2,7 @@
 //! every returned circuit must realize its specification.
 
 use crate::driver::{drive, synthesize};
-use crate::options::{Engine, QbfBackend, SatSelectEncoding, SynthesisOptions, VarOrder};
+use crate::options::{Engine, SatSelectEncoding, SynthesisOptions, VarOrder};
 use crate::{QbfEngine, SatEngine};
 use proptest::prelude::*;
 use qsyn_revlogic::benchmarks::random_permutation;
@@ -221,19 +221,6 @@ fn qbf_engine_solves_the_prenex_instance_not_the_sat_encoding() {
             sat.last_instance_size()
         );
     }
-}
-
-#[test]
-fn qdpll_backend_agrees_on_one_line() {
-    let spec = Spec::from_permutation(&Permutation::from_map(1, vec![1, 0]));
-    let exp = synthesize(&spec, &mct_opts(Engine::Qbf)).unwrap();
-    let qd = synthesize(
-        &spec,
-        &mct_opts(Engine::Qbf).with_qbf_backend(QbfBackend::Qdpll),
-    )
-    .unwrap();
-    assert_eq!(exp.depth(), qd.depth());
-    assert_eq!(exp.depth(), 1);
 }
 
 #[test]

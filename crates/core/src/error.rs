@@ -14,9 +14,6 @@ pub enum Resource {
     /// CDCL solver conflicts per depth
     /// ([`SynthesisOptions::conflict_limit`](crate::SynthesisOptions)).
     SatConflicts,
-    /// QDPLL decisions per depth (shares
-    /// [`SynthesisOptions::conflict_limit`](crate::SynthesisOptions)).
-    QbfDecisions,
     /// Pre-allocated select-variable levels (only exhaustible under
     /// [`VarOrder::YThenX`](crate::VarOrder), whose select block is sized
     /// up front from `max_depth`).
@@ -29,7 +26,6 @@ impl std::fmt::Display for Resource {
             Resource::WallClock => write!(f, "wall-clock (ms)"),
             Resource::BddNodes => write!(f, "live BDD node"),
             Resource::SatConflicts => write!(f, "SAT conflict"),
-            Resource::QbfDecisions => write!(f, "QDPLL decision"),
             Resource::SelectVarBlock => write!(f, "pre-allocated select-level"),
         }
     }
@@ -45,7 +41,7 @@ pub enum SynthesisError {
         max_depth: u32,
     },
     /// A resource budget ran out (wall clock, BDD nodes, solver
-    /// conflicts/decisions). Raised exclusively by the
+    /// conflicts). Raised exclusively by the
     /// [`ResourceGovernor`](crate::ResourceGovernor), so every engine
     /// reports exhaustion identically.
     BudgetExceeded {

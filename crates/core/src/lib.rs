@@ -69,7 +69,7 @@ pub use driver::{
     SynthesisResult,
 };
 pub use error::{Resource, SynthesisError};
-pub use options::{Engine, QbfBackend, SatSelectEncoding, SynthesisOptions, VarOrder};
+pub use options::{Engine, SatSelectEncoding, SynthesisOptions, VarOrder};
 pub use qbf_engine::QbfEngine;
 pub use retry::{run_with_retry, Attempt, FailureKind, RetryOutcome, RetryPolicy};
 pub use sat_engine::SatEngine;

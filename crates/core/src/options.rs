@@ -10,7 +10,8 @@ use std::time::Duration;
 pub enum Engine {
     /// BDD-based quantified synthesis (Section 5.2 — the paper's proposal).
     Bdd,
-    /// Prenex-CNF QBF instance handed to a QBF solver (Section 5.1).
+    /// Prenex-CNF QBF instance handed to a QBF solver (Section 5.1),
+    /// decided by expanding `∀X` into one CNF for the CDCL solver.
     Qbf,
     /// Row-wise SAT encoding, the baseline of \[9\]/\[22\] (Section 3).
     Sat,
@@ -24,18 +25,6 @@ impl std::fmt::Display for Engine {
             Engine::Sat => write!(f, "SAT"),
         }
     }
-}
-
-/// Backend for [`Engine::Qbf`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum QbfBackend {
-    /// ∀-expansion to propositional SAT (the skizzo family; also yields the
-    /// witness needed to reconstruct the circuit). Default.
-    #[default]
-    Expansion,
-    /// Search-based QDPLL. Decides truth; the witness is still extracted by
-    /// one expansion solve on success.
-    Qdpll,
 }
 
 /// Gate-select encoding for [`Engine::Sat`].
@@ -84,8 +73,6 @@ pub struct SynthesisOptions {
     pub library: GateLibrary,
     /// Decision engine.
     pub engine: Engine,
-    /// Backend for the QBF engine.
-    pub qbf_backend: QbfBackend,
     /// Select encoding for the SAT engine.
     pub sat_encoding: SatSelectEncoding,
     /// BDD variable order.
@@ -109,13 +96,8 @@ pub struct SynthesisOptions {
     /// aborts with
     /// [`SynthesisError::BudgetExceeded`](crate::SynthesisError).
     pub bdd_node_limit: usize,
-    /// Use the fused `∀X`-AND quantification kernel in the BDD engine's
-    /// `check()` step, quantifying the equivalence conjunction as it is
-    /// built instead of materializing `⋀_l` first (default). Disabling it
-    /// restores the legacy build-then-quantify path — an A/B ablation and
-    /// the oracle for agreement tests.
-    pub fused_quantification: bool,
-    /// SAT/QBF conflict budget per depth; exceeding it aborts with
+    /// Conflict budget per depth for the CDCL solves of the SAT engine and
+    /// the QBF engine's ∀-expansion; exceeding it aborts with
     /// [`SynthesisError::BudgetExceeded`](crate::SynthesisError).
     pub conflict_limit: u64,
     /// Wall-clock budget for the whole run. The engine's
@@ -145,14 +127,12 @@ impl SynthesisOptions {
         SynthesisOptions {
             library,
             engine,
-            qbf_backend: QbfBackend::default(),
             sat_encoding: SatSelectEncoding::default(),
             var_order: VarOrder::default(),
             incremental: true,
             max_depth: 32,
             max_solutions: 200_000,
             bdd_node_limit: 20_000_000,
-            fused_quantification: true,
             conflict_limit: 20_000_000,
             time_budget: None,
             cancel: CancelToken::new(),
@@ -218,13 +198,6 @@ impl SynthesisOptions {
         self
     }
 
-    /// Sets the QBF backend.
-    #[must_use]
-    pub fn with_qbf_backend(mut self, backend: QbfBackend) -> SynthesisOptions {
-        self.qbf_backend = backend;
-        self
-    }
-
     /// Sets the SAT select encoding (ablation).
     #[must_use]
     pub fn with_sat_encoding(mut self, encoding: SatSelectEncoding) -> SynthesisOptions {
@@ -245,14 +218,6 @@ impl SynthesisOptions {
         self.conflict_limit = conflicts;
         self
     }
-
-    /// Enables or disables the fused `∀`-AND quantification kernel in the
-    /// BDD engine (ablation; default enabled).
-    #[must_use]
-    pub fn with_fused_quantification(mut self, fused: bool) -> SynthesisOptions {
-        self.fused_quantification = fused;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -267,7 +232,6 @@ mod tests {
         assert_eq!(o.var_order, VarOrder::XThenY);
         assert!(o.max_depth >= 16);
         assert!(o.time_budget.is_none());
-        assert!(o.fused_quantification, "fused check() is the default");
     }
 
     #[test]
@@ -277,21 +241,17 @@ mod tests {
             .with_max_solutions(10)
             .with_var_order(VarOrder::YThenX)
             .with_incremental(false)
-            .with_qbf_backend(QbfBackend::Qdpll)
             .with_sat_encoding(SatSelectEncoding::Binary)
             .with_bdd_node_limit(1000)
             .with_conflict_limit(99)
-            .with_fused_quantification(false)
             .with_time_budget(Duration::from_secs(1));
         assert_eq!(o.max_depth, 5);
         assert_eq!(o.max_solutions, 10);
         assert_eq!(o.var_order, VarOrder::YThenX);
         assert!(!o.incremental);
-        assert_eq!(o.qbf_backend, QbfBackend::Qdpll);
         assert_eq!(o.sat_encoding, SatSelectEncoding::Binary);
         assert_eq!(o.bdd_node_limit, 1000);
         assert_eq!(o.conflict_limit, 99);
-        assert!(!o.fused_quantification);
         assert_eq!(o.time_budget, Some(Duration::from_secs(1)));
     }
 

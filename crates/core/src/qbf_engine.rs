@@ -9,24 +9,23 @@
 //!
 //! Every depth builds and solves its own prenex instance — there is no
 //! state carried across depths, so [`SynthesisOptions::incremental`] does
-//! not apply. The default backend expands `∀X` and hands the expanded CNF
-//! to the CDCL solver; the QDPLL backend decides the prenex formula
-//! directly first.
+//! not apply. The instance is decided by expanding `∀X` and handing the
+//! expanded CNF to the CDCL solver, whose model also carries the `∃Y`
+//! witness the circuit is decoded from.
 
 use crate::encode::{decode_circuit, level_outputs, select_bits, LevelSelects};
 use crate::error::SynthesisError;
-use crate::options::{QbfBackend, SynthesisOptions};
-use crate::sat_engine::{solve_chunked, FIRST_CONFLICT_CHUNK};
+use crate::options::SynthesisOptions;
+use crate::sat_engine::solve_chunked;
 use crate::session::{ResourceGovernor, SynthesisSession};
 use crate::solutions::SolutionSet;
-use qsyn_qbf::{ExpansionSolver, QbfFormula, QdpllSolver, Quantifier};
+use qsyn_qbf::{ExpansionSolver, QbfFormula, Quantifier};
 use qsyn_revlogic::{Circuit, Gate, Spec};
 use qsyn_sat::{CnfBuilder, Lit, SolveResult, Solver};
 
 /// QBF-based depth oracle; see the module docs.
 pub struct QbfEngine {
     spec: Spec,
-    options: SynthesisOptions,
     gates: Vec<Gate>,
     sbits: u32,
     governor: ResourceGovernor,
@@ -65,7 +64,6 @@ impl QbfEngine {
         governor.arm();
         QbfEngine {
             spec: spec.clone(),
-            options: options.clone(),
             gates,
             sbits,
             governor,
@@ -149,15 +147,15 @@ impl QbfEngine {
     }
 
     /// Decides whether a `d`-gate realization exists by solving the
-    /// prenex instance [`instance`](Self::instance)`(d)`: the QDPLL backend
-    /// decides truth first, and the witness always comes from one
-    /// ∀-expansion solve. Depths may be queried in any order.
+    /// prenex instance [`instance`](Self::instance)`(d)` with one
+    /// ∀-expansion solve, whose model is the witness. Depths may be
+    /// queried in any order.
     ///
     /// # Errors
     ///
-    /// [`SynthesisError::BudgetExceeded`] when the decision/conflict budget
-    /// runs out; cancellation errors from the governor, polled between
-    /// budget chunks and inside both backends' search loops.
+    /// [`SynthesisError::BudgetExceeded`] when the conflict budget runs
+    /// out; cancellation errors from the governor, polled between conflict
+    /// chunks and inside the CDCL search.
     pub fn solve_depth(&mut self, d: u32) -> Result<Option<SolutionSet>, SynthesisError> {
         self.governor.check(d)?;
         let qbf = self.instance(d);
@@ -169,12 +167,6 @@ impl QbfEngine {
             panic!("QBF instance for depth {d} failed the formula audit: {e}");
         }
         self.last_instance_size = (qbf.num_vars(), qbf.matrix().len());
-        // The QDPLL backend decides truth first (the measured solver); the
-        // witness for circuit extraction always comes from expansion.
-        if self.options.qbf_backend == QbfBackend::Qdpll && !qdpll_chunked(&qbf, &self.governor, d)?
-        {
-            return Ok(None);
-        }
         // Drive the backend SAT solve of the expansion ourselves so the
         // governor is polled between conflict chunks.
         let mut expansion = ExpansionSolver::new(&qbf);
@@ -200,41 +192,6 @@ impl QbfEngine {
             "QBF witness decodes to a circuit violating the spec"
         );
         Ok(Some(SolutionSet::single(circuit)))
-    }
-}
-
-/// Decides `qbf` with QDPLL under the governor's decision limit, polling
-/// the governor between doubling budget chunks and, through the solver's
-/// abort probe, at every search node within a chunk. The solver's decision
-/// counter is cumulative while its search restarts per call, so doubling
-/// amortizes the restarted work to a constant factor.
-///
-/// # Errors
-///
-/// [`SynthesisError::BudgetExceeded`] once the limit's decisions are
-/// spent; cancellation/deadline errors from the governor.
-fn qdpll_chunked(
-    qbf: &QbfFormula,
-    governor: &ResourceGovernor,
-    d: u32,
-) -> Result<bool, SynthesisError> {
-    let limit = governor.conflict_limit();
-    let mut solver = QdpllSolver::new(qbf);
-    solver.set_abort_probe(Some(governor.qdpll_abort_probe()));
-    let mut budget = FIRST_CONFLICT_CHUNK.min(limit);
-    loop {
-        governor.check(d)?;
-        governor.qbf_fault_probe(d, budget)?;
-        solver.set_decision_budget(budget);
-        if let Some(verdict) = solver.solve_limited() {
-            return Ok(verdict);
-        }
-        // `None` is either the probe firing (the governor check above
-        // reports it next iteration) or the chunk budget running dry.
-        if !solver.was_interrupted() && budget >= limit {
-            return Err(governor.decisions_exceeded(d, budget));
-        }
-        budget = budget.saturating_mul(2).min(limit);
     }
 }
 
@@ -272,20 +229,6 @@ mod tests {
     }
 
     #[test]
-    fn qdpll_backend_agrees_on_tiny_instances() {
-        let spec = Spec::from_permutation(&Permutation::from_map(1, vec![1, 0]));
-        let mut exp = QbfEngine::new(&spec, &opts());
-        let mut qd = QbfEngine::new(&spec, &opts().with_qbf_backend(QbfBackend::Qdpll));
-        for d in 0..2 {
-            assert_eq!(
-                exp.solve_depth(d).unwrap().is_some(),
-                qd.solve_depth(d).unwrap().is_some(),
-                "depth {d}"
-            );
-        }
-    }
-
-    #[test]
     fn cancelled_token_stops_solve_depth() {
         let spec = Spec::from_permutation(&Permutation::from_map(2, vec![3, 0, 1, 2]));
         let token = crate::CancelToken::new();
@@ -299,26 +242,23 @@ mod tests {
     }
 
     #[test]
-    fn cancellation_stops_qdpll_mid_solve() {
-        // QDPLL refutes 3_17 at depth 4 in doubling decision chunks that
-        // run for seconds each in a debug build (the whole refutation for
-        // about a minute in release); the in-search abort probe must stop
-        // the chunk in flight, not wait for its end.
-        let spec = qsyn_revlogic::benchmarks::spec_3_17();
+    fn cancellation_stops_the_expansion_solve_mid_depth() {
+        // In a debug build hwb4's depth-8 instance is built and expanded in
+        // ~60 ms and its CDCL refutation then runs for minutes: the cancel
+        // lands mid-solve, and the solver's abort probe must stop it in
+        // flight.
+        let spec = qsyn_revlogic::benchmarks::by_name("hwb4").unwrap().spec;
         let token = crate::CancelToken::new();
-        let options = opts()
-            .with_qbf_backend(QbfBackend::Qdpll)
-            .with_cancel_token(token.clone());
-        let mut e = QbfEngine::new(&spec, &options);
+        let mut e = QbfEngine::new(&spec, &opts().with_cancel_token(token.clone()));
         let canceller = std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(100));
             token.cancel();
             Instant::now()
         });
-        let outcome = e.solve_depth(4);
+        let outcome = e.solve_depth(8);
         let returned = Instant::now();
         let cancelled_at = canceller.join().unwrap();
-        assert_eq!(outcome.unwrap_err(), SynthesisError::Cancelled { depth: 4 });
+        assert_eq!(outcome.unwrap_err(), SynthesisError::Cancelled { depth: 8 });
         let lag = returned.saturating_duration_since(cancelled_at);
         assert!(
             lag < Duration::from_secs(1),

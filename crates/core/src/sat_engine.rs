@@ -391,7 +391,7 @@ impl PersistentSolve {
 
 /// First cumulative conflict budget handed to the solver before the token
 /// is re-polled; subsequent chunks double.
-pub(crate) const FIRST_CONFLICT_CHUNK: u64 = 2_000;
+const FIRST_CONFLICT_CHUNK: u64 = 2_000;
 
 /// Runs the solver to completion under the governor's conflict limit,
 /// polling the governor between doubling budget chunks and installing its

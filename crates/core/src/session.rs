@@ -24,7 +24,7 @@
 //!
 //! A [`ResourceGovernor`] is the *only* component that raises
 //! [`SynthesisError::BudgetExceeded`]: it folds the wall-clock deadline,
-//! the live-BDD-node budget, the SAT-conflict/QBF-decision budget and the
+//! the live-BDD-node budget, the SAT-conflict budget and the
 //! [`CancelToken`] behind one [`check`](ResourceGovernor::check) surface.
 //! Engines never hand-roll a deadline, node-limit or cancellation test —
 //! they ask their governor, so every engine reports exhaustion
@@ -91,7 +91,8 @@ impl ResourceGovernor {
         self.node_limit
     }
 
-    /// The per-depth SAT-conflict / QBF-decision budget.
+    /// The per-depth SAT-conflict budget (the QBF engine's expansion solve
+    /// spends it too).
     pub fn conflict_limit(&self) -> u64 {
         self.conflict_limit
     }
@@ -116,17 +117,6 @@ impl ResourceGovernor {
         SynthesisError::BudgetExceeded {
             depth,
             resource: Resource::SatConflicts,
-            spent,
-            limit: self.conflict_limit,
-        }
-    }
-
-    /// The QDPLL decision budget ran out at `depth` after `spent`
-    /// decisions.
-    pub fn decisions_exceeded(&self, depth: u32, spent: u64) -> SynthesisError {
-        SynthesisError::BudgetExceeded {
-            depth,
-            resource: Resource::QbfDecisions,
             spent,
             limit: self.conflict_limit,
         }
@@ -171,32 +161,6 @@ impl ResourceGovernor {
             }
             token.is_cancelled() || token.deadline_expired()
         })
-    }
-
-    /// The same probe shaped for
-    /// [`QdpllSolver::set_abort_probe`](qsyn_qbf::QdpllSolver::set_abort_probe):
-    /// aborts a QDPLL search mid-chunk when the run is cancelled or out of
-    /// time. It carries no fault site — the solver polls it at every search
-    /// node, and `qbf.decision` stays between decision chunks
-    /// ([`qbf_fault_probe`](Self::qbf_fault_probe)).
-    pub fn qdpll_abort_probe(&self) -> Box<dyn FnMut() -> bool + Send> {
-        let token = self.cancel.clone();
-        Box::new(move || token.is_cancelled() || token.deadline_expired())
-    }
-
-    /// Polls the fault-plane site `qbf.decision` between QDPLL
-    /// decision-budget chunks; an injected fault reports the decision
-    /// budget as exhausted at `spent` decisions.
-    ///
-    /// # Errors
-    ///
-    /// [`SynthesisError::BudgetExceeded`] with [`Resource::QbfDecisions`]
-    /// when the armed plan fires here.
-    pub fn qbf_fault_probe(&self, depth: u32, spent: u64) -> Result<(), SynthesisError> {
-        if qsyn_faults::hit(qsyn_faults::Site::QbfDecision).is_some() {
-            return Err(self.decisions_exceeded(depth, spent));
-        }
-        Ok(())
     }
 
     /// Polls the fault-plane site `sat.retain` at the incremental engines'
@@ -691,13 +655,6 @@ mod tests {
             g.conflicts_exceeded(1, 7),
             SynthesisError::BudgetExceeded {
                 resource: Resource::SatConflicts,
-                ..
-            }
-        ));
-        assert!(matches!(
-            g.decisions_exceeded(1, 7),
-            SynthesisError::BudgetExceeded {
-                resource: Resource::QbfDecisions,
                 ..
             }
         ));

@@ -14,8 +14,8 @@
 //! Everything here is gated on the crate feature `enabled`, which consumer
 //! crates forward from their own `faults` feature. Without it, [`hit`]
 //! is an `#[inline(always)]` function returning `None` — the injection
-//! sites threaded through `qsyn-bdd`, `qsyn-sat`, `qsyn-qbf`, `qsyn-core`
-//! and `qsyn-portfolio` vanish entirely from release builds. With the
+//! sites threaded through `qsyn-bdd`, `qsyn-core`, `qsyn-portfolio` and
+//! `qsyn-store` vanish entirely from release builds. With the
 //! feature on but no plan armed, the cost is one relaxed atomic load per
 //! site visit.
 //!
@@ -51,9 +51,6 @@ pub enum Site {
     /// SAT propagation-stride budget probe — aborts CDCL propagation as an
     /// exhausted conflict budget would.
     SatPropagate,
-    /// QBF decision loop (via the governor's budget callback) — aborts the
-    /// QDPLL search as an exhausted decision budget would.
-    QbfDecision,
     /// Session manager checkout/reset — panics, modelling a poisoned
     /// manager surfacing while a worker prepares a job.
     SessionCheckout,
@@ -79,11 +76,10 @@ pub enum Site {
 
 impl Site {
     /// Every site, in `repr` order.
-    pub const ALL: [Site; 9] = [
+    pub const ALL: [Site; 8] = [
         Site::BddAlloc,
         Site::BddGcSweep,
         Site::SatPropagate,
-        Site::QbfDecision,
         Site::SessionCheckout,
         Site::SchedulerWorker,
         Site::StoreAppend,
@@ -97,7 +93,6 @@ impl Site {
             Site::BddAlloc => "bdd.alloc",
             Site::BddGcSweep => "bdd.gc-sweep",
             Site::SatPropagate => "sat.propagate",
-            Site::QbfDecision => "qbf.decision",
             Site::SessionCheckout => "session.checkout",
             Site::SchedulerWorker => "scheduler.worker",
             Site::StoreAppend => "store.append",
@@ -120,7 +115,6 @@ impl Site {
             Site::BddAlloc => 12,
             Site::BddGcSweep => 8,
             Site::SatPropagate => 2_000,
-            Site::QbfDecision => 2_000,
             Site::SessionCheckout => 6,
             Site::SchedulerWorker => 4,
             Site::StoreAppend => 4,
@@ -140,7 +134,6 @@ impl Site {
             Site::BddAlloc => &[FaultKind::Oom],
             Site::BddGcSweep => &[FaultKind::Deadline, FaultKind::Cancel],
             Site::SatPropagate => &[FaultKind::Deadline, FaultKind::Cancel],
-            Site::QbfDecision => &[FaultKind::Deadline, FaultKind::Cancel],
             Site::SessionCheckout => &[FaultKind::Panic],
             Site::SchedulerWorker => &[FaultKind::Panic, FaultKind::Cancel],
             Site::StoreAppend => &[FaultKind::Io],

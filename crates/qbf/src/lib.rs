@@ -9,6 +9,7 @@
 //!
 //! * [`QdpllSolver`] — search-based QDPLL: branches in prefix order with
 //!   unit propagation, **universal reduction** and pure-literal elimination.
+//!   It is the independent reference for the expansion solver's verdicts.
 //! * [`ExpansionSolver`] — expansion-based (the family skizzo's symbolic
 //!   skolemization belongs to): universal variables are expanded
 //!   innermost-first, duplicating inner existential variables, until a

@@ -4,7 +4,9 @@
 //! Complete but exponential — this mirrors the behaviour the paper observes
 //! for general-purpose QBF search on the synthesis encoding ("the
 //! performance of the QBF solver approach is low"). The expansion solver in
-//! [`crate::ExpansionSolver`] is the faster alternative.
+//! [`crate::ExpansionSolver`] is the faster alternative, and the one the
+//! synthesis engine runs. QDPLL shares no code with it, which makes it the
+//! reference the expansion verdicts are cross-checked against.
 
 use crate::formula::{QbfFormula, Quantifier};
 use qsyn_sat::Lit;
@@ -17,14 +19,6 @@ pub struct QdpllSolver {
     /// Variables in decision order (outermost first).
     order: Vec<u32>,
     assign: Vec<Option<bool>>,
-    /// Search statistics: decisions made.
-    decisions: u64,
-    /// Optional decision budget for bail-out.
-    budget: Option<u64>,
-    /// External abort probe, polled at every search node.
-    abort_probe: Option<Box<dyn FnMut() -> bool + Send>>,
-    /// Latched when `abort_probe` fires; cleared at the start of a solve.
-    interrupted: bool,
 }
 
 impl std::fmt::Debug for QdpllSolver {
@@ -61,65 +55,17 @@ impl QdpllSolver {
             qmap: formula.quantifier_map(),
             order: formula.decision_order(),
             assign: vec![None; formula.num_vars() as usize],
-            decisions: 0,
-            budget: None,
-            abort_probe: None,
-            interrupted: false,
         }
-    }
-
-    /// Caps the number of decisions; [`solve_limited`](Self::solve_limited)
-    /// returns `None` once exhausted.
-    pub fn set_decision_budget(&mut self, budget: u64) {
-        self.budget = Some(budget);
-    }
-
-    /// Installs (or removes) an external abort probe. The probe is polled
-    /// at every search node; the first time it returns `true`, the
-    /// in-flight [`solve_limited`](Self::solve_limited) call unwinds and
-    /// returns `None`, exactly like an exhausted decision budget. The
-    /// solver remains usable afterwards.
-    ///
-    /// Callers using the panicking [`solve`](Self::solve) must not install
-    /// a probe.
-    pub fn set_abort_probe(&mut self, probe: Option<Box<dyn FnMut() -> bool + Send>>) {
-        self.abort_probe = probe;
-        self.interrupted = false;
-    }
-
-    /// `true` if the most recent solve call stopped because the abort
-    /// probe fired (as opposed to exhausting the decision budget).
-    pub fn was_interrupted(&self) -> bool {
-        self.interrupted
     }
 
     /// Decides the formula. `true` = satisfiable (valid).
     pub fn solve(&mut self) -> bool {
-        self.budget = None;
-        self.solve_limited()
-            .expect("unlimited search cannot bail out")
-    }
-
-    /// Budgeted variant; `None` when the decision budget is exhausted or
-    /// the abort probe fired.
-    pub fn solve_limited(&mut self) -> Option<bool> {
-        self.interrupted = false;
         self.search()
     }
 
-    /// Number of decisions made so far.
-    pub fn decisions(&self) -> u64 {
-        self.decisions
-    }
-
-    fn search(&mut self) -> Option<bool> {
+    fn search(&mut self) -> bool {
         let mut trail: Vec<u32> = Vec::new();
         let result = loop {
-            if self.abort_probe.as_mut().is_some_and(|probe| probe()) {
-                self.interrupted = true;
-                self.unwind(&trail);
-                return None;
-            }
             match self.simplify() {
                 Status::Sat => break true,
                 Status::Conflict => break false,
@@ -136,29 +82,16 @@ impl QdpllSolver {
                         // Fully assigned and no conflict: matrix satisfied.
                         break true;
                     };
-                    if let Some(b) = self.budget {
-                        if self.decisions >= b {
-                            self.unwind(&trail);
-                            return None;
-                        }
-                    }
-                    self.decisions += 1;
                     let quant = self.qmap[v as usize].0;
-                    match self.branch(v, quant) {
-                        Some(combined) => break combined,
-                        None => {
-                            self.unwind(&trail);
-                            return None;
-                        }
-                    }
+                    break self.branch(v, quant);
                 }
             }
         };
         self.unwind(&trail);
-        Some(result)
+        result
     }
 
-    fn branch(&mut self, v: u32, quant: Quantifier) -> Option<bool> {
+    fn branch(&mut self, v: u32, quant: Quantifier) -> bool {
         let mut outcome = match quant {
             Quantifier::Exists => false,
             Quantifier::Forall => true,
@@ -167,7 +100,6 @@ impl QdpllSolver {
             self.assign[v as usize] = Some(val);
             let sub = self.search();
             self.assign[v as usize] = None;
-            let sub = sub?;
             match quant {
                 Quantifier::Exists => {
                     outcome |= sub;
@@ -183,7 +115,7 @@ impl QdpllSolver {
                 }
             }
         }
-        Some(outcome)
+        outcome
     }
 
     fn unwind(&mut self, trail: &[u32]) {
@@ -376,36 +308,6 @@ mod tests {
         q2.add_clause([Lit::neg(0), Lit::pos(1)]);
         q2.add_clause([Lit::pos(0), Lit::neg(1)]);
         assert!(!QdpllSolver::new(&q2).solve());
-    }
-
-    #[test]
-    fn decision_budget_bails_out() {
-        // A formula requiring at least one decision.
-        let mut q = QbfFormula::new(3);
-        q.add_block(Quantifier::Exists, [0, 1, 2]);
-        q.add_clause([Lit::pos(0), Lit::pos(1), Lit::pos(2)]);
-        q.add_clause([Lit::neg(0), Lit::pos(1), Lit::pos(2)]);
-        q.add_clause([Lit::pos(0), Lit::neg(1), Lit::pos(2)]);
-        q.add_clause([Lit::pos(0), Lit::pos(1), Lit::neg(2)]);
-        q.add_clause([Lit::neg(0), Lit::neg(1), Lit::pos(2)]);
-        let mut s = QdpllSolver::new(&q);
-        s.set_decision_budget(0);
-        assert_eq!(s.solve_limited(), None);
-    }
-
-    #[test]
-    fn abort_probe_interrupts_and_solver_stays_usable() {
-        let mut q = QbfFormula::new(2);
-        q.add_block(Quantifier::Forall, [0]);
-        q.add_block(Quantifier::Exists, [1]);
-        xor_clauses(&mut q, 0, 1);
-        let mut s = QdpllSolver::new(&q);
-        s.set_abort_probe(Some(Box::new(|| true)));
-        assert_eq!(s.solve_limited(), None, "probe must abort the search");
-        assert!(s.was_interrupted());
-        s.set_abort_probe(Some(Box::new(|| false)));
-        assert_eq!(s.solve_limited(), Some(true));
-        assert!(!s.was_interrupted());
     }
 
     #[test]

@@ -14,6 +14,9 @@ fn main() -> ExitCode {
     let mut stdout = std::io::stdout().lock();
     match qsyn::cli::run(&cmd, &mut stdout) {
         Ok(code) => ExitCode::from(u8::try_from(code).unwrap_or(2)),
+        // The reader of a pipeline stopped early (`qsyn list | head -1`):
+        // nobody is left to read the rest, so that is a normal end.
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
             ExitCode::from(2)

@@ -41,6 +41,7 @@ pub(super) fn parse(args: &mut Args) -> Result<Command, String> {
             (config.heuristic, "--heuristic"),
             (config.output.is_some(), "-o"),
             (config.all, "--all"),
+            (config.output_permutation, "--output-permutation"),
         ],
     )?;
     if resume && journal.is_none() {

@@ -251,7 +251,7 @@ OPTIONS (batch only):
   per line. Batch jobs synthesize with free output permutation by default,
   so equivalent specs share one cache entry; `--no-permute` opts a run out
   of the search (and the sharing) entirely. `batch` does not take
-  --heuristic, --all or -o.
+  --heuristic, --all, -o or --output-permutation.
 
 OPTIONS (serve only):
   --store FILE               persistent circuit database (crash-safe,

@@ -164,6 +164,10 @@ fn batch_rejects_flags_it_would_ignore() {
         (&["-o", "out.real"][..], "-o"),
         (&["--all"][..], "--all"),
         (
+            &["--no-permute", "--output-permutation"][..],
+            "--output-permutation",
+        ),
+        (
             &["--heuristic", "-o", "out.real", "--all"][..],
             "--heuristic",
         ),

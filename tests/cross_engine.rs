@@ -4,9 +4,7 @@ use qsyn::portfolio::race::{race_engines, RacerOutcome};
 use qsyn::qbf::QdpllSolver;
 use qsyn::revlogic::{benchmarks::random_permutation, GateLibrary, Permutation, Spec};
 use qsyn::synth::permuted::permutations;
-use qsyn::synth::{
-    synthesize, Engine, QbfBackend, QbfEngine, SatSelectEncoding, SynthesisOptions, VarOrder,
-};
+use qsyn::synth::{synthesize, Engine, QbfEngine, SatSelectEncoding, SynthesisOptions, VarOrder};
 
 #[test]
 fn all_engines_agree_on_random_3_line_functions() {
@@ -83,25 +81,24 @@ fn sat_encodings_agree_on_3_lines() {
 
 #[test]
 fn qbf_backends_agree_on_2_lines() {
-    // All 24 two-line functions, every depth up to the minimum: QDPLL on
-    // the prenex instance against the engine's ∀-expansion verdict.
+    // Both one-line and all 24 two-line functions, every depth up to the
+    // minimum: QDPLL on the prenex instance against the engine's
+    // ∀-expansion verdict.
     let options = SynthesisOptions::new(GateLibrary::mct(), Engine::Qbf).with_max_depth(8);
-    for map in permutations(4) {
-        let spec = Spec::from_permutation(&Permutation::from_map(2, map.clone()));
-        let depth = synthesize(&spec, &options).unwrap().depth();
-        let qdpll_depth = synthesize(&spec, &options.clone().with_qbf_backend(QbfBackend::Qdpll))
-            .unwrap()
-            .depth();
-        assert_eq!(depth, qdpll_depth, "{map:?}");
-        let mut engine = QbfEngine::new(&spec, &options);
-        for d in 0..=depth {
-            let expansion = engine.solve_depth(d).unwrap().is_some();
-            assert_eq!(expansion, d == depth, "{map:?} at depth {d}");
-            assert_eq!(
-                QdpllSolver::new(&engine.instance(d)).solve(),
-                expansion,
-                "{map:?} at depth {d}"
-            );
+    for lines in [1, 2] {
+        for map in permutations(1 << lines) {
+            let spec = Spec::from_permutation(&Permutation::from_map(lines, map.clone()));
+            let depth = synthesize(&spec, &options).unwrap().depth();
+            let mut engine = QbfEngine::new(&spec, &options);
+            for d in 0..=depth {
+                let expansion = engine.solve_depth(d).unwrap().is_some();
+                assert_eq!(expansion, d == depth, "{map:?} at depth {d}");
+                assert_eq!(
+                    QdpllSolver::new(&engine.instance(d)).solve(),
+                    expansion,
+                    "{map:?} at depth {d}"
+                );
+            }
         }
     }
 }
