@@ -10,7 +10,10 @@
 //!   all-solutions output,
 //! * `gen_table3` — extended gate libraries (MCT+MCF, MCT+P, MCT+MCF+P),
 //! * `gen_ablations` — the design-choice ablations listed in `DESIGN.md`
-//!   (variable order, incremental construction, select encoding).
+//!   (variable order, incremental construction, select encoding),
+//! * `gen_scaling` — the encoding-size argument: QBF vs row-wise SAT
+//!   instance size as the line count grows, and the BDD engine's
+//!   per-depth wall-clock on a reference benchmark.
 //!
 //! Beside them, `trajectory` gates the deterministic per-layer counters
 //! against `BENCH_trajectory.json` (see its module docs).

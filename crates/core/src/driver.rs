@@ -15,15 +15,6 @@ use crate::solutions::SolutionSet;
 use qsyn_revlogic::Spec;
 use std::time::{Duration, Instant};
 
-/// Answer of one per-depth oracle call.
-#[derive(Clone, Debug)]
-pub enum DepthOutcome {
-    /// No `d`-gate realization exists.
-    Unsat,
-    /// Realizations found.
-    Sat(SolutionSet),
-}
-
 /// Per-depth oracle: the common face of the three engines.
 ///
 /// Depths must be queried in ascending order (the incremental BDD engine

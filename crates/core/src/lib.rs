@@ -65,7 +65,7 @@ pub mod transform;
 pub use bdd_engine::BddEngine;
 pub use cancel::CancelToken;
 pub use driver::{
-    depth_lower_bound, synthesize, synthesize_in, DepthOutcome, DepthSolver, IncrementalSolveStats,
+    depth_lower_bound, synthesize, synthesize_in, DepthSolver, IncrementalSolveStats,
     SynthesisResult,
 };
 pub use error::{Resource, SynthesisError};

@@ -1,52 +1,51 @@
 //! Crash-safe batch journaling.
 //!
-//! `qsyn batch --journal path` appends one JSONL record per **completed**
-//! job — its canonical-spec key, the displayed result fields, and an
-//! FNV-1a digest of the result — fsync'd (`File::sync_data`) per record,
-//! so a killed batch loses at most the record being written. A later run
-//! with `--resume` reads the journal back, skips every job whose key is
-//! present, and replays the stored row into the merged report
-//! bit-identically (including the recorded elapsed time).
+//! `qsyn batch --journal path` appends one record per **completed** job —
+//! its key, the displayed result fields, and an FNV-1a digest of the
+//! result — to a [`qsyn_store::log::Log`], the circuit store's framed,
+//! checksummed, fsync'd log, under the magic [`MAGIC`]. A later run with
+//! `--resume` replays the journal, skips every job whose key is present,
+//! and reprints the stored row bit-identically (elapsed time included).
 //!
 //! # Format
 //!
-//! One JSON object per line, written by [`render_record`] and parsed by
-//! [`parse_record`] through the crate's one JSON codec
-//! ([`crate::json`]):
+//! Each frame's payload is one JSON object written by [`render_record`]
+//! and parsed by [`parse_record`] through the crate's JSON codec:
 //!
 //! ```json
 //! {"key":"0:ham3:5bd5…","name":"ham3","depth":5,"solutions":"24",
 //!  "permutation":"[0, 1, 2]","elapsed_ns":10731042,"digest":"9f0a…"}
 //! ```
 //!
-//! The reader is **torn-write tolerant**: a malformed line — anything
-//! the strict parser refuses; the usual cause is the crash interrupting
-//! an append mid-line — is skipped and
-//! every well-formed line stands — including records a resumed run
-//! appended *after* the torn one, which [`JournalWriter::open`] places on
-//! a fresh line by repairing the missing newline. A job dropped this way
-//! is simply re-run — correctness never depends on the journal being
-//! complete. Keys repeat when a journal accumulates several runs; the
-//! last record for a key wins.
+//! Torn writes are the log's business: [`open_journal`] truncates from
+//! the first frame that is torn, fails its checksum or does not parse,
+//! and that job re-runs. The last record for a key wins. A file without
+//! [`MAGIC`], such as an old JSONL journal, is refused and left untouched.
 //!
-//! The key is `index:name:spec-digest` — the job's input position and
-//! name pin the row (a batch can list the same benchmark twice), and the
-//! canonical-spec digest guards against resuming against an *edited* job
-//! list where index `i` now means a different function.
+//! # Key
+//!
+//! `index:name:digest`: the job's input position and name pin the row (a
+//! batch can list the same benchmark twice), and the digest is
+//! [`qsyn_store::spec_digest`] of the spec **as given** under the run's
+//! configuration, the [`qsyn_store::library_config`] tag plus the permute
+//! mode. A row's permutation depends on the spec's output labeling and
+//! its depth on the library and the permute mode, so resuming against an
+//! edited spec or job list, or under another configuration, re-runs the
+//! job instead of replaying a row computed for something else.
 
-use crate::cache::canonicalize;
 use crate::json::{Object, Writer};
 use qsyn_revlogic::Spec;
-use qsyn_store::Fnv1a;
-use std::fs::{File, OpenOptions};
-use std::io::Write;
+use qsyn_store::log::{self, Log};
 use std::path::Path;
+
+/// First bytes of every journal file.
+pub const MAGIC: &[u8; 8] = b"QSYNJRN1";
 
 /// One completed job, as journaled; carries everything the batch table
 /// needs to reprint the row without re-running the job.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct JournalRecord {
-    /// `index:name:spec-digest`; see the module docs.
+    /// `index:name:digest`; see the module docs.
     pub key: String,
     /// The job's name, as supplied to the batch.
     pub name: String,
@@ -64,104 +63,28 @@ pub struct JournalRecord {
     pub digest: String,
 }
 
-/// The journal key for job `index` named `name` over `spec`.
-///
-/// Uses the **canonical** spec (the output-permutation class
-/// representative), so the key is stable under cosmetic relabelings of
-/// the input file.
-pub fn job_key(index: usize, name: &str, spec: &Spec) -> String {
-    let canonical = canonicalize(spec);
-    let mut h = Fnv1a::new();
-    for row in canonical.spec.rows() {
-        h.write_u32(row.value);
-        h.write_u32(row.care);
-    }
-    format!("{index}:{name}:{:016x}", h.finish())
+/// The journal key for job `index` named `name` over `spec` (as given)
+/// in a run whose configuration tag is `config`; see the module docs.
+pub fn job_key(index: usize, name: &str, spec: &Spec, config: &str) -> String {
+    let digest = qsyn_store::spec_digest(spec, config);
+    format!("{index}:{name}:{digest:016x}")
 }
 
-/// Append-only journal writer; every [`append`](Self::append) is flushed
-/// and fsync'd before returning, so a completed job survives a crash
-/// immediately after its report lands.
-#[derive(Debug)]
-pub struct JournalWriter {
-    file: File,
+/// Opens (creating if absent) the journal at `path` as [`Log::open`]
+/// does, errors included: the log to append [`render_record`] payloads
+/// to, and the records it holds.
+pub fn open_journal(path: &Path) -> std::io::Result<(Log, Vec<JournalRecord>)> {
+    Log::open(path, MAGIC, parse_record)
 }
 
-impl JournalWriter {
-    /// Opens (creating if absent) `path` for appending. A journal whose
-    /// last append was torn by a crash (no trailing newline) is repaired
-    /// with a newline first, so the next record starts on its own line
-    /// instead of merging with the torn bytes.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying I/O error.
-    pub fn open(path: &Path) -> std::io::Result<JournalWriter> {
-        use std::io::{Read, Seek, SeekFrom};
-        let mut file = OpenOptions::new()
-            .create(true)
-            .read(true)
-            .append(true)
-            .open(path)?;
-        if file.metadata()?.len() > 0 {
-            let mut last = [0u8; 1];
-            file.seek(SeekFrom::End(-1))?;
-            file.read_exact(&mut last)?;
-            if last[0] != b'\n' {
-                // Append mode: the write lands at the end regardless of
-                // the read position.
-                file.write_all(b"\n")?;
-            }
-        }
-        Ok(JournalWriter { file })
-    }
-
-    /// Appends one record and syncs it to stable storage.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying I/O error (the record may be partially
-    /// written, which a later reader tolerates).
-    pub fn append(&mut self, record: &JournalRecord) -> std::io::Result<()> {
-        let mut line = render_record(record);
-        line.push('\n');
-        // One write call for the whole line keeps torn records to crash
-        // windows only, not interleaving (appends are serialized by the
-        // caller's lock anyway).
-        self.file.write_all(line.as_bytes())?;
-        self.file.sync_data()
-    }
-}
-
-/// Reads every well-formed record from `path`, skipping malformed lines
-/// (see the module docs); a missing file is an empty journal.
-///
-/// # Errors
-///
-/// Propagates I/O errors other than the file not existing.
+/// The records of the journal at `path`, read as [`log::read`] does
+/// (errors included): the file is untouched, a missing one is empty.
 pub fn read_journal(path: &Path) -> std::io::Result<Vec<JournalRecord>> {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
-        Err(e) => return Err(e),
-    };
-    let mut records = Vec::new();
-    for line in text.lines() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        // A torn append (or any corruption) invalidates that line only:
-        // its job simply re-runs. Records appended by a resumed run land
-        // *after* the torn line ([`JournalWriter::open`] repairs the
-        // missing newline), so they must still be read.
-        if let Some(r) = parse_record(line) {
-            records.push(r);
-        }
-    }
-    Ok(records)
+    log::read(path, MAGIC, parse_record)
 }
 
-/// Serializes `record` as one JSON line (no trailing newline).
+/// Serializes `record` as one JSON object on one line: a journal frame's
+/// payload.
 pub fn render_record(r: &JournalRecord) -> String {
     Writer::new()
         .string("key", &r.key)
@@ -174,11 +97,11 @@ pub fn render_record(r: &JournalRecord) -> String {
         .finish()
 }
 
-/// Parses one line written by [`render_record`]; `None` on any
-/// malformation (truncation, bad escapes, missing or mistyped fields).
-/// Fields the record does not know are ignored.
-pub fn parse_record(line: &str) -> Option<JournalRecord> {
-    let o = Object::parse(line).ok()?;
+/// Parses one payload written by [`render_record`]; `None` on any
+/// malformation (invalid UTF-8, truncation, bad escapes, missing or
+/// mistyped fields). Fields the record does not know are ignored.
+pub fn parse_record(payload: &[u8]) -> Option<JournalRecord> {
+    let o = Object::parse(std::str::from_utf8(payload).ok()?).ok()?;
     let string = |key| o.str(key).map(str::to_string);
     Some(JournalRecord {
         key: string("key")?,
@@ -195,6 +118,7 @@ pub fn parse_record(line: &str) -> Option<JournalRecord> {
 mod tests {
     use super::*;
     use qsyn_revlogic::Permutation;
+    use std::path::PathBuf;
 
     fn record(i: u64) -> JournalRecord {
         JournalRecord {
@@ -208,120 +132,149 @@ mod tests {
         }
     }
 
+    fn temp_path(tag: &str) -> PathBuf {
+        let path = std::env::temp_dir().join(format!("qsyn-journal-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        path
+    }
+
+    /// A journal file holding `records`, framed the way the log writes them.
+    fn journal_bytes(records: &[JournalRecord]) -> Vec<u8> {
+        let mut bytes = MAGIC.to_vec();
+        for r in records {
+            log::frame(&mut bytes, render_record(r).as_bytes());
+        }
+        bytes
+    }
+
     #[test]
     fn records_round_trip() {
         for i in 0..5 {
             let r = record(i);
-            assert_eq!(parse_record(&render_record(&r)), Some(r));
+            assert_eq!(parse_record(render_record(&r).as_bytes()), Some(r));
         }
         // Escaping round-trips too.
         let odd = JournalRecord {
             name: "we\"ird\\na\tme".to_string(),
             ..record(0)
         };
-        assert_eq!(parse_record(&render_record(&odd)), Some(odd));
+        assert_eq!(parse_record(render_record(&odd).as_bytes()), Some(odd));
     }
 
     #[test]
-    fn writer_appends_and_reader_replays_in_order() {
-        let dir = std::env::temp_dir().join(format!("qsyn-journal-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("roundtrip.jsonl");
-        let _ = std::fs::remove_file(&path);
+    fn appends_replay_in_order_across_reopens() {
+        let path = temp_path("roundtrip");
         {
-            let mut w = JournalWriter::open(&path).unwrap();
+            let (mut log, records) = open_journal(&path).unwrap();
+            assert!(records.is_empty());
             for i in 0..3 {
-                w.append(&record(i)).unwrap();
+                log.append_synced(render_record(&record(i)).as_bytes())
+                    .unwrap();
             }
         }
-        // A second opening appends, not truncates.
-        JournalWriter::open(&path)
-            .unwrap()
-            .append(&record(3))
+        // A second opening replays, then appends rather than truncates.
+        let (mut log, records) = open_journal(&path).unwrap();
+        assert_eq!(records, (0..3).map(record).collect::<Vec<_>>());
+        log.append_synced(render_record(&record(3)).as_bytes())
             .unwrap();
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            journal_bytes(&[record(0), record(1), record(2), record(3)])
+        );
         let back = read_journal(&path).unwrap();
         assert_eq!(back, (0..4).map(record).collect::<Vec<_>>());
         std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
-    fn truncated_final_record_is_ignored_not_fatal() {
-        let full = render_record(&record(0));
-        let torn = render_record(&record(1));
-        for cut in [1, torn.len() / 2, torn.len() - 1] {
-            let text = format!("{full}\n{}", &torn[..cut]);
-            let dir = std::env::temp_dir();
-            let path = dir.join(format!(
-                "qsyn-journal-torn-{}-{cut}.jsonl",
-                std::process::id()
-            ));
-            std::fs::write(&path, text).unwrap();
-            let back = read_journal(&path).unwrap();
-            assert_eq!(back, vec![record(0)], "cut at {cut}");
+    fn a_torn_final_record_is_dropped_and_the_next_append_follows_the_last_whole_one() {
+        let whole = journal_bytes(&[record(0)]);
+        let full = journal_bytes(&[record(0), record(1)]);
+        for cut in [
+            whole.len() + 1,
+            (whole.len() + full.len()) / 2,
+            full.len() - 1,
+        ] {
+            let path = temp_path(&format!("torn-{cut}"));
+            std::fs::write(&path, &full[..cut]).unwrap();
+            assert_eq!(
+                read_journal(&path).unwrap(),
+                vec![record(0)],
+                "cut at {cut}"
+            );
+            let (mut log, records) = open_journal(&path).unwrap();
+            assert_eq!(records, vec![record(0)], "cut at {cut}");
+            assert_eq!(std::fs::read(&path).unwrap(), whole, "torn tail truncated");
+            log.append_synced(render_record(&record(2)).as_bytes())
+                .unwrap();
+            assert_eq!(read_journal(&path).unwrap(), vec![record(0), record(2)]);
             std::fs::remove_file(&path).unwrap();
         }
     }
 
     #[test]
-    fn corrupt_middle_line_drops_only_that_record() {
-        let text = format!(
-            "{}\nthis is not json\n{}\n",
-            render_record(&record(0)),
-            render_record(&record(2))
-        );
-        let path =
-            std::env::temp_dir().join(format!("qsyn-journal-mid-{}.jsonl", std::process::id()));
-        std::fs::write(&path, text).unwrap();
-        let back = read_journal(&path).unwrap();
-        assert_eq!(
-            back,
-            vec![record(0), record(2)],
-            "well-formed records around the corruption survive"
-        );
+    fn a_frame_that_is_not_a_record_ends_the_journal() {
+        // The log rolls back failed appends and truncates torn tails, so
+        // a bad frame is never followed by a good one the writer meant to
+        // keep: replay stops there and open cuts the rest away.
+        let path = temp_path("bad-frame");
+        let mut bytes = journal_bytes(&[record(0)]);
+        let kept = bytes.len();
+        log::frame(&mut bytes, b"this is not json");
+        log::frame(&mut bytes, render_record(&record(2)).as_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        assert_eq!(read_journal(&path).unwrap(), vec![record(0)]);
+        let (_, records) = open_journal(&path).unwrap();
+        assert_eq!(records, vec![record(0)]);
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), kept as u64);
         std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
-    fn appends_after_a_torn_record_start_on_a_fresh_line() {
-        let path = std::env::temp_dir().join(format!(
-            "qsyn-journal-torn-append-{}.jsonl",
-            std::process::id()
-        ));
-        let torn = render_record(&record(1));
-        // A crash mid-append leaves a record with no trailing newline.
-        std::fs::write(
-            &path,
-            format!("{}\n{}", render_record(&record(0)), &torn[..torn.len() / 2]),
-        )
-        .unwrap();
-        JournalWriter::open(&path)
-            .unwrap()
-            .append(&record(2))
-            .unwrap();
-        let back = read_journal(&path).unwrap();
-        assert_eq!(
-            back,
-            vec![record(0), record(2)],
-            "torn line skipped, append read"
+    fn a_jsonl_journal_is_refused_and_left_untouched() {
+        let path = temp_path("jsonl");
+        let jsonl = format!(
+            "{}\n{}\n",
+            render_record(&record(0)),
+            render_record(&record(1))
         );
+        std::fs::write(&path, &jsonl).unwrap();
+        let err = open_journal(&path).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("bad magic"), "{err}");
+        assert_eq!(read_journal(&path).unwrap_err().kind(), err.kind());
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), jsonl);
         std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn missing_journal_is_empty() {
-        let path = std::env::temp_dir().join("qsyn-journal-definitely-missing.jsonl");
-        let _ = std::fs::remove_file(&path);
+        let path = temp_path("missing");
         assert_eq!(read_journal(&path).unwrap(), Vec::new());
+        assert!(!path.exists(), "reading creates nothing");
     }
 
     #[test]
-    fn job_key_pins_index_name_and_function() {
+    fn job_key_pins_index_name_labeling_and_config() {
         let spec = Spec::from_permutation(&Permutation::from_map(2, vec![1, 0, 3, 2]));
         let other = Spec::from_permutation(&Permutation::from_map(2, vec![3, 0, 1, 2]));
-        let k = job_key(0, "a", &spec);
-        assert_eq!(k, job_key(0, "a", &spec), "deterministic");
-        assert_ne!(k, job_key(1, "a", &spec), "index matters");
-        assert_ne!(k, job_key(0, "b", &spec), "name matters");
-        assert_ne!(k, job_key(0, "a", &other), "function matters");
+        // `spec` with its two output columns swapped: the same output-
+        // permutation class, but a different permutation column.
+        let swapped = Spec::from_permutation(&Permutation::from_map(2, vec![2, 0, 3, 1]));
+        let k = job_key(0, "a", &spec, "MCT");
+        assert_eq!(k, job_key(0, "a", &spec, "MCT"), "deterministic");
+        assert_ne!(k, job_key(1, "a", &spec, "MCT"), "index matters");
+        assert_ne!(k, job_key(0, "b", &spec, "MCT"), "name matters");
+        assert_ne!(k, job_key(0, "a", &other, "MCT"), "function matters");
+        assert_ne!(
+            k,
+            job_key(0, "a", &swapped, "MCT"),
+            "output labeling matters"
+        );
+        assert_ne!(
+            k,
+            job_key(0, "a", &spec, "MCT+MCF"),
+            "configuration matters"
+        );
     }
 }

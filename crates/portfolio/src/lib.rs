@@ -16,8 +16,9 @@
 //!   publish fresh results to both; an equivalent request is answered by
 //!   permuting the class record instead of re-synthesizing. `qsyn batch`
 //!   and the `qsyn-serve` daemon share it.
-//! * [`journal`] — crash-safe batch resume: fsync'd JSONL records of
-//!   completed jobs, replayed by `qsyn batch --resume`.
+//! * [`journal`] — crash-safe batch resume: one record per completed
+//!   job on the circuit store's fsync'd log (`qsyn_store::log`),
+//!   replayed by `qsyn batch --resume`.
 //! * [`json`] — the one JSON codec: a strict one-object parser and a
 //!   compact one-line writer, shared by the journal, the daemon's wire
 //!   protocol, the chaos harness and the trajectory gate.
@@ -33,7 +34,7 @@ pub mod race;
 pub mod scheduler;
 
 pub use cache::{canonicalize, CanonicalSpec, SpecCache};
-pub use journal::{job_key, read_journal, JournalRecord, JournalWriter};
+pub use journal::{job_key, open_journal, read_journal, JournalRecord};
 pub use race::{
     race, race_engines, race_engines_permuted, RaceError, RaceResult, Racer, RacerOutcome,
     RacerReport, RACE_ENGINES,

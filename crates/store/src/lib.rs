@@ -19,16 +19,16 @@
 //!
 //! # Durability
 //!
-//! Every [`put`](Store::put) appends one length-prefixed, checksummed
-//! record in a single `write` call and `fsync`s (`File::sync_data`)
-//! before returning, so a record either survives a crash whole or not at
-//! all. [`open`](Store::open) replays the log and **truncates the torn
-//! tail**: the first record whose length prefix, checksum or payload does
-//! not decode marks the end of the valid log, the file is cut back to the
-//! last good byte, and the lost record's job simply re-synthesizes. This
-//! is the same kill-at-any-byte contract the batch journal established
-//! (PR 5) — the store adds checksums and physical truncation because its
-//! records, unlike journal rows, are served back to users.
+//! The file is a [`log::Log`], the batch journal's format too: every
+//! [`put`](Store::put) appends one checksummed frame in a single `write`
+//! call and `fsync`s it before returning, so a record survives a crash
+//! whole or not at all, and a failed append is rolled back.
+//! [`open`](Store::open) replays the log and **truncates the torn tail**
+//! from the first frame that is short, fails its checksum or does not
+//! decode; the lost record's job simply re-synthesizes. On top of the log
+//! the store keeps its digest index, a last-wins replay that counts
+//! superseded frames as dead bytes, the collision check and compaction.
+//! [`Fnv1a`] lives in [`log`] too.
 //!
 //! # Compaction
 //!
@@ -55,18 +55,12 @@
 //!
 //! # Record format
 //!
-//! ```text
-//! file   := magic record*            magic  = "QSYNSTO2" (8 bytes)
-//! record := len payload checksum     len    = u32 LE, payload byte count
-//!                                    checksum = u64 LE FNV-1a of payload
-//! ```
-//!
-//! Payload layout (all integers little-endian): digest `u64`, lines
-//! `u32`, row count `u32` then `(value, care)` `u32` pairs, depth `u32`,
-//! quantum cost `u64`, solution count `u128`, exact-count flag `u8`,
-//! permutation length `u32` then entries `u32`, then length-prefixed
-//! UTF-8 config tag, name and `.real` circuit text. The trailing magic
-//! digit versions this layout: `QSYNSTO1` files (no config tag) are
+//! `"QSYNSTO2"`, then one [`log`] frame per record. Payload layout (all
+//! integers little-endian): digest `u64`, lines `u32`, row count `u32`
+//! then `(value, care)` `u32` pairs, depth `u32`, quantum cost `u64`,
+//! solution count `u128`, exact-count flag `u8`, permutation length `u32`
+//! then entries `u32`, then length-prefixed UTF-8 config tag, name and
+//! `.real` circuit text. The trailing magic digit versions this layout: `QSYNSTO1` files (no config tag) are
 //! rejected at open with a bad-magic error rather than misparsed.
 //!
 //! # Collisions
@@ -87,10 +81,14 @@
 
 #![warn(missing_docs)]
 
+pub mod log;
+
+pub use log::Fnv1a;
+use log::Log;
 use qsyn_revlogic::{cost, real, Spec, SpecRow};
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 
 /// First bytes of every store file; the trailing digit versions the
@@ -143,54 +141,6 @@ fn sync_parent_dir(path: &Path) -> std::io::Result<()> {
         _ => Path::new("."),
     };
     File::open(parent)?.sync_all()
-}
-
-/// Records larger than this are rejected at decode time; a length prefix
-/// beyond it is treated as torn-tail garbage, not an allocation request.
-const MAX_RECORD_BYTES: u32 = 1 << 24;
-
-/// Incremental 64-bit FNV-1a — the workspace's one content hasher: store
-/// record checksums and spec digests here, batch journal keys and result
-/// digests in `qsyn-portfolio`.
-#[derive(Clone, Debug)]
-pub struct Fnv1a(u64);
-
-impl Fnv1a {
-    /// A fresh hasher at the FNV-1a offset basis.
-    pub fn new() -> Fnv1a {
-        Fnv1a(0xcbf2_9ce4_8422_2325)
-    }
-
-    /// The digest of `bytes` in one call.
-    pub fn hash(bytes: &[u8]) -> u64 {
-        let mut h = Fnv1a::new();
-        h.write(bytes);
-        h.finish()
-    }
-
-    /// Folds `bytes` into the digest.
-    pub fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    /// Folds a `u32` (little-endian) into the digest.
-    pub fn write_u32(&mut self, v: u32) {
-        self.write(&v.to_le_bytes());
-    }
-
-    /// The digest so far.
-    pub fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-impl Default for Fnv1a {
-    fn default() -> Fnv1a {
-        Fnv1a::new()
-    }
 }
 
 /// The store key of a specification under a synthesis configuration:
@@ -386,9 +336,16 @@ impl std::fmt::Display for StoreError {
 
 impl std::error::Error for StoreError {}
 
+/// A bad magic ([`log`]'s `InvalidData`) is corruption, not retryable.
 impl From<std::io::Error> for StoreError {
     fn from(e: std::io::Error) -> StoreError {
-        StoreError::Io(e)
+        match e.kind() {
+            std::io::ErrorKind::InvalidData => StoreError::Corrupt {
+                offset: 0,
+                detail: e.to_string(),
+            },
+            _ => StoreError::Io(e),
+        }
     }
 }
 
@@ -549,6 +506,11 @@ pub fn decode_record(payload: &[u8]) -> Option<StoredCircuit> {
     })
 }
 
+/// The size of `record`'s frame in the log.
+fn frame_bytes(record: &StoredCircuit) -> u64 {
+    encode_record(record).len() as u64 + log::FRAME_OVERHEAD
+}
+
 /// The disk-backed circuit database; see the module docs.
 ///
 /// Not internally synchronized: wrap in a `Mutex` for concurrent access
@@ -556,15 +518,11 @@ pub fn decode_record(payload: &[u8]) -> Option<StoredCircuit> {
 /// index lookups; only [`put`](Store::put) touches the file.
 #[derive(Debug)]
 pub struct Store {
-    file: File,
+    log: Log,
     path: PathBuf,
     index: HashMap<u64, StoredCircuit>,
     /// Insertion order of digests, for deterministic iteration.
     order: Vec<u64>,
-    /// Committed end of the log (everything before this offset is valid).
-    end: u64,
-    /// Bytes dropped by torn-tail repair at open (0 for a clean log).
-    truncated: u64,
     /// Bytes of superseded or duplicated frames a `compact` would
     /// reclaim.
     dead: u64,
@@ -582,47 +540,11 @@ impl Store {
     /// digest.
     pub fn open(path: &Path) -> Result<Store, StoreError> {
         promote_orphan_temp(path)?;
-        let mut file = OpenOptions::new()
-            .create(true)
-            .truncate(false)
-            .read(true)
-            .write(true)
-            .open(path)?;
-        let mut bytes = Vec::new();
-        file.read_to_end(&mut bytes)?;
-        if bytes.is_empty() {
-            file.write_all(MAGIC)?;
-            file.sync_data()?;
-            return Ok(Store {
-                file,
-                path: path.to_path_buf(),
-                index: HashMap::new(),
-                order: Vec::new(),
-                end: MAGIC.len() as u64,
-                truncated: 0,
-                dead: 0,
-            });
-        }
-        if bytes.len() < MAGIC.len() || &bytes[..MAGIC.len()] != MAGIC {
-            return Err(StoreError::Corrupt {
-                offset: 0,
-                detail: format!("bad magic (want {:?})", String::from_utf8_lossy(MAGIC)),
-            });
-        }
+        let (log, records) = Log::open(path, MAGIC, decode_record)?;
         let mut index: HashMap<u64, StoredCircuit> = HashMap::new();
         let mut order: Vec<u64> = Vec::new();
-        let mut frame_len: HashMap<u64, u64> = HashMap::new();
         let mut dead = 0u64;
-        let mut pos = MAGIC.len();
-        // Scan records; the first malformed one marks the torn tail.
-        let end = loop {
-            if pos == bytes.len() {
-                break pos;
-            }
-            let record = read_record_at(&bytes, pos);
-            let Some((record, next)) = record else {
-                break pos;
-            };
+        for record in records {
             match index.get(&record.digest) {
                 Some(existing)
                     if existing.rows != record.rows || existing.config != record.config =>
@@ -633,32 +555,22 @@ impl Store {
                         digest: record.digest,
                     });
                 }
-                Some(_) => {
+                Some(existing) => {
                     // A later frame for the same class — a put_superseding,
                     // or a crash-duplicated append — makes the earlier
                     // frame dead bytes; the replay is last-wins, matching
                     // the in-memory state the writer had.
-                    dead += frame_len.get(&record.digest).copied().unwrap_or(0);
+                    dead += frame_bytes(existing);
                 }
                 None => order.push(record.digest),
             }
-            frame_len.insert(record.digest, (next - pos) as u64);
             index.insert(record.digest, record);
-            pos = next;
-        };
-        let truncated = (bytes.len() - end) as u64;
-        if truncated > 0 {
-            file.set_len(end as u64)?;
-            file.sync_data()?;
         }
-        file.seek(SeekFrom::End(0))?;
         Ok(Store {
-            file,
+            log,
             path: path.to_path_buf(),
             index,
             order,
-            end: end as u64,
-            truncated,
             dead,
         })
     }
@@ -697,9 +609,10 @@ impl Store {
     /// partial bytes behind).
     ///
     /// This is the append+fsync sink every `concheck` blocking-under-lock
-    /// reason chain terminates in (`put → write_all`): callers either
-    /// keep the store behind its own leaf-level mutex (the waived
-    /// serialization-point pattern) or call it with no other lock held.
+    /// reason chain terminates in (`put → append_synced → write_all`):
+    /// callers either keep the store behind its own leaf-level mutex (the
+    /// waived serialization-point pattern) or call it with no other lock
+    /// held.
     pub fn put(&mut self, record: StoredCircuit) -> Result<PutOutcome, StoreError> {
         if qsyn_faults::hit(qsyn_faults::Site::StoreAppend).is_some() {
             return Err(StoreError::Injected);
@@ -715,7 +628,7 @@ impl Store {
             }
             None => {}
         }
-        self.append_frame(&record)?;
+        self.log.append_synced(&encode_record(&record))?;
         self.order.push(record.digest);
         self.index.insert(record.digest, record);
         Ok(PutOutcome::Inserted)
@@ -744,7 +657,7 @@ impl Store {
                 if *existing == record {
                     return Ok(PutOutcome::AlreadyPresent);
                 }
-                Some(encode_record(existing).len() as u64 + 12)
+                Some(frame_bytes(existing))
             }
             Some(_) => {
                 return Err(StoreError::DigestCollision {
@@ -753,7 +666,7 @@ impl Store {
             }
             None => None,
         };
-        self.append_frame(&record)?;
+        self.log.append_synced(&encode_record(&record))?;
         let outcome = if let Some(old_frame) = superseded_frame {
             self.dead += old_frame;
             PutOutcome::Superseded
@@ -763,33 +676,6 @@ impl Store {
         };
         self.index.insert(record.digest, record);
         Ok(outcome)
-    }
-
-    /// Frames `record` (length prefix + payload + checksum) and appends
-    /// it with one write plus fsync, rolling the log back to its last
-    /// committed byte on failure. Callers update the index afterwards.
-    fn append_frame(&mut self, record: &StoredCircuit) -> Result<(), StoreError> {
-        let payload = encode_record(record);
-        let mut framed = Vec::with_capacity(payload.len() + 12);
-        framed.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        framed.extend_from_slice(&payload);
-        framed.extend_from_slice(&Fnv1a::hash(&payload).to_le_bytes());
-        // One write call for the whole frame: a crash window tears at most
-        // this record, which open() then truncates away.
-        let written = self
-            .file
-            .write_all(&framed)
-            .and_then(|()| self.file.sync_data());
-        if let Err(e) = written {
-            // Roll back any partial bytes so the in-memory view and the
-            // log stay consistent; if even that fails the next open()'s
-            // torn-tail repair handles it.
-            let _ = self.file.set_len(self.end);
-            let _ = self.file.seek(SeekFrom::End(0));
-            return Err(StoreError::Io(e));
-        }
-        self.end += framed.len() as u64;
-        Ok(())
     }
 
     /// Rewrites the log to hold only live records (insertion order
@@ -806,54 +692,48 @@ impl Store {
     /// [`StoreError::Injected`] when the seeded `store.compact` fault
     /// fires (retryable — polled before any byte is written, the log and
     /// the index are untouched); [`StoreError::Io`] on filesystem
-    /// failures, in which case the original log is still the live one
-    /// (the rename either happened whole or not at all) and the handle
-    /// keeps writing to it.
+    /// failures. The rename happens whole or not at all, and the handle
+    /// keeps writing to whichever log is live: the original one when the
+    /// failure came before the rename, the compacted one when only the
+    /// directory sync after it failed.
     pub fn compact(&mut self) -> Result<CompactionReport, StoreError> {
         if qsyn_faults::hit(qsyn_faults::Site::StoreCompact).is_some() {
             return Err(StoreError::Injected);
         }
         crash_stage("before-tmp");
-        let bytes_before = self.end;
-        let mut out = Vec::with_capacity(self.end as usize);
+        let bytes_before = self.log.end();
+        let mut out = Vec::with_capacity(bytes_before as usize);
         out.extend_from_slice(MAGIC);
         for r in self.records() {
-            let payload = encode_record(r);
-            out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-            out.extend_from_slice(&payload);
-            out.extend_from_slice(&Fnv1a::hash(&payload).to_le_bytes());
+            log::frame(&mut out, &encode_record(r));
         }
         let tmp = temp_compaction_path(&self.path);
-        {
-            let mut tmp_file = OpenOptions::new()
-                .create(true)
-                .truncate(true)
-                .write(true)
-                .open(&tmp)?;
-            if crash_stage_armed("tmp-torn") {
-                // Half the log, deliberately mid-frame: the hardest
-                // leftover a recovery can face.
-                let _ = tmp_file.write_all(&out[..out.len() / 2]);
-                let _ = tmp_file.sync_data();
-                std::process::abort();
-            }
-            tmp_file.write_all(&out)?;
-            tmp_file.sync_data()?;
+        let mut tmp_file = OpenOptions::new()
+            .create(true)
+            .truncate(true)
+            .write(true)
+            .open(&tmp)?;
+        if crash_stage_armed("tmp-torn") {
+            // Half the log, deliberately mid-frame: the hardest
+            // leftover a recovery can face.
+            let _ = tmp_file.write_all(&out[..out.len() / 2]);
+            let _ = tmp_file.sync_data();
+            std::process::abort();
         }
+        tmp_file.write_all(&out)?;
+        tmp_file.sync_data()?;
         crash_stage("tmp-synced");
         std::fs::rename(&tmp, &self.path)?;
+        // The temp handle now names the live log; the old descriptor
+        // points at the unlinked inode, so swap before anything else can
+        // fail.
+        self.log = Log::adopt(tmp_file, out.len() as u64);
+        self.dead = 0;
         crash_stage("renamed");
         sync_parent_dir(&self.path)?;
-        // Swap the handle onto the new log; the old descriptor points at
-        // the now-unlinked inode.
-        let mut file = OpenOptions::new().read(true).write(true).open(&self.path)?;
-        file.seek(SeekFrom::End(0))?;
-        self.file = file;
-        self.end = out.len() as u64;
-        self.dead = 0;
         Ok(CompactionReport {
             bytes_before,
-            bytes_after: self.end,
+            bytes_after: self.log.end(),
             records: self.order.len(),
         })
     }
@@ -870,13 +750,13 @@ impl Store {
 
     /// Committed size of the log in bytes (magic included).
     pub fn file_bytes(&self) -> u64 {
-        self.end
+        self.log.end()
     }
 
     /// Bytes dropped by torn-tail repair when this handle opened the
     /// store (0 for a clean log).
     pub fn truncated_tail_bytes(&self) -> u64 {
-        self.truncated
+        self.log.truncated()
     }
 
     /// Bytes of superseded or duplicated frames a
@@ -989,34 +869,11 @@ fn promote_orphan_temp(path: &Path) -> Result<(), StoreError> {
     if path.exists() || !tmp.exists() {
         return Ok(());
     }
-    let mut magic = [0u8; 8];
-    let plausible = File::open(&tmp)
-        .and_then(|mut f| f.read_exact(&mut magic))
-        .map(|()| &magic == MAGIC)
-        .unwrap_or(false);
-    if plausible {
+    if log::read(&tmp, MAGIC, |_| Some(())).is_ok() {
         std::fs::rename(&tmp, path)?;
         sync_parent_dir(path)?;
     }
     Ok(())
-}
-
-/// Reads the record framed at `pos`; `Some((record, next_pos))` when the
-/// frame is whole and valid, `None` when it is torn or corrupt.
-fn read_record_at(bytes: &[u8], pos: usize) -> Option<(StoredCircuit, usize)> {
-    let len_bytes = bytes.get(pos..pos + 4)?;
-    let len = u32::from_le_bytes(len_bytes.try_into().expect("4-byte slice")) as usize;
-    if len as u32 > MAX_RECORD_BYTES {
-        return None;
-    }
-    let payload = bytes.get(pos + 4..pos + 4 + len)?;
-    let checksum_bytes = bytes.get(pos + 4 + len..pos + 12 + len)?;
-    let checksum = u64::from_le_bytes(checksum_bytes.try_into().expect("8-byte slice"));
-    if Fnv1a::hash(payload) != checksum {
-        return None;
-    }
-    let record = decode_record(payload)?;
-    Some((record, pos + 12 + len))
 }
 
 #[cfg(test)]
@@ -1194,19 +1051,7 @@ mod tests {
     }
 
     #[test]
-    fn fnv1a_matches_the_published_test_vectors() {
-        assert_eq!(Fnv1a::hash(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(Fnv1a::hash(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(Fnv1a::hash(b"foobar"), 0x8594_4171_f739_67e8);
-        // Incremental writes equal one-shot hashing of the concatenation;
-        // `write_u32` folds little-endian bytes.
-        let mut h = Fnv1a::new();
-        h.write(b"foo");
-        h.write(b"bar");
-        assert_eq!(h.finish(), Fnv1a::hash(b"foobar"));
-        let mut h = Fnv1a::new();
-        h.write_u32(u32::from_le_bytes(*b"abcd"));
-        assert_eq!(h.finish(), Fnv1a::hash(b"abcd"));
+    fn spec_digest_layout_is_pinned() {
         // The key layout (line count, then `(value, care)` per row, then the
         // tag, integers little-endian) is pinned so existing stores keep
         // their keys.
@@ -1286,12 +1131,8 @@ mod tests {
         drop(store);
         let mut tampered = record.clone();
         tampered.rows[1].0 ^= 1; // rows no longer match the digest's spec
-        let payload = encode_record(&tampered);
-        let mut framed = Vec::new();
-        framed.extend_from_slice(MAGIC);
-        framed.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        framed.extend_from_slice(&payload);
-        framed.extend_from_slice(&Fnv1a::hash(&payload).to_le_bytes());
+        let mut framed = MAGIC.to_vec();
+        log::frame(&mut framed, &encode_record(&tampered));
         std::fs::write(&path, framed).unwrap();
         let store = Store::open(&path).unwrap();
         assert!(matches!(
@@ -1355,13 +1196,9 @@ mod tests {
         let a = cnot_record("a");
         let mut b = a.clone();
         b.rows[0].0 ^= 2; // same digest field, different truth table
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(MAGIC);
+        let mut bytes = MAGIC.to_vec();
         for r in [&a, &b] {
-            let payload = encode_record(r);
-            bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-            bytes.extend_from_slice(&payload);
-            bytes.extend_from_slice(&Fnv1a::hash(&payload).to_le_bytes());
+            log::frame(&mut bytes, &encode_record(r));
         }
         std::fs::write(&path, bytes).unwrap();
         assert!(matches!(
@@ -1388,12 +1225,8 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         let mut bad = cnot_record("bad");
         bad.depth = 7; // metadata no longer matches the circuit
-        let payload = encode_record(&bad);
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(MAGIC);
-        bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        bytes.extend_from_slice(&payload);
-        bytes.extend_from_slice(&Fnv1a::hash(&payload).to_le_bytes());
+        let mut bytes = MAGIC.to_vec();
+        log::frame(&mut bytes, &encode_record(&bad));
         std::fs::write(&path, bytes).unwrap();
         let store = Store::open(&path).unwrap();
         let err = store.verify().unwrap_err();

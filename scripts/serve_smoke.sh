@@ -21,7 +21,11 @@
 #      write it, over a raw bash /dev/tcp socket and require a pong,
 #   9. preload a fresh store (no --preload-permute), shut down, and
 #      require `batch --store` to replay the same depths a storeless
-#      `batch` computes: preload fills must be class-minimal.
+#      `batch` computes: preload fills must be class-minimal,
+#  10. SIGKILL a journaled batch once its first record is on disk and
+#      require `--resume` to exit 0 with the same name/gates/solutions/
+#      permutation columns as an uninterrupted storeless `batch`; then
+#      `store verify` on a missing path must exit 2 and create nothing.
 #
 # Usage: scripts/serve_smoke.sh   (expects target/release/qsyn; override
 # with QSYN=path/to/qsyn)
@@ -30,7 +34,8 @@ set -euo pipefail
 QSYN=${QSYN:-target/release/qsyn}
 DIR=$(mktemp -d)
 DAEMON=""
-trap '[ -n "$DAEMON" ] && kill -9 "$DAEMON" 2>/dev/null; rm -rf "$DIR"' EXIT
+BATCH=""
+trap '[ -n "$DAEMON" ] && kill -9 "$DAEMON" 2>/dev/null; [ -n "$BATCH" ] && kill -9 "$BATCH" 2>/dev/null; rm -rf "$DIR"' EXIT
 STORE="$DIR/smoke.store"
 
 wait_ready() {
@@ -225,6 +230,52 @@ grep -q "store 3 hits / 0 misses" "$DIR/replay.log"
 depths <"$DIR/replay.log" >"$DIR/replay.depths"
 if ! diff "$DIR/fresh.depths" "$DIR/replay.depths"; then
   echo "serve-smoke: preloaded records replay depths above the class minimum" >&2
+  exit 1
+fi
+
+step "a SIGKILLed journaled batch resumes to the uninterrupted rows"
+# The first job finishes in milliseconds, the later two take seconds, so
+# the kill lands after the first record and before the last.
+printf '3_17\nhwb4\nalu-v3\n' >"$DIR/killed.list"
+JOURNAL="$DIR/killed.journal"
+"$QSYN" batch "$DIR/killed.list" --journal "$JOURNAL" >"$DIR/killed.log" 2>&1 &
+BATCH=$!
+# The journal starts with its 8-byte magic; wait for the first record.
+for _ in $(seq 1 300); do
+  [ "$(stat -c %s "$JOURNAL" 2>/dev/null || echo 0)" -gt 8 ] && break
+  sleep 0.05
+done
+if [ "$(stat -c %s "$JOURNAL" 2>/dev/null || echo 0)" -le 8 ]; then
+  echo "serve-smoke: the journaled batch never recorded a job" >&2
+  cat "$DIR/killed.log" >&2
+  exit 1
+fi
+kill -9 "$BATCH"
+wait "$BATCH" 2>/dev/null || true
+BATCH=""
+if grep -q "3 jobs, 3 ok" "$DIR/killed.log"; then
+  echo "serve-smoke: the batch finished before the kill" >&2
+  exit 1
+fi
+# Name, gates, solutions and permutation of each row: the time column
+# and the status are dropped.
+columns() { awk 'NR > 1 && $NF == "ok" {NF -= 2; print}'; }
+"$QSYN" batch "$DIR/killed.list" --journal "$JOURNAL" --resume >"$DIR/resumed.log"
+# The journaled first job replays; only the lost ones re-run.
+grep -q "cache 0 hits / [12] misses" "$DIR/resumed.log"
+columns <"$DIR/resumed.log" >"$DIR/resumed.rows"
+"$QSYN" batch "$DIR/killed.list" | columns >"$DIR/uninterrupted.rows"
+if ! diff "$DIR/uninterrupted.rows" "$DIR/resumed.rows"; then
+  echo "serve-smoke: resumed rows differ from an uninterrupted batch" >&2
+  exit 1
+fi
+
+step "store verify refuses a missing path and creates nothing"
+MISSING_CODE=0
+"$QSYN" store verify "$DIR/missing.store" >"$DIR/missing.log" || MISSING_CODE=$?
+if [ "$MISSING_CODE" -ne 2 ] || [ -e "$DIR/missing.store" ]; then
+  echo "serve-smoke: store verify on a missing path exited $MISSING_CODE" >&2
+  cat "$DIR/missing.log" >&2
   exit 1
 fi
 

@@ -4,7 +4,7 @@
 use super::synth::{apply_attempt, ladder_note, refuse, synthesize, FaultArming};
 use super::{store, Args, Command, Outcome, SynthConfig};
 use crate::portfolio::cache::{SpecCache, StoreIssue};
-use crate::portfolio::journal::{job_key, read_journal, JournalRecord, JournalWriter};
+use crate::portfolio::journal::{job_key, open_journal, render_record, JournalRecord};
 use crate::portfolio::scheduler::{run_batch, BatchConfig, JobStatus};
 use crate::revlogic::{benchmarks, real, spec_format, Spec};
 use crate::store::Fnv1a;
@@ -195,6 +195,7 @@ pub(super) fn run(
     let work = batch_jobs(target)?;
     let options = config.options()?;
     let _faults = FaultArming::arm(config.fault_seed)?;
+    let library = crate::store::library_config(options.library);
     // Every class-keyed answer goes through the resolve path (memo, then
     // the persistent store when given, then the engine). A --no-permute
     // answer is specific to its job's output labeling, so it bypasses the
@@ -207,10 +208,7 @@ pub(super) fn run(
         None
     } else {
         let store = store_path.map(store::open).transpose()?;
-        Some(SpecCache::with_store(
-            store,
-            &crate::store::library_config(options.library),
-        ))
+        Some(SpecCache::with_store(store, &library))
     };
     // Store problems the resolve path worked around, by job name; reported
     // after the table.
@@ -224,18 +222,18 @@ pub(super) fn run(
     // Journal bookkeeping: with --resume, jobs whose key is already
     // recorded are replayed from the journal instead of re-run; with
     // --journal, every completion is appended (fsync'd) as it lands.
-    let completed: HashMap<String, JournalRecord> = match journal {
-        Some((path, true)) => read_journal(Path::new(path))
-            .map_err(|e| format!("{path}: {e}"))?
-            .into_iter()
-            .map(|r| (r.key.clone(), r))
-            .collect(),
-        _ => HashMap::new(),
+    let (writer, completed): (_, HashMap<String, JournalRecord>) = match journal {
+        Some((path, resume)) => {
+            let (log, records) =
+                open_journal(Path::new(path)).map_err(|e| format!("{path}: {e}"))?;
+            let replayed = records.into_iter().filter(|_| resume);
+            let completed = replayed.map(|r| (r.key.clone(), r)).collect();
+            (Some(Mutex::new(log)), completed)
+        }
+        None => (None, HashMap::new()),
     };
-    let writer = journal
-        .map(|(path, _)| JournalWriter::open(Path::new(path)).map_err(|e| format!("{path}: {e}")))
-        .transpose()?
-        .map(Mutex::new);
+    // Keys cover the spec as given and this run's library and permute mode.
+    let journal_config = library + if no_permute { "+no-permute" } else { "" };
     let journal_error: Mutex<Option<std::io::Error>> = Mutex::new(None);
 
     // Split the batch: `None` rows are filled from this run's reports,
@@ -243,7 +241,7 @@ pub(super) fn run(
     let mut rows: Vec<Option<JournalRecord>> = Vec::with_capacity(work.len());
     let mut to_run: Vec<(String, BatchJob)> = Vec::new();
     for (index, (name, spec)) in work.into_iter().enumerate() {
-        let key = job_key(index, &name, &spec);
+        let key = job_key(index, &name, &spec, &journal_config);
         if let Some(rec) = completed.get(&key) {
             rows.push(Some(rec.clone()));
         } else {
@@ -282,7 +280,13 @@ pub(super) fn run(
         // worker: a kill between jobs then loses nothing.
         if let (Ok(p), Some(w)) = (&result, &writer) {
             let record = journal_record(job, p, job_started.elapsed());
-            if let Err(e) = w.lock().expect("journal lock").append(&record) {
+            // The mutex serializes the journal's appends (frames must not
+            // interleave); it is a leaf lock held for one record.
+            let appended = w
+                .lock()
+                .expect("journal lock")
+                .append_synced(render_record(&record).as_bytes()); // lint: allow(blocking-under-lock)
+            if let Err(e) = appended {
                 journal_error
                     .lock()
                     .expect("journal error lock")

@@ -60,7 +60,7 @@ pub enum Command {
         target: String,
         /// Worker threads (`--jobs N`).
         jobs: usize,
-        /// Append each completed job to this fsync'd JSONL journal
+        /// Append each completed job to this fsync'd journal
         /// (`--journal FILE`), enabling crash-safe resume.
         journal: Option<String>,
         /// Skip jobs already completed in the journal (`--resume`),
@@ -202,7 +202,7 @@ USAGE:
   qsyn store verify|stats|compact <file>
                                        check, summarize or compact a circuit
                                        database. verify exit codes: 0 clean,
-                                       1 a record failed, 2 unreadable file,
+                                       1 a record failed, 2 missing or bad file,
                                        3 clean but an orphaned temp-compaction
                                        file was found (reported, never
                                        deleted). compact rewrites the log to
@@ -236,7 +236,7 @@ OPTIONS (synth/bench/batch):
 OPTIONS (batch only):
   --jobs N                   worker threads              [default: 1]
   --journal FILE             append each completed job to FILE (fsync'd
-                             JSONL), enabling crash-safe resume
+                             record log), enabling crash-safe resume
   --resume                   skip jobs already recorded in --journal,
                              replaying their rows from the journal
   --store FILE               persistent circuit database: jobs whose

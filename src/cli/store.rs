@@ -58,9 +58,10 @@ pub(super) fn open(path: &str) -> Result<Store, String> {
 
 /// Executes `qsyn store verify|stats|compact`. Exit codes are a contract
 /// (the smoke and chaos harnesses branch on them): 0 = clean, 1 = a
-/// record failed verification, 2 = unreadable/unopenable file, 3 =
-/// records clean but an orphaned temp-compaction file sits next to the
-/// log (advisory; `compact` consumes it, `verify` never deletes anything).
+/// record failed verification, 2 = missing (never created), unreadable
+/// or unopenable file, 3 = records clean but an orphaned temp-compaction
+/// file sits next to the log (advisory; `compact` consumes it, `verify`
+/// never deletes anything).
 pub(super) fn run(
     action: StoreAction,
     path: &str,
@@ -71,6 +72,10 @@ pub(super) fn run(
     // the guard disarms on every exit path so in-process callers (tests)
     // are not poisoned.
     let _faults = FaultArming::arm(fault_seed)?;
+    let file = Path::new(path);
+    if !file.exists() && !crate::store::temp_compaction_path(file).exists() {
+        return Err(format!("{path}: no such store").into());
+    }
     let mut store = open(path)?;
     match action {
         StoreAction::Verify => {
@@ -92,7 +97,7 @@ pub(super) fn run(
                     out,
                     "orphaned temp-compaction file: {} ({bytes} bytes) — a compaction \
                      was killed before its rename; `qsyn store compact` supersedes it",
-                    crate::store::temp_compaction_path(Path::new(path)).display()
+                    crate::store::temp_compaction_path(file).display()
                 )?;
                 return Ok(3);
             }

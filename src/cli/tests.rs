@@ -307,11 +307,12 @@ fn batch_journal_records_and_resume_replays() {
     // its first record, then resume. The first job is replayed (its
     // recorded time reappears verbatim), the second re-runs, and the
     // rebuilt journal carries the same result digests as the full run.
-    std::fs::write(
-        &journal,
-        format!("{}\n", crate::portfolio::journal::render_record(&full[0])),
-    )
-    .unwrap();
+    let mut first = crate::portfolio::journal::MAGIC.to_vec();
+    crate::store::log::frame(
+        &mut first,
+        crate::portfolio::journal::render_record(&full[0]).as_bytes(),
+    );
+    std::fs::write(&journal, first).unwrap();
     let cmd = parse(&[
         "batch",
         list.to_str().unwrap(),
@@ -341,6 +342,98 @@ fn batch_journal_records_and_resume_replays() {
     assert_eq!(run(&cmd, &mut buf).unwrap(), 0);
     let text = String::from_utf8(buf).unwrap();
     assert!(text.contains("cache 0 hits / 0 misses"), "{text}");
+}
+
+/// Runs `args`, asserting exit 0, and returns each table row's name,
+/// gates, solutions and permutation columns (the time is dropped).
+fn batch_rows(args: &[&str]) -> Vec<String> {
+    let mut buf = Vec::new();
+    assert_eq!(run(&parse(args).unwrap(), &mut buf).unwrap(), 0);
+    let text = String::from_utf8(buf).unwrap();
+    text.lines()
+        .filter(|l| l.ends_with("  ok"))
+        .map(|l| {
+            let cells: Vec<&str> = l.split_whitespace().collect();
+            cells[..cells.len() - 2].join(" ")
+        })
+        .collect()
+}
+
+#[test]
+fn resume_replays_only_rows_of_the_same_run_and_spec() {
+    let dir = std::env::temp_dir().join(format!("qsyn-cli-resume-key-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let list = dir.join("jobs.txt");
+    std::fs::write(&list, "3_17\nrd32-v0\n").unwrap();
+    let (list, journal) = (list.to_str().unwrap(), dir.join("runs.journal"));
+    let journal = journal.to_str().unwrap();
+    let journaled = |extra: &[&str]| {
+        let _ = std::fs::remove_file(journal);
+        batch_rows(&["batch", list, "--journal", journal]);
+        let mut args = vec!["batch", list, "--journal", journal, "--resume"];
+        args.extend_from_slice(extra);
+        batch_rows(&args)
+    };
+    let fresh = |extra: &[&str]| {
+        let mut args = vec!["batch", list];
+        args.extend_from_slice(extra);
+        batch_rows(&args)
+    };
+
+    // Another gate library: its minima are different facts.
+    assert_eq!(
+        journaled(&["--library", "all"]),
+        fresh(&["--library", "all"])
+    );
+    // The other permute mode: the depth and permutation change.
+    assert_eq!(journaled(&["--no-permute"]), fresh(&["--no-permute"]));
+
+    // A spec file edited after journaling, here by swapping its two
+    // output columns: same output-permutation class, different row.
+    let spec = dir.join("cnot.spec");
+    std::fs::write(
+        &spec,
+        ".numvars 2\n.begin\n00 00\n01 11\n10 10\n11 01\n.end\n",
+    )
+    .unwrap();
+    let list2 = dir.join("one.txt");
+    std::fs::write(&list2, format!("{}\n", spec.display())).unwrap();
+    let list2 = list2.to_str().unwrap();
+    let _ = std::fs::remove_file(journal);
+    batch_rows(&["batch", list2, "--journal", journal]);
+    std::fs::write(
+        &spec,
+        ".numvars 2\n.begin\n00 00\n01 11\n10 01\n11 10\n.end\n",
+    )
+    .unwrap();
+    let resumed = batch_rows(&["batch", list2, "--journal", journal, "--resume"]);
+    assert_eq!(resumed, batch_rows(&["batch", list2]));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn store_verbs_refuse_a_missing_path_and_create_nothing() {
+    let dir = std::env::temp_dir().join(format!("qsyn-cli-no-store-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("nonexist.store");
+    let name = path.to_str().unwrap();
+    for action in ["verify", "stats", "compact"] {
+        let mut buf = Vec::new();
+        let code = run(&parse(&["store", action, name]).unwrap(), &mut buf).unwrap();
+        assert_eq!(code, 2, "store {action}");
+        let text = String::from_utf8(buf).unwrap();
+        assert_eq!(text, format!("error: {name}: no such store\n"));
+        assert!(!path.exists(), "store {action} created {name}");
+    }
+    // A store that survives only as its compaction temp file is promoted,
+    // not refused.
+    let tmp = crate::store::temp_compaction_path(&path);
+    Store::open(&tmp).unwrap();
+    let mut buf = Vec::new();
+    let code = run(&parse(&["store", "verify", name]).unwrap(), &mut buf).unwrap();
+    assert_eq!(code, 0, "{}", String::from_utf8_lossy(&buf));
+    assert!(path.exists() && !tmp.exists());
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -839,9 +932,11 @@ fn store_compact_verb_and_verify_exit_contract() {
     let (code, _) = run_store(&["store", "verify", db_str]);
     assert_eq!(code, 0);
 
-    // Unreadable file: exit 2.
+    // Missing or unreadable file: exit 2, and a missing one is not
+    // created.
     let (code, _) = run_store(&["store", "verify", dir.join("absent").to_str().unwrap()]);
-    assert_eq!(code, 0, "a missing file opens as an empty store");
+    assert_eq!(code, 2, "a missing file is no store");
+    assert!(!dir.join("absent").exists());
     std::fs::write(dir.join("junk.qsyn"), b"not a store").unwrap();
     let (code, _) = run_store(&["store", "verify", dir.join("junk.qsyn").to_str().unwrap()]);
     assert_eq!(code, 2);

@@ -9,6 +9,7 @@
 //! transcript this test prints on failure.
 
 use qsyn::cli::{run, Command};
+use qsyn::portfolio::journal::render_record;
 use std::path::{Path, PathBuf};
 
 const GOLDEN: &str = include_str!("golden/cli_transcript.txt");
@@ -123,9 +124,10 @@ fn cli_stdout_matches_the_golden_transcript() {
     step(&["batch", &jobs, "--journal", &journal]);
     // Keep only the first journaled job: a resume replays it and re-runs
     // the other two.
-    let first = std::fs::read_to_string(&journal).unwrap();
-    let first = first.lines().next().unwrap();
-    std::fs::write(&journal, format!("{first}\n")).unwrap();
+    let first = &qsyn::portfolio::read_journal(Path::new(&journal)).unwrap()[0];
+    let mut bytes = qsyn::portfolio::journal::MAGIC.to_vec();
+    qsyn::store::log::frame(&mut bytes, render_record(first).as_bytes());
+    std::fs::write(&journal, bytes).unwrap();
     step(&["batch", &jobs, "--journal", &journal, "--resume"]);
     step(&["batch", &jobs, "--store", &store]);
     step(&["batch", &jobs, "--store", &store]);

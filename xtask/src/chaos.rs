@@ -45,10 +45,16 @@ use std::path::Path;
 use std::process::{Command, ExitCode, Stdio};
 use std::time::{Duration, Instant};
 
-// The chaos harness reads only; the writer half goes unused here.
+// The chaos harness reads only; the writer halves go unused here.
 #[allow(dead_code)]
 #[path = "../../crates/portfolio/src/json.rs"]
 mod json;
+#[allow(dead_code)]
+#[path = "../../crates/store/src/log.rs"]
+mod log;
+
+/// `qsyn_portfolio::journal::MAGIC`, which xtask cannot import.
+const JOURNAL_MAGIC: &[u8; 8] = b"QSYNJRN1";
 
 /// The `--fast` subset: the Table 1 jobs that batch in under a second
 /// each, for quick local sweeps. The default sweep covers the whole
@@ -183,7 +189,7 @@ struct Leg<'a> {
 /// have checked).
 fn sweep_leg(qsyn: &Path, dir: &Path, leg: &Leg<'_>, opts: &ChaosOptions) -> usize {
     let label = leg.label;
-    let reference_journal = dir.join(format!("{label}-reference.jsonl"));
+    let reference_journal = dir.join(format!("{label}-reference.journal"));
     let reference_store = dir.join(format!("{label}-reference.store"));
     let reference = match batch_run(qsyn, leg, None, &reference_journal, &reference_store, opts) {
         Ok(run) => {
@@ -213,7 +219,7 @@ fn sweep_leg(qsyn: &Path, dir: &Path, leg: &Leg<'_>, opts: &ChaosOptions) -> usi
 
     let mut failures = 0usize;
     for seed in 1..=opts.seeds {
-        let journal = dir.join(format!("{label}-seed-{seed}.jsonl"));
+        let journal = dir.join(format!("{label}-seed-{seed}.journal"));
         let store = dir.join(format!("{label}-seed-{seed}.store"));
         match batch_run(qsyn, leg, Some(seed), &journal, &store, opts) {
             Ok(run) => {
@@ -494,20 +500,16 @@ fn normalize_record_line(line: &str) -> String {
 
 /// Parses the result fields out of a batch journal. xtask stays free of
 /// dependencies (it must build before, and lint, the workspace crates),
-/// so it compiles the workspace's JSON codec in by path.
+/// so it compiles the workspace's record log and JSON codec in by path.
 fn parse_journal(path: &Path) -> Result<Vec<ResultRecord>, String> {
-    let text =
-        std::fs::read_to_string(path).map_err(|e| format!("read {}: {e}", path.display()))?;
-    text.lines()
-        .filter(|l| !l.trim().is_empty())
-        .map(|line| parse_record(line).ok_or_else(|| format!("malformed journal line: {line}")))
-        .collect()
+    log::read(path, JOURNAL_MAGIC, parse_record)
+        .map_err(|e| format!("read {}: {e}", path.display()))
 }
 
-/// One journal line's result fields; `None` when the line is not one
+/// One journal payload's result fields; `None` when it is not one
 /// well-formed record.
-fn parse_record(line: &str) -> Option<ResultRecord> {
-    let r = json::Object::parse(line).ok()?;
+fn parse_record(payload: &[u8]) -> Option<ResultRecord> {
+    let r = json::Object::parse(std::str::from_utf8(payload).ok()?).ok()?;
     let string = |key| r.str(key).map(str::to_string);
     Some(ResultRecord {
         key: string("key")?,
@@ -524,10 +526,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn journal_line_fields_parse() {
+    fn journal_payload_fields_parse() {
         let line = r#"{"key":"0:a:00ff","name":"a","depth":5,"solutions":"24","permutation":"[0, 1]","elapsed_ns":12,"digest":"beef"}"#;
         assert_eq!(
-            parse_record(line),
+            parse_record(line.as_bytes()),
             Some(ResultRecord {
                 key: "0:a:00ff".into(),
                 name: "a".into(),
@@ -538,10 +540,33 @@ mod tests {
             })
         );
         assert_eq!(
-            parse_record(&line.replace(r#""digest":"beef""#, r#""x":1"#)),
+            parse_record(line.replace(r#""digest":"beef""#, r#""x":1"#).as_bytes()),
             None
         );
-        assert_eq!(parse_record(&line[..line.len() / 2]), None);
+        assert_eq!(parse_record(&line.as_bytes()[..line.len() / 2]), None);
+    }
+
+    #[test]
+    fn journals_are_read_through_the_record_log() {
+        let text = r#"{"key":"0:a:00ff","name":"a","depth":5,"solutions":"24","permutation":"[0, 1]","elapsed_ns":12,"digest":"beef"}"#;
+        let mut bytes = JOURNAL_MAGIC.to_vec();
+        log::frame(&mut bytes, text.as_bytes());
+        log::frame(&mut bytes, text.replace("0:a", "1:a").as_bytes());
+        let path = std::env::temp_dir().join(format!("qsyn-chaos-journal-{}", std::process::id()));
+        // A torn third frame is where the journal ends, not an error.
+        let mut torn = bytes.clone();
+        torn.extend_from_slice(&[7, 0]);
+        std::fs::write(&path, &torn).unwrap();
+        let records = parse_journal(&path).unwrap();
+        assert_eq!(records.len(), 2);
+        assert_eq!(records[1].key, "1:a:00ff");
+        std::fs::write(&path, format!("{text}\n")).unwrap();
+        assert!(parse_journal(&path).unwrap_err().contains("bad magic"));
+        std::fs::remove_file(&path).unwrap();
+        // The copy of the magic matches the journal's own.
+        let journal = include_str!("../../crates/portfolio/src/journal.rs");
+        let magic = String::from_utf8_lossy(JOURNAL_MAGIC);
+        assert!(journal.contains(&format!("pub const MAGIC: &[u8; 8] = b\"{magic}\";")));
     }
 
     #[test]
