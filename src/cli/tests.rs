@@ -287,7 +287,7 @@ fn batch_journal_records_and_resume_replays() {
     .unwrap();
     let list = dir.join("jobs.txt");
     std::fs::write(&list, format!("3_17\n{}\n", cnot.display())).unwrap();
-    let journal = dir.join("runs.jsonl");
+    let journal = dir.join("runs.journal");
     let _ = std::fs::remove_file(&journal);
 
     // Full run: every completion is journaled.
