@@ -15,7 +15,7 @@
 //! * **Lossy is sound** — a memoized result is only ever an optimization;
 //!   losing one to eviction costs a recomputation, never correctness.
 //!
-//! The table starts small and doubles (re-inserting surviving entries)
+//! The table starts small and doubles in place (every entry survives)
 //! when either the occupancy crosses 3/4 *or* eviction pressure mounts —
 //! collisions overwrite, so a thrashing table's occupancy plateaus below
 //! the occupancy trigger — up to a configurable slot cap, so that tiny
@@ -205,26 +205,27 @@ impl ComputedTable {
         };
     }
 
-    /// Doubles the slot count, re-inserting surviving entries. Collisions
-    /// in the new table overwrite (lossiness is fine; see module docs).
+    /// Doubles the slot count in place. With a power-of-two mask an entry
+    /// in old slot `i` belongs in new slot `i` or `i + old_len`, one new
+    /// index bit apart, so no two entries collide and each moves at most
+    /// once: growth keeps every entry and never holds two tables.
     fn grow(&mut self) {
-        let new_len = (self.slots.len() * 2).min(self.max_slots);
-        if new_len <= self.slots.len() {
+        let old_len = self.slots.len();
+        let new_len = (old_len * 2).min(self.max_slots);
+        if new_len <= old_len {
             return;
         }
-        let old = std::mem::replace(&mut self.slots, vec![EMPTY_SLOT; new_len]);
+        // The cap is a power of two, so growth always exactly doubles.
+        debug_assert_eq!(new_len, 2 * old_len);
+        self.slots.resize(new_len, EMPTY_SLOT);
         self.mask = new_len - 1;
-        self.occupied = 0;
         self.evictions_since_grow = 0;
-        for slot in old {
-            if slot.tag == EMPTY {
-                continue;
+        for i in 0..old_len {
+            let slot = self.slots[i];
+            if slot.tag != EMPTY && self.index(slot.tag, slot.a, slot.b, slot.c) != i {
+                self.slots[i + old_len] = slot;
+                self.slots[i] = EMPTY_SLOT;
             }
-            let idx = self.index(slot.tag, slot.a, slot.b, slot.c);
-            if self.slots[idx].tag == EMPTY {
-                self.occupied += 1;
-            }
-            self.slots[idx] = slot;
         }
     }
 
@@ -346,6 +347,47 @@ mod tests {
             t.insert(key(i.wrapping_mul(2654435761), i, i ^ 7), Bdd(i));
         }
         assert_eq!(t.counters().capacity, INITIAL_SLOTS * 8);
+    }
+
+    #[test]
+    fn growing_in_place_equals_reinserting_into_a_fresh_table() {
+        // Fill a table pinned at its initial size (collisions included),
+        // then lift the cap and grow once by hand.
+        let mut t = ComputedTable::default();
+        t.set_max_slots(INITIAL_SLOTS);
+        let n = INITIAL_SLOTS as u32;
+        for i in 0..n {
+            t.insert(key(i.wrapping_mul(2654435761), i, i ^ 7), Bdd(i));
+        }
+        t.set_max_slots(INITIAL_SLOTS * 8);
+        let before = t.counters();
+        assert!(before.evictions > 0 && before.entries > n as usize / 2);
+        let mut fresh = vec![EMPTY_SLOT; t.slots.len() * 2];
+        for s in &t.slots {
+            if s.tag != EMPTY {
+                let idx = (mix(s.tag, s.a, s.b, s.c) >> 32) as usize & (fresh.len() - 1);
+                assert_eq!(fresh[idx].tag, EMPTY, "a regrown table has no collisions");
+                fresh[idx] = *s;
+            }
+        }
+        t.grow();
+        let after = t.counters();
+        assert_eq!(after.capacity, before.capacity * 2);
+        assert_eq!(
+            (after.entries, after.hits, after.misses, after.evictions),
+            (before.entries, before.hits, before.misses, before.evictions)
+        );
+        let slots = |v: &[Slot]| -> Vec<(u64, u32, u32, u32, u32)> {
+            v.iter().map(|s| (s.tag, s.a, s.b, s.c, s.result)).collect()
+        };
+        assert_eq!(slots(&t.slots), slots(&fresh));
+        for j in 0..n {
+            let k = key(j.wrapping_mul(2654435761), j, j ^ 7);
+            let present = fresh
+                .iter()
+                .any(|s| (s.a, s.b, s.c) == (k.1 .0, k.2 .0, k.3 .0));
+            assert_eq!(t.get(k).is_some(), present, "entry {j}");
+        }
     }
 
     #[test]

@@ -27,11 +27,13 @@
 //! `index:name:digest`: the job's input position and name pin the row (a
 //! batch can list the same benchmark twice), and the digest is
 //! [`qsyn_store::spec_digest`] of the spec **as given** under the run's
-//! configuration, the [`qsyn_store::library_config`] tag plus the permute
-//! mode. A row's permutation depends on the spec's output labeling and
-//! its depth on the library and the permute mode, so resuming against an
-//! edited spec or job list, or under another configuration, re-runs the
-//! job instead of replaying a row computed for something else.
+//! configuration, the [`qsyn_store::library_config`] tag plus the engine
+//! and the permute mode. A row's permutation depends on the spec's output
+//! labeling, its depth on the library and the permute mode, and its
+//! solution count on the engine (exact for BDD, a `≥1` bound for SAT and
+//! QBF), so resuming against an edited spec or job list, or under another
+//! configuration, re-runs the job instead of replaying a row computed for
+//! something else.
 
 use crate::json::{Object, Writer};
 use qsyn_revlogic::Spec;

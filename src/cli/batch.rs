@@ -232,8 +232,11 @@ pub(super) fn run(
         }
         None => (None, HashMap::new()),
     };
-    // Keys cover the spec as given and this run's library and permute mode.
-    let journal_config = library + if no_permute { "+no-permute" } else { "" };
+    // Keys cover the spec as given and this run's library, engine and
+    // permute mode: a SAT or QBF row reports a lower bound (`≥1`) on the
+    // solution count where a BDD row counts them exactly.
+    let permute = if no_permute { "+no-permute" } else { "" };
+    let journal_config = format!("{library}+{}{permute}", config.engine);
     let journal_error: Mutex<Option<std::io::Error>> = Mutex::new(None);
 
     // Split the batch: `None` rows are filled from this run's reports,

@@ -412,6 +412,33 @@ fn resume_replays_only_rows_of_the_same_run_and_spec() {
 }
 
 #[test]
+fn resume_under_another_engine_reruns_the_job() {
+    // A BDD row counts every minimal circuit; a SAT row only knows one.
+    let dir = std::env::temp_dir().join(format!("qsyn-cli-resume-engine-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let list = dir.join("jobs");
+    std::fs::write(&list, "3_17\n").unwrap();
+    let (list, journal) = (list.to_str().unwrap(), dir.join("j"));
+    let journal = journal.to_str().unwrap();
+    assert_eq!(
+        batch_rows(&["batch", list, "--journal", journal]),
+        ["3_17 5 3 [2, 0, 1]"]
+    );
+    let resumed = batch_rows(&[
+        "batch",
+        list,
+        "--journal",
+        journal,
+        "--resume",
+        "--engine",
+        "sat",
+    ]);
+    assert_eq!(resumed, ["3_17 5 ≥1 [2, 0, 1]"]);
+    assert_eq!(resumed, batch_rows(&["batch", list, "--engine", "sat"]));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn store_verbs_refuse_a_missing_path_and_create_nothing() {
     let dir = std::env::temp_dir().join(format!("qsyn-cli-no-store-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
