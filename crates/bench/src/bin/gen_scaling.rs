@@ -32,11 +32,9 @@ fn main() {
         let instance = qbf_engine.instance(d);
         let (qv, qc) = (instance.num_vars(), instance.matrix().len());
 
-        let sat_options =
-            SynthesisOptions::new(GateLibrary::mct(), Engine::Sat).with_conflict_limit(0); // encode only; bail immediately
-        let mut sat_engine = SatEngine::new(&spec, &sat_options);
-        let _ = sat_engine.solve_depth(d); // runs out of budget after encoding
-        let (sv, sc) = sat_engine.last_instance_size();
+        let sat_options = SynthesisOptions::new(GateLibrary::mct(), Engine::Sat);
+        let formula = SatEngine::new(&spec, &sat_options).encode(d);
+        let (sv, sc) = (formula.num_vars(), formula.len());
 
         println!(
             "{:>2} {:>6} | {:>10} {:>12} | {:>10} {:>12} | {:>14.2}",
@@ -62,12 +60,11 @@ fn main() {
     )
     .expect("3_17 synthesizes");
     println!("{:>5} {:>12} {:>10}", "d", "outcome", "time");
-    for (d, t) in result.depth_times().iter().enumerate() {
-        let outcome = if d as u32 == result.depth() {
-            "SAT"
-        } else {
-            "unsat"
-        };
+    // Deepening starts at the spec's depth lower bound, not at 0.
+    let times = result.depth_times();
+    let first = result.depth() + 1 - times.len() as u32;
+    for (d, t) in (first..).zip(times) {
+        let outcome = if d == result.depth() { "SAT" } else { "unsat" };
         println!("{:>5} {:>12} {:>10}", d, outcome, format_secs(*t));
     }
     println!(

@@ -41,11 +41,12 @@
 //!     --ab target/trajectory.plain
 //! ```
 //!
-//! `--ab PLAIN_BIN` alternates the `faults` workload with `PLAIN_BIN
-//! --time-only` inside one measurement window and fails unless the
-//! disarmed plane costs under [`OVERHEAD_BAR_PCT`] percent; writing a
-//! baseline requires it. A build without `--features faults` has no
-//! recovery rows, so it refuses everything but `--time-only`.
+//! `--ab PLAIN_BIN` alternates `--time-only` runs of this build and of
+//! `PLAIN_BIN` (each a fresh process timing the `faults` workload's jobs)
+//! inside one measurement window and fails unless the disarmed plane
+//! costs under [`OVERHEAD_BAR_PCT`] percent; writing a baseline requires
+//! it. A build without `--features faults` has no recovery rows, so it
+//! refuses everything but `--time-only`.
 
 use qsyn_bench::run_budgeted;
 use qsyn_core::permuted::{
@@ -87,7 +88,7 @@ const TOLERANCE: &[(&str, f64)] = &[("peak_live", 1.25)];
 const OVERHEAD_BAR_PCT: f64 = 2.0;
 
 /// Paired samples `--ab` takes of each build.
-const AB_PAIRS: usize = 5;
+const AB_PAIRS: usize = 20;
 
 /// Counter name → value. Most values are integers; a few are labels
 /// (winning permutation, answer source, retry outcome, fired faults).
@@ -279,13 +280,13 @@ fn fault_workload(rows: &mut Rows) {
     }
 }
 
-/// The workload's time in this build: the per-job minima over
-/// [`FAULT_REPS`] repetitions, summed.
-fn fault_workload_ms() -> f64 {
+/// The workload's time in this build: each job's minimum over
+/// [`FAULT_REPS`] repetitions.
+fn fault_workload_minima() -> Vec<(String, f64)> {
     run_scenario("faults", FAULT_REPS, fault_workload)
-        .iter()
-        .map(|row| row.wall.min)
-        .sum()
+        .into_iter()
+        .map(|row| (row.job, row.wall.min))
+        .collect()
 }
 
 fn faults(rows: &mut Rows) {
@@ -727,30 +728,65 @@ fn parse_report(text: &str) -> Result<Vec<Row>, String> {
     Ok(rows)
 }
 
-/// Alternates this build's fault workload with `plain --time-only` and
-/// returns the disarmed plane's overhead in percent, min against min:
-/// two windows minutes apart drift by more than the bar, so only paired
-/// samples make it meaningful.
+/// Alternates `--time-only` runs of this build and of `plain` and returns
+/// the disarmed plane's overhead in percent, min against min: each job's
+/// minimum over every run of a side, summed. Two windows minutes apart
+/// drift by more than the bar, so only paired samples make it
+/// meaningful. Both sides run as fresh processes, and the one that runs
+/// first alternates, so neither inherits the other's warm-up or the
+/// heap of the scenarios this process just ran.
 fn overhead_pct(plain: &str) -> Result<f64, String> {
-    let (mut own, mut peer) = (f64::INFINITY, f64::INFINITY);
+    let own = std::env::current_exe().map_err(|e| format!("--ab: own binary: {e}"))?;
+    let own = own.to_string_lossy();
+    let (mut own_min, mut peer_min) = (BTreeMap::new(), BTreeMap::new());
     for pair in 1..=AB_PAIRS {
-        let mine = fault_workload_ms();
-        own = own.min(mine);
-        let out = Command::new(plain)
-            .arg("--time-only")
-            .output()
-            .map_err(|e| format!("--ab {plain}: {e}"))?;
-        if !out.status.success() {
-            return Err(format!("--ab {plain} exited with {}", out.status));
-        }
-        let t: f64 = String::from_utf8_lossy(&out.stdout)
-            .lines()
-            .find_map(|l| l.strip_prefix("time_ms: ")?.trim().parse().ok())
-            .ok_or_else(|| format!("--ab {plain} printed no `time_ms:` line"))?;
-        peer = peer.min(t);
-        println!("ab pair {pair}/{AB_PAIRS}: plain {t:.1}ms, disarmed {mine:.1}ms");
+        let (mine, peer) = if pair % 2 == 1 {
+            let mine = time_only_ms(&own, &mut own_min)?;
+            (mine, time_only_ms(plain, &mut peer_min)?)
+        } else {
+            let peer = time_only_ms(plain, &mut peer_min)?;
+            (time_only_ms(&own, &mut own_min)?, peer)
+        };
+        println!("ab pair {pair}/{AB_PAIRS}: plain {peer:.1}ms, disarmed {mine:.1}ms");
     }
-    Ok((own / peer - 1.0) * 100.0)
+    if own_min.keys().ne(peer_min.keys()) {
+        return Err(format!("--ab {plain} timed other jobs than this build"));
+    }
+    for ((job, mine), peer) in own_min.iter().zip(peer_min.values()) {
+        println!("ab minimum {job}: plain {peer:.1}ms, disarmed {mine:.1}ms");
+    }
+    let sum = |minima: &BTreeMap<String, f64>| minima.values().sum::<f64>();
+    Ok((sum(&own_min) / sum(&peer_min) - 1.0) * 100.0)
+}
+
+/// One `BIN --time-only` run: folds each job's time into `minima` and
+/// returns the run's total.
+fn time_only_ms(bin: &str, minima: &mut BTreeMap<String, f64>) -> Result<f64, String> {
+    let out = Command::new(bin)
+        .arg("--time-only")
+        .output()
+        .map_err(|e| format!("--ab {bin}: {e}"))?;
+    if !out.status.success() {
+        return Err(format!("--ab {bin} exited with {}", out.status));
+    }
+    let (mut jobs, mut total) = (0, 0.0);
+    for line in String::from_utf8_lossy(&out.stdout).lines() {
+        let Some(rest) = line.strip_prefix("job_ms: ") else {
+            continue;
+        };
+        let (job, ms) = rest
+            .rsplit_once(' ')
+            .and_then(|(job, ms)| Some((job, ms.parse::<f64>().ok()?)))
+            .ok_or_else(|| format!("--ab {bin}: bad line `{line}`"))?;
+        let min = minima.entry(job.to_string()).or_insert(f64::INFINITY);
+        *min = min.min(ms);
+        jobs += 1;
+        total += ms;
+    }
+    if jobs == 0 {
+        return Err(format!("--ab {bin} printed no `job_ms:` line"));
+    }
+    Ok(total)
 }
 
 fn cli() -> Result<ExitCode, String> {
@@ -767,7 +803,9 @@ fn cli() -> Result<ExitCode, String> {
         }
     }
     if time_only {
-        println!("time_ms: {:.3}", fault_workload_ms());
+        for (job, ms) in fault_workload_minima() {
+            println!("job_ms: {job} {ms:.3}");
+        }
         return Ok(ExitCode::SUCCESS);
     }
     if !cfg!(feature = "faults") {

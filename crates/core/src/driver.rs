@@ -190,7 +190,9 @@ impl SynthesisResult {
         self.engine
     }
 
-    /// Wall-clock time spent on each depth `0..=depth`.
+    /// Wall-clock time spent on each queried depth, in order: deepening
+    /// may start at a lower bound, so entry `i` is depth
+    /// `depth + 1 − len + i`.
     pub fn depth_times(&self) -> &[Duration] {
         &self.depth_times
     }

@@ -1,8 +1,15 @@
 //! Shared pieces of the universal-gate encoding (Definition 2 of the
-//! paper): gate-select dimensioning, select-index decoding, the per-level
-//! netlist translation used by the row-wise SAT instance, and the
-//! [`IncrementalEncoder`] that emits the row-wise encoding depth by depth
-//! for a persistent solver (DESIGN.md §15).
+//! paper): gate-select dimensioning, select-index decoding, the select
+//! block of one level ([`LevelSelects`]), the per-level translation shared
+//! by the row-wise SAT instance and the QBF instance ([`level_outputs`]),
+//! and the [`IncrementalEncoder`] that emits the row-wise encoding depth
+//! by depth for a persistent solver (DESIGN.md §15).
+//!
+//! A level is encoded in **flip form**: rather than instantiating every
+//! library gate's netlist and multiplexing the results, it says which
+//! line the chosen gate flips and under what condition, and frames every
+//! other line (`out_j = s_j`). A `#[cfg(test)]` copy of the slot-table
+//! construction it replaced is the reference it is tested against.
 
 use crate::options::SatSelectEncoding;
 use qsyn_revlogic::{Circuit, Gate, Spec, SpecRow};
@@ -59,120 +66,178 @@ pub(crate) fn decode_circuit(
     c
 }
 
-/// Which literals select each gate at one level of the row-wise encoding.
-pub(crate) enum LevelSelects {
-    /// `one_hot[k]` true ⇔ gate `k` chosen.
-    OneHot(Vec<Lit>),
-    /// Binary-encoded index, LSB first.
-    Binary(Vec<Lit>),
+/// Select-variable width of one level: one variable per gate under
+/// one-hot, `⌈log₂ q⌉` index bits under binary.
+pub(crate) fn select_width(encoding: SatSelectEncoding, q: usize) -> u32 {
+    match encoding {
+        SatSelectEncoding::OneHot => q as u32,
+        SatSelectEncoding::Binary => select_bits(q),
+    }
 }
 
-/// Applies one universal-gate level to a row's state literals: every
-/// library gate instantiated on `state`, selected by `sel`.
+/// The literals of one binary select code: `bits = k` is their conjunction.
+fn code_lits(bits: &[Lit], k: usize) -> Vec<Lit> {
+    bits.iter()
+        .enumerate()
+        .map(|(i, &l)| if (k >> i) & 1 == 1 { l } else { !l })
+        .collect()
+}
+
+/// One level's gate selection: the select variables a model is decoded
+/// from, and per library gate a literal that holds exactly when that gate
+/// is the level's gate.
+pub(crate) struct LevelSelects {
+    /// One variable per gate under one-hot; the gate index, LSB first,
+    /// under binary.
+    vars: Vec<Lit>,
+    /// `chosen[k]` ⇔ gate `k` is selected: the one-hot variable itself,
+    /// or under binary a variable defined as `vars = k` once per level and
+    /// shared by every row.
+    chosen: Vec<Lit>,
+}
+
+impl LevelSelects {
+    /// Constrains one level's select variables `vars` to pick exactly one
+    /// of `q` gates: at-least-one and pairwise at-most-one under one-hot;
+    /// under binary the padding codes `q ≤ k < 2^s` are forbidden (a
+    /// minimal-depth network never uses them, and excluding them keeps the
+    /// two encodings equivalent).
+    pub(crate) fn constrain(
+        b: &mut CnfBuilder,
+        vars: Vec<Lit>,
+        q: usize,
+        encoding: SatSelectEncoding,
+    ) -> LevelSelects {
+        match encoding {
+            SatSelectEncoding::OneHot => {
+                b.assert_at_least_one(&vars);
+                b.assert_at_most_one(&vars);
+                LevelSelects {
+                    chosen: vars.clone(),
+                    vars,
+                }
+            }
+            SatSelectEncoding::Binary => {
+                forbid_padding(b, &vars, q);
+                LevelSelects::binary(b, vars, q)
+            }
+        }
+    }
+
+    /// A binary level over index bits `bits` with `chosen[k] ↔ (bits = k)`
+    /// for each of the `q` gates, and no padding ban: a code `≥ q` chooses
+    /// no gate, so the level is the identity there (Definition 2's
+    /// padding). The `chosen` variables are non-auxiliary — functions of
+    /// the select bits alone.
+    pub(crate) fn binary(b: &mut CnfBuilder, bits: Vec<Lit>, q: usize) -> LevelSelects {
+        let chosen = (0..q)
+            .map(|k| {
+                let o = b.new_var();
+                let code = code_lits(&bits, k);
+                for &l in &code {
+                    b.add_clause([!o, l]);
+                }
+                b.add_clause(code.iter().map(|&l| !l).chain([o]));
+                o
+            })
+            .collect();
+        LevelSelects { vars: bits, chosen }
+    }
+}
+
+/// Applies one universal-gate level to a row's state literals `s` in flip
+/// form. Each gate `k` flips line `j` under a conjunction `C` of state
+/// literals — its controls for a Toffoli; its controls and `a ⊕ b` on
+/// both targets of a Fredkin; `c` on `t₁` and `c ∧ t₁` on `t₂` for a
+/// Peres — and the only new variables are `out_j` per line plus one
+/// `a ⊕ b` per Fredkin target pair:
+///
+/// * `chosen_k ∧ C → out_j ≠ s_j`;
+/// * `chosen_k ∧ ¬c → out_j = s_j` for each `c ∈ C`;
+/// * the frame: `out_j = s_j` unless a gate that flips `j` is chosen.
+///
+/// No gate's netlist is built and no per-gate output is muxed.
 pub(crate) fn level_outputs(
     b: &mut CnfBuilder,
     gates: &[Gate],
-    sbits: u32,
     state: &[Lit],
     sel: &LevelSelects,
 ) -> Vec<Lit> {
-    let n = state.len();
-    match sel {
-        LevelSelects::OneHot(one_hot) => {
-            // out_j = OR_k (o_k ∧ gate_k(state)_j), encoded implication-
-            // wise: o_k → (out_j ↔ gate_k_out_j).
-            let mut slot_outs: Vec<Vec<Lit>> = vec![state.to_vec(); gates.len()];
-            for (k, g) in gates.iter().enumerate() {
-                apply_gate_netlist(b, g, state, &mut slot_outs[k]);
+    let out: Vec<Lit> = state.iter().map(|_| b.new_aux()).collect();
+    // The chosen literal of every gate that flips each line, for the frame.
+    let mut flippers: Vec<Vec<Lit>> = vec![Vec::new(); state.len()];
+    // `s_a ⊕ s_b` per Fredkin target pair, shared by the pair's gates.
+    let mut differs: Vec<((u32, u32), Lit)> = Vec::new();
+    let mut cond: Vec<Lit> = Vec::new();
+    for (g, &o) in gates.iter().zip(&sel.chosen) {
+        match *g {
+            Gate::Toffoli {
+                controls,
+                negative_controls,
+                target,
+            } => {
+                cond.clear();
+                cond.extend(controls.iter().map(|c| state[c as usize]));
+                cond.extend(negative_controls.iter().map(|c| !state[c as usize]));
+                let t = target as usize;
+                flip(b, o, &cond, state[t], out[t]);
+                flippers[t].push(o);
             }
-            (0..n)
-                .map(|j| {
-                    let out = b.new_aux();
-                    for (k, slot) in slot_outs.iter().enumerate() {
-                        let o = one_hot[k];
-                        let g_out = slot[j];
-                        // o ∧ g_out → out;  o ∧ ¬g_out → ¬out.
-                        b.add_clause([!o, !g_out, out]);
-                        b.add_clause([!o, g_out, !out]);
+            Gate::Fredkin { controls, targets } => {
+                let (x, y) = (targets.0 as usize, targets.1 as usize);
+                let differ = match differs.iter().find(|(pair, _)| *pair == targets) {
+                    Some(&(_, l)) => l,
+                    None => {
+                        let l = b.xor(state[x], state[y]);
+                        differs.push((targets, l));
+                        l
                     }
-                    out
-                })
-                .collect()
-        }
-        LevelSelects::Binary(bits) => {
-            let slot_count = 1usize << sbits;
-            let mut slots: Vec<Vec<Lit>> = vec![state.to_vec(); slot_count];
-            for (k, g) in gates.iter().enumerate() {
-                apply_gate_netlist(b, g, state, &mut slots[k]);
+                };
+                cond.clear();
+                cond.extend(controls.iter().map(|c| state[c as usize]));
+                cond.push(differ);
+                for j in [x, y] {
+                    flip(b, o, &cond, state[j], out[j]);
+                    flippers[j].push(o);
+                }
             }
-            (0..n)
-                .map(|j| {
-                    let mut layer: Vec<Lit> = slots.iter().map(|s| s[j]).collect();
-                    for &y in bits {
-                        let mut next = Vec::with_capacity(layer.len() / 2);
-                        for pair in layer.chunks(2) {
-                            next.push(if pair[0] == pair[1] {
-                                pair[0]
-                            } else {
-                                b.mux(y, pair[1], pair[0])
-                            });
-                        }
-                        layer = next;
-                    }
-                    layer[0]
-                })
-                .collect()
+            Gate::Peres { control, targets } => {
+                let (c, a, t) = (
+                    state[control as usize],
+                    targets.0 as usize,
+                    targets.1 as usize,
+                );
+                flip(b, o, &[c], state[a], out[a]);
+                flip(b, o, &[c, state[a]], state[t], out[t]);
+                flippers[a].push(o);
+                flippers[t].push(o);
+            }
         }
+    }
+    for ((&s, &o), chosen) in state.iter().zip(&out).zip(&flippers) {
+        b.add_clause(chosen.iter().copied().chain([!o, s]));
+        b.add_clause(chosen.iter().copied().chain([o, !s]));
+    }
+    out
+}
+
+/// The clauses by which a chosen gate (`chosen`) flips line `s → out`
+/// exactly when every literal of `cond` holds.
+fn flip(b: &mut CnfBuilder, chosen: Lit, cond: &[Lit], s: Lit, out: Lit) {
+    let unmet = || cond.iter().map(|&c| !c);
+    b.add_clause([!chosen].into_iter().chain(unmet()).chain([out, s]));
+    b.add_clause([!chosen].into_iter().chain(unmet()).chain([!out, !s]));
+    for &c in cond {
+        b.add_clause([!chosen, c, !out, s]);
+        b.add_clause([!chosen, c, out, !s]);
     }
 }
 
 /// Blocks the binary select codes `q ≤ k < 2^s`.
-pub(crate) fn forbid_padding(b: &mut CnfBuilder, bits: &[Lit], q: usize) {
-    let slot_count = 1usize << bits.len();
-    for k in q..slot_count {
+fn forbid_padding(b: &mut CnfBuilder, bits: &[Lit], q: usize) {
+    for k in q..1usize << bits.len() {
         // ¬(bits == k)
-        let clause: Vec<Lit> = bits
-            .iter()
-            .enumerate()
-            .map(|(i, &l)| if (k >> i) & 1 == 1 { !l } else { l })
-            .collect();
-        b.add_clause(clause);
-    }
-}
-
-/// Applies a concrete gate to `state`, writing the changed lines into
-/// `slot` (which starts as a copy of `state`).
-pub(crate) fn apply_gate_netlist(b: &mut CnfBuilder, g: &Gate, state: &[Lit], slot: &mut [Lit]) {
-    match *g {
-        Gate::Toffoli {
-            controls,
-            negative_controls,
-            target,
-        } => {
-            let ctrl: Vec<Lit> = controls
-                .iter()
-                .map(|c| state[c as usize])
-                .chain(negative_controls.iter().map(|c| !state[c as usize]))
-                .collect();
-            let cond = b.and_all(&ctrl);
-            slot[target as usize] = b.xor(state[target as usize], cond);
-        }
-        Gate::Fredkin { controls, targets } => {
-            let ctrl: Vec<Lit> = controls.iter().map(|c| state[c as usize]).collect();
-            let cond = b.and_all(&ctrl);
-            let a = state[targets.0 as usize];
-            let t = state[targets.1 as usize];
-            slot[targets.0 as usize] = b.mux(cond, t, a);
-            slot[targets.1 as usize] = b.mux(cond, a, t);
-        }
-        Gate::Peres { control, targets } => {
-            let c = state[control as usize];
-            let a = state[targets.0 as usize];
-            let t = state[targets.1 as usize];
-            slot[targets.0 as usize] = b.xor(c, a);
-            let ca = b.and(c, a);
-            slot[targets.1 as usize] = b.xor(ca, t);
-        }
+        b.add_clause(code_lits(bits, k).into_iter().map(|l| !l));
     }
 }
 
@@ -266,13 +331,6 @@ impl IncrementalEncoder {
         }
     }
 
-    fn select_width(&self) -> u32 {
-        match self.encoding {
-            SatSelectEncoding::OneHot => self.gates.len() as u32,
-            SatSelectEncoding::Binary => self.sbits,
-        }
-    }
-
     /// Current depth of the encoded cascade.
     pub(crate) fn depth(&self) -> u32 {
         self.levels.len() as u32
@@ -302,30 +360,12 @@ impl IncrementalEncoder {
     /// [`activate`](Self::activate)d depths get output constraints.
     pub(crate) fn extend_to(&mut self, d: u32) {
         while self.depth() < d {
-            let width = self.select_width();
-            let lits: Vec<Lit> = (0..width).map(|_| self.builder.new_var()).collect();
-            let sel = match self.encoding {
-                SatSelectEncoding::OneHot => {
-                    self.builder.assert_at_least_one(&lits);
-                    self.builder.assert_at_most_one(&lits);
-                    LevelSelects::OneHot(lits)
-                }
-                SatSelectEncoding::Binary => {
-                    // Forbid the identity padding slots ≥ q (a minimal-depth
-                    // network never uses them, and excluding them keeps the
-                    // two encodings equivalent).
-                    forbid_padding(&mut self.builder, &lits, self.gates.len());
-                    LevelSelects::Binary(lits)
-                }
-            };
-            for i in 0..self.row_states.len() {
-                self.row_states[i] = level_outputs(
-                    &mut self.builder,
-                    &self.gates,
-                    self.sbits,
-                    &self.row_states[i],
-                    &sel,
-                );
+            let width = select_width(self.encoding, self.gates.len());
+            let vars: Vec<Lit> = (0..width).map(|_| self.builder.new_var()).collect();
+            let sel =
+                LevelSelects::constrain(&mut self.builder, vars, self.gates.len(), self.encoding);
+            for state in &mut self.row_states {
+                *state = level_outputs(&mut self.builder, &self.gates, state, &sel);
             }
             self.levels.push(sel);
         }
@@ -392,13 +432,13 @@ impl IncrementalEncoder {
         }
         let mut c = Circuit::new(self.lines);
         for sel in self.levels.iter().take(d as usize) {
-            match sel {
-                LevelSelects::OneHot(one_hot) => {
-                    let k = one_hot.iter().position(|l| model[l.var().index()])?;
+            match self.encoding {
+                SatSelectEncoding::OneHot => {
+                    let k = sel.vars.iter().position(|l| model[l.var().index()])?;
                     c.push(self.gates[k]);
                 }
-                LevelSelects::Binary(bits) => {
-                    let vals: Vec<bool> = bits.iter().map(|l| model[l.var().index()]).collect();
+                SatSelectEncoding::Binary => {
+                    let vals: Vec<bool> = sel.vars.iter().map(|l| model[l.var().index()]).collect();
                     if let Some(g) = gate_for_index(&self.gates, index_from_bits(&vals)) {
                         c.push(*g);
                     }
@@ -414,6 +454,176 @@ mod tests {
     use super::*;
     use qsyn_revlogic::{GateLibrary, Permutation};
     use qsyn_sat::{SolveResult, Solver};
+
+    /// The slot-table level the flip form replaced, kept as its reference:
+    /// every gate's full netlist on `state`, then per line `chosen_k →
+    /// (out_j ↔ slot_k_j)` under one-hot or a mux tree over all `2^s`
+    /// slots (padding slots are the identity) under binary.
+    fn slot_table_level(
+        b: &mut CnfBuilder,
+        gates: &[Gate],
+        state: &[Lit],
+        sel: &LevelSelects,
+        encoding: SatSelectEncoding,
+    ) -> Vec<Lit> {
+        let slot_count = match encoding {
+            SatSelectEncoding::OneHot => gates.len(),
+            SatSelectEncoding::Binary => 1 << sel.vars.len(),
+        };
+        let mut slots: Vec<Vec<Lit>> = vec![state.to_vec(); slot_count];
+        for (g, slot) in gates.iter().zip(&mut slots) {
+            apply_gate_netlist(b, g, state, slot);
+        }
+        (0..state.len())
+            .map(|j| match encoding {
+                SatSelectEncoding::OneHot => {
+                    let out = b.new_aux();
+                    for (&o, slot) in sel.vars.iter().zip(&slots) {
+                        b.add_clause([!o, !slot[j], out]);
+                        b.add_clause([!o, slot[j], !out]);
+                    }
+                    out
+                }
+                SatSelectEncoding::Binary => {
+                    let mut layer: Vec<Lit> = slots.iter().map(|s| s[j]).collect();
+                    for &y in &sel.vars {
+                        layer = layer.chunks(2).map(|p| b.mux(y, p[1], p[0])).collect();
+                    }
+                    layer[0]
+                }
+            })
+            .collect()
+    }
+
+    /// Applies a concrete gate to `state` as a Tseitin netlist, writing
+    /// the changed lines into `slot` (which starts as a copy of `state`).
+    fn apply_gate_netlist(b: &mut CnfBuilder, g: &Gate, state: &[Lit], slot: &mut [Lit]) {
+        match *g {
+            Gate::Toffoli {
+                controls,
+                negative_controls,
+                target,
+            } => {
+                let ctrl: Vec<Lit> = controls
+                    .iter()
+                    .map(|c| state[c as usize])
+                    .chain(negative_controls.iter().map(|c| !state[c as usize]))
+                    .collect();
+                let cond = b.and_all(&ctrl);
+                slot[target as usize] = b.xor(state[target as usize], cond);
+            }
+            Gate::Fredkin { controls, targets } => {
+                let ctrl: Vec<Lit> = controls.iter().map(|c| state[c as usize]).collect();
+                let cond = b.and_all(&ctrl);
+                let a = state[targets.0 as usize];
+                let t = state[targets.1 as usize];
+                slot[targets.0 as usize] = b.mux(cond, t, a);
+                slot[targets.1 as usize] = b.mux(cond, a, t);
+            }
+            Gate::Peres { control, targets } => {
+                let c = state[control as usize];
+                let a = state[targets.0 as usize];
+                let t = state[targets.1 as usize];
+                slot[targets.0 as usize] = b.xor(c, a);
+                let ca = b.and(c, a);
+                slot[targets.1 as usize] = b.xor(ca, t);
+            }
+        }
+    }
+
+    /// One level over free state inputs, built in flip form or as the
+    /// slot-table reference, and what it forces: per gate and input row,
+    /// the output state — after checking that the model's output is the
+    /// only one (each line's opposite value is refuted). Binary padding
+    /// codes must be refuted outright.
+    fn forced_outputs(
+        lines: u32,
+        gates: &[Gate],
+        encoding: SatSelectEncoding,
+        reference: bool,
+    ) -> Vec<Vec<u32>> {
+        let width = select_width(encoding, gates.len());
+        let mut b = CnfBuilder::new(lines + width);
+        let state: Vec<Lit> = (0..lines).map(|l| b.input(l)).collect();
+        let vars = (lines..lines + width).map(|i| b.input(i)).collect();
+        let sel = LevelSelects::constrain(&mut b, vars, gates.len(), encoding);
+        let out = if reference {
+            slot_table_level(&mut b, gates, &state, &sel, encoding)
+        } else {
+            level_outputs(&mut b, gates, &state, &sel)
+        };
+        let mut solver = Solver::from_formula(b.formula());
+        let code = |k: usize| -> Vec<Lit> {
+            match encoding {
+                SatSelectEncoding::OneHot => (0..gates.len())
+                    .map(|i| if i == k { sel.vars[i] } else { !sel.vars[i] })
+                    .collect(),
+                SatSelectEncoding::Binary => code_lits(&sel.vars, k),
+            }
+        };
+        if encoding == SatSelectEncoding::Binary {
+            for k in gates.len()..1 << width {
+                assert_eq!(solver.solve_assuming(&code(k)), SolveResult::Unsat);
+            }
+        }
+        (0..gates.len())
+            .map(|k| {
+                (0..1u32 << lines)
+                    .map(|row| {
+                        let mut assume = code(k);
+                        assume.extend(code_lits(&state, row as usize));
+                        let SolveResult::Sat(model) = solver.solve_assuming(&assume) else {
+                            panic!("gate {k} on row {row}: level unsatisfiable");
+                        };
+                        let got = out.iter().enumerate().fold(0u32, |acc, (j, l)| {
+                            acc | u32::from(l.apply(model[l.var().index()])) << j
+                        });
+                        for &l in &out {
+                            let wrong = if l.apply(model[l.var().index()]) {
+                                !l
+                            } else {
+                                l
+                            };
+                            let mut pinned = assume.clone();
+                            pinned.push(wrong);
+                            assert_eq!(
+                                solver.solve_assuming(&pinned),
+                                SolveResult::Unsat,
+                                "gate {k} on row {row}: an output line is left free"
+                            );
+                        }
+                        got
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn flip_form_forces_every_gate_output_like_the_slot_table() {
+        let libraries = [
+            GateLibrary::mct(),
+            GateLibrary::mct_mcf(),
+            GateLibrary::mct_peres(),
+            GateLibrary::all(),
+            GateLibrary::mct().with_mixed_polarity(),
+        ];
+        for lines in 1..=3 {
+            for library in libraries {
+                let gates = library.enumerate(lines);
+                for encoding in [SatSelectEncoding::OneHot, SatSelectEncoding::Binary] {
+                    let what = format!("{} on {lines} lines, {encoding:?}", library.label());
+                    let flip = forced_outputs(lines, &gates, encoding, false);
+                    for (k, g) in gates.iter().enumerate() {
+                        let apply: Vec<u32> = (0..1 << lines).map(|row| g.apply(row)).collect();
+                        assert_eq!(flip[k], apply, "{what}: {g:?}");
+                    }
+                    let reference = forced_outputs(lines, &gates, encoding, true);
+                    assert_eq!(flip, reference, "{what}: flip form ≠ slot table");
+                }
+            }
+        }
+    }
 
     #[test]
     fn select_bits_is_ceil_log2() {

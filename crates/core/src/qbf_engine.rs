@@ -1,11 +1,14 @@
 //! The QBF-solver synthesis engine (Section 5.1 of the paper).
 //!
-//! The cascade `F_d = f` is built as a gate netlist and translated to CNF
-//! with the Tseitin transformation \[20\] — linear in the circuit size. The
-//! full instance is the prenex formula `∃Y ∀X ∃A . CNF(F_d = f)` with `A`
-//! the Tseitin auxiliaries. Unlike the row-wise SAT encoding, the network
-//! constraints appear **once**; the specification is enforced by the
-//! universal quantification of the inputs.
+//! The cascade `F_d = f` is translated to CNF level by level in the flip
+//! form the row-wise SAT encoding shares ([`level_outputs`]), and the
+//! specification side with the Tseitin transformation \[20\] — linear in
+//! the circuit size. The full instance is the prenex formula
+//! `∃Y ∀X ∃A . CNF(F_d = f)` with `A` the auxiliaries; each level's
+//! gate literals `Y_i = k` are functions of `Y` alone and join the outer
+//! block. Unlike the row-wise SAT encoding, the network constraints appear
+//! **once**; the specification is enforced by the universal
+//! quantification of the inputs.
 //!
 //! Every depth builds and solves its own prenex instance — there is no
 //! state carried across depths, so [`SynthesisOptions::incremental`] does
@@ -127,23 +130,32 @@ impl QbfEngine {
             }
         }
 
-        let aux: Vec<u32> = b.aux_vars().to_vec();
+        let mut is_aux = vec![false; b.num_vars() as usize];
+        for &v in b.aux_vars() {
+            is_aux[v as usize] = true;
+        }
         let mut qbf = QbfFormula::new(b.num_vars());
-        qbf.add_block(Quantifier::Exists, n..n + y_count);
+        // ∃Y also binds each level's gate literals: functions of Y alone,
+        // so the ∀-expansion shares them instead of copying them per input.
+        qbf.add_block(
+            Quantifier::Exists,
+            (n..b.num_vars()).filter(|&v| !is_aux[v as usize]),
+        );
         qbf.add_block(Quantifier::Forall, 0..n);
-        qbf.add_block(Quantifier::Exists, aux);
+        qbf.add_block(Quantifier::Exists, b.aux_vars().iter().copied());
         for c in b.formula().clauses() {
             qbf.add_clause(c.lits().iter().copied());
         }
         qbf
     }
 
-    /// One universal gate `U_G(state, selects)` as a netlist: every library
-    /// gate applied to `state`, multiplexed by the select literals. This is
-    /// exactly one binary-select level of the shared row-wise translation.
+    /// One universal gate `U_G(state, selects)` in the shared flip form:
+    /// per gate a literal `selects = k`, and per line the conditions under
+    /// which the chosen gate flips it. Padding codes choose no gate and so
+    /// act as the identity (Definition 2).
     fn universal_gate(&self, b: &mut CnfBuilder, state: &[Lit], selects: &[Lit]) -> Vec<Lit> {
-        let sel = LevelSelects::Binary(selects.to_vec());
-        level_outputs(b, &self.gates, self.sbits, state, &sel)
+        let sel = LevelSelects::binary(b, selects.to_vec(), self.gates.len());
+        level_outputs(b, &self.gates, state, &sel)
     }
 
     /// Decides whether a `d`-gate realization exists by solving the

@@ -9,6 +9,9 @@
 //!
 //! Two gate-select encodings are provided: one-hot (as in the original
 //! exact SAT synthesis \[9\]) and binary (the improvement direction of \[22\]).
+//! Either way each row's level is encoded in flip form
+//! ([`level_outputs`]): the chosen gate's flip conditions plus a frame per
+//! line, with no per-gate netlist in any row.
 //!
 //! By default the engine rides one **persistent solver** for the whole
 //! iterative-deepening run (DESIGN.md §15): the [`IncrementalEncoder`]
@@ -19,7 +22,7 @@
 
 use crate::driver::IncrementalSolveStats;
 use crate::encode::{
-    decode_circuit, forbid_padding, level_outputs, select_bits, IncrementalEncoder, LevelSelects,
+    decode_circuit, level_outputs, select_bits, select_width, IncrementalEncoder, LevelSelects,
 };
 use crate::error::SynthesisError;
 use crate::options::{SatSelectEncoding, SynthesisOptions};
@@ -91,38 +94,23 @@ impl SatEngine {
 
     /// Select-variable block width per level under the configured encoding.
     fn select_width(&self) -> u32 {
-        match self.options.sat_encoding {
-            SatSelectEncoding::OneHot => self.gates.len() as u32,
-            SatSelectEncoding::Binary => self.sbits,
-        }
+        select_width(self.options.sat_encoding, self.gates.len())
     }
 
     /// Builds the row-wise instance for depth `d`.
     pub fn encode(&self, d: u32) -> qsyn_sat::CnfFormula {
-        let q = self.gates.len();
         let n = self.spec.lines();
         // Select variables, shared across all rows.
-        let select_width = self.select_width();
-        let mut b = CnfBuilder::new(d * select_width);
-        let mut levels: Vec<LevelSelects> = Vec::with_capacity(d as usize);
-        for level in 0..d {
-            let base = level * select_width;
-            let lits: Vec<Lit> = (base..base + select_width).map(|i| b.input(i)).collect();
-            match self.options.sat_encoding {
-                SatSelectEncoding::OneHot => {
-                    b.assert_at_least_one(&lits);
-                    b.assert_at_most_one(&lits);
-                    levels.push(LevelSelects::OneHot(lits));
-                }
-                SatSelectEncoding::Binary => {
-                    // Forbid the identity padding slots ≥ q (a minimal-depth
-                    // network never uses them, and excluding them keeps the
-                    // two encodings equivalent).
-                    forbid_padding(&mut b, &lits, q);
-                    levels.push(LevelSelects::Binary(lits));
-                }
-            }
-        }
+        let width = self.select_width();
+        let mut b = CnfBuilder::new(d * width);
+        let levels: Vec<LevelSelects> = (0..d)
+            .map(|level| {
+                let vars = (level * width..(level + 1) * width)
+                    .map(|i| b.input(i))
+                    .collect();
+                LevelSelects::constrain(&mut b, vars, self.gates.len(), self.options.sat_encoding)
+            })
+            .collect();
         // One copy of the cascade per truth-table row — the exponential
         // part of this encoding.
         for row in 0..self.spec.num_rows() as u32 {
@@ -140,7 +128,7 @@ impl SatEngine {
                 })
                 .collect();
             for sel in &levels {
-                state = level_outputs(&mut b, &self.gates, self.sbits, &state, sel);
+                state = level_outputs(&mut b, &self.gates, &state, sel);
             }
             for l in 0..n {
                 let bit = 1u32 << l;
@@ -177,9 +165,11 @@ impl SatEngine {
                     self.options.sat_encoding,
                 )
             });
-            let outcome = inc.query(&self.governor, d)?;
+            let outcome = inc.query(&self.governor, d);
+            // Recorded before a budget or cancellation error propagates:
+            // the instance was built either way.
             self.last_instance_size = inc.size();
-            return match outcome {
+            return match outcome? {
                 None => Ok(None),
                 Some(circuit) => {
                     debug_assert!(
@@ -519,6 +509,25 @@ mod tests {
         // 3 lines has 2× the rows of 2 lines (and more gates): the instance
         // must grow super-linearly.
         assert!(c3 > 2 * c2, "rows don't dominate: {c2} vs {c3}");
+    }
+
+    #[test]
+    fn instance_size_is_recorded_when_the_budget_runs_out() {
+        let spec = Spec::from_permutation(&Permutation::from_map(3, vec![7, 1, 4, 3, 0, 2, 6, 5]));
+        let mut e = SatEngine::new(
+            &spec,
+            &opts(SatSelectEncoding::OneHot).with_conflict_limit(0),
+        );
+        assert!(matches!(
+            e.solve_depth(3),
+            Err(SynthesisError::BudgetExceeded { .. })
+        ));
+        let (vars, clauses) = e.last_instance_size();
+        let cold = e.encode(3);
+        // The persistent instance is the cold one plus one activation
+        // literal guarding the output constraints.
+        assert_eq!(vars, cold.num_vars() + 1);
+        assert_eq!(clauses, cold.len());
     }
 
     #[test]

@@ -85,7 +85,7 @@ fn stats_flag_prints_manager_counters() {
     );
     assert!(
         text.contains(
-            "sat: 3 depth queries, 802 conflicts, 2504 decisions, 139449 propagations, 346 learnts reused"
+            "sat: 3 depth queries, 504 conflicts, 1267 decisions, 16399 propagations, 418 learnts reused"
         ),
         "{text}"
     );
@@ -103,7 +103,7 @@ fn stats_flag_prints_manager_counters() {
     let text = String::from_utf8(buf).unwrap();
     assert!(
         text.contains(
-            "sat: 7 depth queries, 1312 conflicts, 4323 decisions, 211718 propagations, 442 learnts reused"
+            "sat: 7 depth queries, 1277 conflicts, 3383 decisions, 43353 propagations, 471 learnts reused"
         ),
         "{text}"
     );

@@ -119,7 +119,10 @@ fn cli_stdout_matches_the_golden_transcript() {
     step(&["list"]);
     step(&["bench", "3_17"]);
     step(&["bench", "3_17", "--output-permutation", "--stats"]);
-    step(&["bench", "3_17", "--engine", "race"]);
+    // The race's winner is whichever engine answers first, so the step
+    // races a function the BDD engine decides several times faster than
+    // the SAT and QBF engines; 3_17 is a near tie between BDD and SAT.
+    step(&["bench", "rd32-v1", "--engine", "race"]);
     step(&["batch", &jobs, "--stats"]);
     step(&["batch", &jobs, "--journal", &journal]);
     // Keep only the first journaled job: a resume replays it and re-runs
