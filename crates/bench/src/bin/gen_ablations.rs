@@ -12,14 +12,48 @@
 //! ```
 
 use qsyn_bench::{format_secs, run_budgeted, timeout_from_env, RunOutcome};
-use qsyn_core::{BddEngine, Engine, GateLibrary, SatSelectEncoding, SynthesisOptions, VarOrder};
+use qsyn_core::{
+    synthesize, Engine, GateLibrary, Resource, SatSelectEncoding, SynthesisError, SynthesisOptions,
+    VarOrder,
+};
 use qsyn_revlogic::benchmarks;
-use std::time::Duration;
+use qsyn_revlogic::Spec;
+use std::time::{Duration, Instant};
 
 const ABLATION_BENCHES: &[&str] = &["3_17", "rd32-v0", "decod24-v0", "mod5d1"];
 
 fn cell(out: &RunOutcome, budget: Duration) -> String {
     out.time_cell(budget)
+}
+
+/// One ablation-A run: its depth (if solved) and its time and peak-node
+/// cells. A run the node budget stops shows its wall-clock time and the
+/// live-node count that tripped the budget, marked `!`; a run the time
+/// budget stops shows `>Ns` and no node count (the manager is gone).
+fn order_run(spec: &Spec, order: VarOrder, budget: Duration) -> (Option<u32>, String) {
+    let options = SynthesisOptions::new(GateLibrary::mct(), Engine::Bdd)
+        .with_var_order(order)
+        .with_time_budget(budget);
+    let start = Instant::now();
+    let outcome = synthesize(spec, &options);
+    let time = format_secs(start.elapsed());
+    let (depth, time, nodes) = match outcome {
+        Ok(r) => {
+            let peak = r.bdd_stats().expect("the BDD engine reports manager stats");
+            (Some(r.depth()), time, peak.peak_live.to_string())
+        }
+        Err(SynthesisError::BudgetExceeded {
+            resource: Resource::BddNodes,
+            spent,
+            ..
+        }) => (None, time, format!("{spent}!")),
+        Err(SynthesisError::BudgetExceeded {
+            resource: Resource::WallClock,
+            ..
+        }) => (None, format!(">{}s", budget.as_secs()), "-".to_string()),
+        Err(e) => (None, e.to_string(), "-".to_string()),
+    };
+    (depth, format!("{time:>10} {nodes:>12}"))
 }
 
 fn main() {
@@ -30,49 +64,21 @@ fn main() {
         "{:<12} {:>2} {:>10} {:>12} {:>10} {:>12}",
         "BENCH", "D", "X,Y time", "X,Y nodes", "Y,X time", "Y,X nodes"
     );
+    let node_limit = SynthesisOptions::new(GateLibrary::mct(), Engine::Bdd).bdd_node_limit;
     for name in ABLATION_BENCHES {
         let bench = benchmarks::by_name(name).expect("known benchmark");
         let mut cells = Vec::new();
         let mut depth_cell = "-".to_string();
         for order in [VarOrder::XThenY, VarOrder::YThenX] {
-            let options = SynthesisOptions::new(GateLibrary::mct(), Engine::Bdd)
-                .with_var_order(order)
-                .with_time_budget(budget);
-            // Drive the engine manually so the node count is observable.
-            let mut engine = BddEngine::new(&bench.spec, &options);
-            let start = std::time::Instant::now();
-            let mut solved = None;
-            for d in 0..=options.max_depth {
-                if start.elapsed() > budget {
-                    break;
-                }
-                match engine.solve_depth(d) {
-                    Ok(Some(s)) => {
-                        solved = Some((d, s));
-                        break;
-                    }
-                    Ok(None) => {}
-                    Err(_) => break,
-                }
+            let (depth, run_cells) = order_run(&bench.spec, order, budget);
+            if let Some(d) = depth {
+                depth_cell = d.to_string();
             }
-            let time = start.elapsed();
-            let nodes = engine.bdd_nodes();
-            match &solved {
-                Some((d, _)) => {
-                    depth_cell = d.to_string();
-                    cells.push(format!("{:>10} {:>12}", format_secs(time), nodes));
-                }
-                None => {
-                    cells.push(format!(
-                        "{:>10} {:>12}",
-                        format!(">{}s", budget.as_secs()),
-                        nodes
-                    ));
-                }
-            }
+            cells.push(run_cells);
         }
         println!("{:<12} {:>2} {} {}", name, depth_cell, cells[0], cells[1]);
     }
+    println!("`!`: stopped by the BDD node budget ({node_limit} live nodes) at that count.");
     println!("Expected: the Y,X order needs strictly more nodes and time (the sub-");
     println!("diagrams over X enumerate every function synthesizable with <= d gates).");
     println!();

@@ -250,12 +250,6 @@ impl BddEngine {
         self.targets.len() - 1
     }
 
-    /// Nodes currently live in the BDD manager (for the benchmark
-    /// harness and the variable-order ablation).
-    pub fn bdd_nodes(&self) -> usize {
-        self.cascade.m.node_count()
-    }
-
     /// Full manager counters — live/peak nodes, GC activity, computed-table
     /// hit rate — for the CLI's `--stats` report and the benchmark emitter.
     pub fn manager_stats(&self) -> qsyn_bdd::ManagerStats {

@@ -1,19 +1,21 @@
-//! The iterative-deepening synthesis driver (Figure 1 of the paper).
+//! The per-depth oracle interface, the synthesis result and the depth
+//! lower bound.
 //!
-//! Starting from `d = 0`, the per-depth question *"is there a network with
-//! `d` gates realizing `f`?"* is posed to the configured engine; `d` is
-//! incremented on every UNSAT answer. The first SAT answer is minimal by
-//! construction.
+//! Figure 1 of the paper poses *"is there a network with `d` gates
+//! realizing `f`?"* to an engine for rising `d`; the first SAT answer is
+//! minimal by construction. [`DepthSolver`] is that question's interface,
+//! implemented by the three engines. The loop asking it lives in
+//! [`crate::permuted`]: plain synthesis ([`crate::synthesize_in`]) is the
+//! output-permutation search restricted to the spec's own labeling.
 
 use crate::bdd_engine::BddEngine;
 use crate::error::SynthesisError;
-use crate::options::{Engine, SynthesisOptions};
+use crate::options::SynthesisOptions;
 use crate::qbf_engine::QbfEngine;
 use crate::sat_engine::SatEngine;
-use crate::session::SynthesisSession;
 use crate::solutions::SolutionSet;
 use qsyn_revlogic::Spec;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Per-depth oracle: the common face of the three engines.
 ///
@@ -69,10 +71,10 @@ pub struct IncrementalSolveStats {
 }
 
 impl IncrementalSolveStats {
-    /// Field-wise accumulation, for folding several engines' runs (the
-    /// pruned permutation search keeps one persistent instance per probe
-    /// class) into one report.
-    pub fn absorb(&mut self, other: &IncrementalSolveStats) {
+    /// Field-wise sum, for folding several engines' runs (the pruned
+    /// permutation search keeps one persistent instance per probe class)
+    /// into one report.
+    pub fn merge(&mut self, other: &IncrementalSolveStats) {
         self.depths += other.depths;
         self.clauses_added += other.clauses_added;
         self.clauses_retained += other.clauses_retained;
@@ -151,9 +153,9 @@ impl SynthesisResult {
         }
     }
 
-    /// Assembles a result from a live engine's outcome — used by drivers
-    /// (like the pruned permutation search) that run the per-depth loop
-    /// themselves instead of going through [`drive`].
+    /// Assembles a result from a live engine's outcome — used by the
+    /// deepening loop in [`crate::permuted`], the one place a live result
+    /// is made.
     pub(crate) fn from_parts(
         solutions: SolutionSet,
         depth: u32,
@@ -246,121 +248,10 @@ pub fn depth_lower_bound(spec: &Spec, options: &SynthesisOptions) -> u32 {
     differing.div_ceil(max_targets)
 }
 
-/// Runs the full iterative-deepening flow of Figure 1 with the engine named
-/// in `options`.
-///
-/// # Errors
-///
-/// * [`SynthesisError::SpecTooLarge`] for specifications beyond 8 lines
-///   (the universal-gate table alone would be astronomically large).
-/// * [`SynthesisError::DepthLimitReached`] when `options.max_depth` is
-///   exhausted — every depth up to the cap is then *proven* unrealizable.
-/// * [`SynthesisError::BudgetExceeded`] when any resource budget (wall
-///   clock, BDD nodes, SAT conflicts) runs out.
-/// * [`SynthesisError::Cancelled`] when the options'
-///   [`CancelToken`](crate::CancelToken) is cancelled by a supervisor.
-pub fn synthesize(
-    spec: &Spec,
-    options: &SynthesisOptions,
-) -> Result<SynthesisResult, SynthesisError> {
-    synthesize_in(spec, options, &mut SynthesisSession::new())
-}
-
-/// [`synthesize`], but borrowing a caller-owned [`SynthesisSession`] so the
-/// BDD manager pool (and its warmed unique/computed tables) survives across
-/// jobs. Batch drivers and portfolio workers call this once per job on a
-/// long-lived session; `synthesize` itself is the one-shot special case.
-///
-/// # Errors
-///
-/// See [`synthesize`].
-pub fn synthesize_in(
-    spec: &Spec,
-    options: &SynthesisOptions,
-    session: &mut SynthesisSession,
-) -> Result<SynthesisResult, SynthesisError> {
-    session.begin_job();
-    match options.engine {
-        Engine::Bdd => {
-            let mut engine = BddEngine::new_in(spec, options, session);
-            drive(spec, options, &mut engine)
-        }
-        Engine::Qbf => {
-            let mut engine = QbfEngine::new_in(spec, options, session);
-            drive(spec, options, &mut engine)
-        }
-        Engine::Sat => {
-            let mut engine = SatEngine::new_in(spec, options, session);
-            let result = drive(spec, options, &mut engine);
-            session.note_incremental(DepthSolver::incremental_stats(&engine));
-            result
-        }
-    }
-}
-
-/// Drives any [`DepthSolver`] through the iterative checks.
-///
-/// # Errors
-///
-/// See [`synthesize`].
-pub fn drive<S: DepthSolver>(
-    spec: &Spec,
-    options: &SynthesisOptions,
-    engine: &mut S,
-) -> Result<SynthesisResult, SynthesisError> {
-    if spec.lines() > 8 {
-        return Err(SynthesisError::SpecTooLarge {
-            lines: spec.lines(),
-        });
-    }
-    let start = Instant::now();
-    // The wall-clock deadline is armed by the engine's `ResourceGovernor`
-    // at construction (`ResourceGovernor::arm`), so it is enforced inside
-    // the per-depth loops. Callers driving a bare `DepthSolver` that never
-    // built a governor arm one here so `drive` honours the budget too.
-    let governor = crate::session::ResourceGovernor::from_options(options);
-    governor.arm();
-    let mut depth_times = Vec::new();
-    let first_depth = if options.start_at_lower_bound {
-        depth_lower_bound(spec, options).min(options.max_depth)
-    } else {
-        0
-    };
-    for d in first_depth..=options.max_depth {
-        governor.check(d)?;
-        let depth_start = Instant::now();
-        let outcome = engine.solve_depth(d)?;
-        depth_times.push(depth_start.elapsed());
-        if let Some(solutions) = outcome {
-            // Debug builds lint every materialized circuit: line bounds,
-            // control/target disjointness, library membership and (for
-            // small line counts) reversibility — see `qsyn_audit`.
-            #[cfg(debug_assertions)]
-            for c in solutions.circuits() {
-                if let Err(e) = qsyn_audit::circuit_audit::audit_circuit(c, Some(&options.library))
-                {
-                    panic!("synthesized circuit at depth {d} failed its audit: {e}");
-                }
-            }
-            return Ok(SynthesisResult {
-                solutions,
-                depth: d,
-                engine: engine.name(),
-                depth_times,
-                total_time: start.elapsed(),
-                bdd_stats: engine.manager_stats(),
-                incremental_stats: engine.incremental_stats(),
-            });
-        }
-    }
-    Err(SynthesisError::DepthLimitReached {
-        max_depth: options.max_depth,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{synthesize, synthesize_in, Engine, SynthesisSession};
     use qsyn_revlogic::{GateLibrary, Permutation};
     use std::time::Duration;
 
@@ -438,59 +329,55 @@ mod tests {
         assert_eq!(err, SynthesisError::SpecTooLarge { lines: 9 });
     }
 
-    /// A scripted oracle: answers UNSAT until `sat_at`, then SAT.
-    struct MockSolver {
-        sat_at: u32,
-        calls: Vec<u32>,
-    }
-
-    impl DepthSolver for MockSolver {
-        fn name(&self) -> &'static str {
-            "mock"
-        }
-
-        fn solve_depth(&mut self, d: u32) -> Result<Option<SolutionSet>, SynthesisError> {
-            self.calls.push(d);
-            if d >= self.sat_at {
-                let c = qsyn_revlogic::Circuit::from_gates(
-                    1,
-                    std::iter::repeat_n(qsyn_revlogic::Gate::not(0), d as usize),
-                );
-                Ok(Some(SolutionSet::single(c)))
-            } else {
-                Ok(None)
+    #[test]
+    fn synthesize_in_deepens_from_zero_and_stops_at_the_first_sat() {
+        // SWAP is minimal at 3 gates. With the lower bound off, the loop
+        // asks depths 0, 1, 2 and 3 of its one labeling, in order, and
+        // asks nothing past the first SAT although the cap allows 10.
+        let spec = Spec::from_permutation(&Permutation::from_fn(2, |v| ((v & 1) << 1) | (v >> 1)));
+        for engine in [Engine::Bdd, Engine::Sat, Engine::Qbf] {
+            let options = SynthesisOptions::new(GateLibrary::mct(), engine)
+                .with_max_depth(10)
+                .with_lower_bound_start(false);
+            let mut session = SynthesisSession::new();
+            let r = synthesize_in(&spec, &options, &mut session).unwrap();
+            assert_eq!(r.depth(), 3, "{engine}");
+            assert_eq!(r.depth_times().len(), 4, "{engine}");
+            let search = session.stats().search;
+            assert_eq!(search.permutations, 1, "{engine}");
+            assert_eq!(search.classes, 1, "{engine}");
+            assert_eq!(search.engines_built, 1, "{engine}");
+            assert_eq!(search.probes_run, 4, "{engine}");
+            assert_eq!(search.depth_floor_skips, 0, "{engine}");
+            match engine {
+                // The cascade grows one level per depth: F_1, F_2, F_3.
+                Engine::Bdd => assert_eq!(search.levels_built, 3),
+                // The persistent solver answered every depth query.
+                Engine::Sat => assert_eq!(r.incremental_stats().unwrap().depths, 4),
+                Engine::Qbf => assert!(r.incremental_stats().is_none()),
             }
         }
     }
 
     #[test]
-    fn drive_queries_depths_in_order_and_stops_at_first_sat() {
-        let spec = Spec::from_permutation(&qsyn_revlogic::Permutation::identity(1));
-        let mut mock = MockSolver {
-            sat_at: 4,
-            calls: Vec::new(),
-        };
-        let options =
-            SynthesisOptions::new(GateLibrary::mct(), crate::Engine::Bdd).with_max_depth(10);
-        let r = drive(&spec, &options, &mut mock).unwrap();
-        assert_eq!(r.depth(), 4);
-        assert_eq!(r.engine(), "mock");
-        assert_eq!(mock.calls, vec![0, 1, 2, 3, 4]);
-        assert_eq!(r.depth_times().len(), 5);
-    }
-
-    #[test]
-    fn drive_respects_max_depth_with_mock() {
-        let spec = Spec::from_permutation(&qsyn_revlogic::Permutation::identity(1));
-        let mut mock = MockSolver {
-            sat_at: 100,
-            calls: Vec::new(),
-        };
-        let options =
-            SynthesisOptions::new(GateLibrary::mct(), crate::Engine::Bdd).with_max_depth(3);
-        let err = drive(&spec, &options, &mut mock).unwrap_err();
-        assert_eq!(err, SynthesisError::DepthLimitReached { max_depth: 3 });
-        assert_eq!(mock.calls, vec![0, 1, 2, 3]);
+    fn depth_limit_is_reached_at_the_cap_from_zero() {
+        // Every depth 0..=2 is UNSAT for SWAP: deepening from 0, the loop
+        // asks up to the cap, refuses it, and reports the cap it hit.
+        let spec = Spec::from_permutation(&Permutation::from_fn(2, |v| ((v & 1) << 1) | (v >> 1)));
+        for engine in [Engine::Bdd, Engine::Sat, Engine::Qbf] {
+            let options = SynthesisOptions::new(GateLibrary::mct(), engine)
+                .with_max_depth(2)
+                .with_lower_bound_start(false);
+            let err = synthesize(&spec, &options).unwrap_err();
+            assert_eq!(err, SynthesisError::DepthLimitReached { max_depth: 2 });
+            // One more depth of headroom is enough.
+            assert_eq!(
+                synthesize(&spec, &options.with_max_depth(3))
+                    .unwrap()
+                    .depth(),
+                3
+            );
+        }
     }
 
     #[test]

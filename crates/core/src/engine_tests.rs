@@ -1,9 +1,8 @@
 //! Cross-engine tests: all three engines must agree on minimal depths, and
 //! every returned circuit must realize its specification.
 
-use crate::driver::{drive, synthesize};
 use crate::options::{Engine, SatSelectEncoding, SynthesisOptions, VarOrder};
-use crate::{QbfEngine, SatEngine};
+use crate::{synthesize, QbfEngine, SatEngine};
 use proptest::prelude::*;
 use qsyn_revlogic::benchmarks::random_permutation;
 use qsyn_revlogic::{GateLibrary, Permutation, Spec};
@@ -198,22 +197,26 @@ fn qbf_engine_solves_the_prenex_instance_not_the_sat_encoding() {
     for name in ["3_17", "rd32-v0"] {
         let spec = qsyn_revlogic::benchmarks::by_name(name).unwrap().spec;
         let options = mct_opts(Engine::Qbf);
-        let mut qbf = QbfEngine::new(&spec, &options);
-        let qbf_run = drive(&spec, &options, &mut qbf).unwrap();
+        let qbf_run = synthesize(&spec, &options).unwrap();
         let d = qbf_run.depth();
+        assert!(qbf_run.incremental_stats().is_none(), "{name}");
+        // Each depth is its own instance, so asking the minimal depth
+        // alone reproduces the run's last solve.
+        let mut qbf = QbfEngine::new(&spec, &options);
+        assert!(qbf.solve_depth(d).unwrap().is_some(), "{name}");
         let prenex = qbf.instance(d);
         assert_eq!(
             qbf.last_instance_size(),
             (prenex.num_vars(), prenex.matrix().len()),
             "{name}"
         );
-        assert!(qbf_run.incremental_stats().is_none(), "{name}");
 
         let options = mct_opts(Engine::Sat).with_sat_encoding(SatSelectEncoding::Binary);
-        let mut sat = SatEngine::new(&spec, &options);
-        let sat_run = drive(&spec, &options, &mut sat).unwrap();
+        let sat_run = synthesize(&spec, &options).unwrap();
         assert_eq!(sat_run.depth(), d, "{name}");
         assert!(sat_run.incremental_stats().is_some(), "{name}");
+        let mut sat = SatEngine::new(&spec, &options);
+        assert!(sat.solve_depth(d).unwrap().is_some(), "{name}");
         assert!(
             qbf.last_instance_size().1 < sat.last_instance_size().1,
             "{name}: prenex {:?} vs row-wise {:?}",

@@ -64,12 +64,10 @@ pub mod transform;
 
 pub use bdd_engine::BddEngine;
 pub use cancel::CancelToken;
-pub use driver::{
-    depth_lower_bound, synthesize, synthesize_in, DepthSolver, IncrementalSolveStats,
-    SynthesisResult,
-};
+pub use driver::{depth_lower_bound, DepthSolver, IncrementalSolveStats, SynthesisResult};
 pub use error::{Resource, SynthesisError};
 pub use options::{Engine, SatSelectEncoding, SynthesisOptions, VarOrder};
+pub use permuted::{synthesize, synthesize_in};
 pub use qbf_engine::QbfEngine;
 pub use retry::{run_with_retry, Attempt, FailureKind, RetryOutcome, RetryPolicy};
 pub use sat_engine::SatEngine;

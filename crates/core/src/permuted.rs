@@ -1,15 +1,18 @@
-//! Synthesis with output permutation — the follow-up direction of the same
-//! group ("Reversible Logic Synthesis with Output Permutation"): since
-//! output lines are just signal names, a realization is also acceptable if
-//! its outputs match the specification *up to a permutation of the lines*.
-//! Exploiting this freedom often saves gates (a SWAP costs three CNOTs if
-//! it has to be realized, but nothing if it can be absorbed into the
-//! output labeling).
+//! The iterative-deepening loop of Figure 1, and synthesis with output
+//! permutation — the follow-up direction of the same group ("Reversible
+//! Logic Synthesis with Output Permutation"): since output lines are just
+//! signal names, a realization is also acceptable if its outputs match the
+//! specification *up to a permutation of the lines*. Exploiting this
+//! freedom often saves gates (a SWAP costs three CNOTs if it has to be
+//! realized, but nothing if it can be absorbed into the output labeling).
 //!
-//! The implementation follows the iterative-deepening flow of Figure 1,
-//! but each depth is checked against every line permutation of the
-//! specification (the search is minimal in the gate count, and among the
-//! depth-minimal options the identity permutation is preferred).
+//! One loop serves both: starting at a lower bound, each depth `d` is
+//! posed to the engine for every labeling still in play, and the first
+//! SAT answer is minimal by construction. The output-permutation search
+//! runs it over all `n!` line permutations of the specification (among
+//! the depth-minimal options the identity permutation is preferred);
+//! plain synthesis ([`crate::synthesize_in`]) runs it over one labeling,
+//! the spec's own.
 //!
 //! # Permutation-space pruning
 //!
@@ -27,9 +30,8 @@
 //!    and the gate library, so every class is a *target* of one shared
 //!    [`BddEngine`] that builds each depth's cascade once and checks every
 //!    class against it. The SAT and QBF engines keep one engine per class.
-//! 2. **Transferred depth floors.** The driver's
-//!    [`depth_lower_bound`] counts lines whose
-//!    function differs from their input projection — a count that is
+//! 2. **Transferred depth floors.** [`depth_lower_bound`] counts lines
+//!    whose function differs from their input projection — a count that is
 //!    invariant under conjugation, so the bound proven for a class
 //!    representative applies to every sibling probe in the class. Each
 //!    class enters the lock-step at its transferred floor instead of depth
@@ -44,7 +46,7 @@
 //! representative *is* the first — identity-preferring — member of the
 //! class), so no re-synthesis pass is needed.
 
-use crate::driver::{depth_lower_bound, synthesize_in, SynthesisResult};
+use crate::driver::{depth_lower_bound, IncrementalSolveStats, SynthesisResult};
 use crate::error::SynthesisError;
 use crate::options::{Engine, SynthesisOptions};
 use crate::session::{ResourceGovernor, SynthesisSession};
@@ -54,12 +56,14 @@ use qsyn_revlogic::{Spec, SpecError, SpecRow};
 use std::collections::HashMap;
 use std::time::Instant;
 
-/// Counters describing how much of the `n!` probe space a pruned
-/// output-permutation search actually visited. Deterministic for a given
-/// specification and options (the `trajectory` gate pins them).
+/// Counters describing how much of its labeling space one search actually
+/// visited: `n!` labelings for the output-permutation search, the spec's
+/// own for plain synthesis. Deterministic for a given specification and
+/// options (the `trajectory` gate pins them).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PermutedSearchStats {
-    /// `n!` — the probes the blind lock-step would have driven.
+    /// Labelings the search covered: `n!` — the probes the blind lock-step
+    /// would have driven — under output permutation, 1 for plain synthesis.
     pub permutations: u64,
     /// Equivalence classes after table-identity + conjugation grouping.
     pub classes: u64,
@@ -79,8 +83,22 @@ pub struct PermutedSearchStats {
     /// Persistent-solver reuse across all class probe engines (zeros for
     /// the BDD engine, which has no SAT instance to keep warm): each class
     /// engine survives across the transferred depth floors, so its learnt
-    /// clauses carry from depth to depth exactly as in the plain driver.
-    pub incremental: crate::driver::IncrementalSolveStats,
+    /// clauses carry from depth to depth.
+    pub incremental: IncrementalSolveStats,
+}
+
+impl PermutedSearchStats {
+    /// Field-wise sum, for folding several searches (a session's jobs, a
+    /// batch's workers) into one report.
+    pub fn merge(&mut self, other: &PermutedSearchStats) {
+        self.permutations += other.permutations;
+        self.classes += other.classes;
+        self.engines_built += other.engines_built;
+        self.probes_run += other.probes_run;
+        self.depth_floor_skips += other.depth_floor_skips;
+        self.levels_built += other.levels_built;
+        self.incremental.merge(&other.incremental);
+    }
 }
 
 /// A successful output-permutation synthesis.
@@ -91,8 +109,8 @@ pub struct PermutedSynthesisResult {
     /// `permutation[j]` = circuit output line that drives specification
     /// line `j` (identity when no permutation was needed).
     pub permutation: Vec<u32>,
-    /// Probe-space accounting for this search (all zeros for replayed or
-    /// plain results — no probes ran).
+    /// Probe-space accounting for this search (all zeros for replayed
+    /// results and results wrapped by [`plain`](Self::plain)).
     pub stats: PermutedSearchStats,
 }
 
@@ -106,8 +124,9 @@ impl PermutedSynthesisResult {
     }
 
     /// Wraps a plain (no permutation search) synthesis result with the
-    /// identity permutation, so `--no-permute` workloads flow through the
-    /// same reporting, journal and store paths as permuted ones.
+    /// identity permutation and zeroed stats, so `--no-permute` workloads
+    /// flow through the same reporting, journal and store paths as
+    /// permuted ones.
     pub fn plain(result: SynthesisResult, lines: u32) -> PermutedSynthesisResult {
         PermutedSynthesisResult {
             result,
@@ -383,20 +402,90 @@ pub fn synthesize_with_output_permutation_in(
     options: &SynthesisOptions,
     session: &mut SynthesisSession,
 ) -> Result<PermutedSynthesisResult, SynthesisError> {
+    refuse_oversized(spec)?;
+    let start = Instant::now();
+    let perms = permutations(spec.lines());
+    let classes = build_probe_classes(spec, &perms, options);
+    deepen(start, classes, perms.len() as u64, options, session)
+}
+
+/// Runs the full iterative-deepening flow of Figure 1 with the engine named
+/// in `options`.
+///
+/// # Errors
+///
+/// * [`SynthesisError::SpecTooLarge`] for specifications beyond 8 lines
+///   (the universal-gate table alone would be astronomically large).
+/// * [`SynthesisError::DepthLimitReached`] when `options.max_depth` is
+///   exhausted — every depth up to the cap is then *proven* unrealizable.
+/// * [`SynthesisError::BudgetExceeded`] when any resource budget (wall
+///   clock, BDD nodes, SAT conflicts) runs out.
+/// * [`SynthesisError::Cancelled`] when the options'
+///   [`CancelToken`] is cancelled by a supervisor.
+pub fn synthesize(
+    spec: &Spec,
+    options: &SynthesisOptions,
+) -> Result<SynthesisResult, SynthesisError> {
+    synthesize_in(spec, options, &mut SynthesisSession::new())
+}
+
+/// [`synthesize`], but borrowing a caller-owned [`SynthesisSession`] so the
+/// BDD manager pool (and its warmed unique/computed tables) survives across
+/// jobs. Batch drivers and portfolio workers call this once per job on a
+/// long-lived session; `synthesize` itself is the one-shot special case.
+///
+/// This is the output-permutation search's loop over a single labeling —
+/// the spec's own — so the session records its probe and solver counters
+/// exactly as it records a permuted search's.
+///
+/// # Errors
+///
+/// See [`synthesize`].
+pub fn synthesize_in(
+    spec: &Spec,
+    options: &SynthesisOptions,
+    session: &mut SynthesisSession,
+) -> Result<SynthesisResult, SynthesisError> {
+    refuse_oversized(spec)?;
+    let own = ProbeClass {
+        permutation: (0..spec.lines()).collect(),
+        spec: spec.clone(),
+        members: 1,
+        floor: depth_lower_bound(spec, options),
+        probe: None,
+    };
+    deepen(Instant::now(), vec![own], 1, options, session).map(|p| p.result)
+}
+
+/// Exact synthesis stops at 8 lines: the universal-gate table alone would
+/// be astronomically large beyond that.
+fn refuse_oversized(spec: &Spec) -> Result<(), SynthesisError> {
     if spec.lines() > 8 {
         return Err(SynthesisError::SpecTooLarge {
             lines: spec.lines(),
         });
     }
+    Ok(())
+}
+
+/// The iterative-deepening loop of Figure 1, over `classes` in lock-step:
+/// depth by depth from the smallest floor, each class probed in order, the
+/// first SAT answer wins. `permutations` is the labeling count the classes
+/// stand for (`n!`, or 1 for plain synthesis); the result's total time
+/// runs from `start`, so it includes grouping the classes.
+fn deepen(
+    start: Instant,
+    mut classes: Vec<ProbeClass>,
+    permutations: u64,
+    options: &SynthesisOptions,
+    session: &mut SynthesisSession,
+) -> Result<PermutedSynthesisResult, SynthesisError> {
     session.begin_job();
-    let start = Instant::now();
-    let perms = permutations(spec.lines());
     let mut stats = PermutedSearchStats {
-        permutations: perms.len() as u64,
+        permutations,
+        classes: classes.len() as u64,
         ..PermutedSearchStats::default()
     };
-    let mut classes = build_probe_classes(spec, &perms, options);
-    stats.classes = classes.len() as u64;
     // The caller's governor arms the run-wide deadline once; probe engines
     // run under a merged token so the first SAT hit cancels the siblings
     // without touching the caller's token (which the winner's result and
@@ -473,11 +562,11 @@ pub fn synthesize_with_output_permutation_in(
     probe_token.cancel();
     // Fold every probe engine's persistent-solver reuse counters — winner
     // and cancelled siblings alike — before tearing the engines down.
-    let mut incremental: Option<crate::driver::IncrementalSolveStats> = None;
+    let mut incremental: Option<IncrementalSolveStats> = None;
     for class in &classes {
         if let Some(Probe::Engine(e)) = &class.probe {
             if let Some(s) = e.incremental_stats() {
-                incremental.get_or_insert_default().absorb(&s);
+                incremental.get_or_insert_default().merge(&s);
             }
         }
     }
@@ -491,12 +580,13 @@ pub fn synthesize_with_output_permutation_in(
     };
     drop(cascade);
     drop(classes);
-    // Debug builds lint every materialized circuit, exactly as the plain
-    // driver does after a SAT depth — see `qsyn_audit`.
+    // Debug builds lint every materialized circuit: line bounds,
+    // control/target disjointness, library membership and (for small line
+    // counts) reversibility — see `qsyn_audit`.
     #[cfg(debug_assertions)]
     for c in solutions.circuits() {
         if let Err(e) = qsyn_audit::circuit_audit::audit_circuit(c, Some(&options.library)) {
-            panic!("permuted synthesis at depth {d} failed its audit: {e}");
+            panic!("synthesized circuit at depth {d} failed its audit: {e}");
         }
     }
     debug_assert!(
@@ -526,7 +616,7 @@ pub fn synthesize_with_output_permutation_in(
 /// The pre-pruning reference search: one independent engine per
 /// permutation (each BDD engine with its own cascade and manager), all
 /// `n!` built up front and driven in lock-step from depth 0, the winner
-/// re-synthesized through the stock driver.
+/// re-synthesized through plain synthesis.
 ///
 /// Kept (test-only) as the oracle the pruned path is validated against —
 /// property tests and the `permute` scenario of the `trajectory` gate
@@ -543,11 +633,7 @@ pub fn synthesize_with_output_permutation_brute_in(
     options: &SynthesisOptions,
     session: &mut SynthesisSession,
 ) -> Result<PermutedSynthesisResult, SynthesisError> {
-    if spec.lines() > 8 {
-        return Err(SynthesisError::SpecTooLarge {
-            lines: spec.lines(),
-        });
-    }
+    refuse_oversized(spec)?;
     session.begin_job();
     let perms = permutations(spec.lines());
     let mut candidates: Vec<(Vec<u32>, Spec)> = perms

@@ -14,8 +14,9 @@
 //!
 //! # Why a pool and not a single manager
 //!
-//! The permuted search drives up to `n!` engines in lock step, each
-//! needing its own manager at the same time. The pool starts empty, grows
+//! The brute-force reference search drives up to `n!` BDD engines in lock
+//! step, each needing its own manager at the same time (a synthesis
+//! search holds one, its shared cascade's). The pool starts empty, grows
 //! to the high-water mark of simultaneously live managers on the first
 //! job, and recycles them all afterwards — steady-state batch work
 //! allocates no new arenas at all.
@@ -34,6 +35,7 @@
 use crate::cancel::CancelToken;
 use crate::error::{Resource, SynthesisError};
 use crate::options::SynthesisOptions;
+use crate::permuted::PermutedSearchStats;
 use qsyn_bdd::Manager;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -402,26 +404,10 @@ pub struct SessionStats {
     pub quarantined: u64,
     /// Supervised retry attempts recorded by the batch scheduler.
     pub retries: u64,
-    /// Output-permutation probe calls actually issued by pruned searches
-    /// (vs the `perm_space` a blind `n!` lock-step would have driven).
-    pub perm_probes: u64,
-    /// Permutations the pruned searches covered (`Σ n!` over jobs).
-    pub perm_space: u64,
-    /// Probe equivalence classes those permutations collapsed into.
-    pub perm_classes: u64,
-    /// Per-depth probes skipped via transferred lower-bound floors.
-    pub perm_floor_skips: u64,
-    /// Depth queries answered by persistent incremental SAT instances.
-    pub inc_depths: u64,
-    /// Delta clauses fed to persistent solvers.
-    pub inc_clauses_added: u64,
-    /// Clauses already loaded when a depth query began, summed — the
-    /// re-encoding work incrementality avoided.
-    pub inc_clauses_retained: u64,
-    /// Learnt clauses carried into a later depth query, summed.
-    pub inc_learnt_reused: u64,
-    /// Solver conflicts across all persistent instances.
-    pub inc_conflicts: u64,
+    /// Every search the session ran, summed: plain synthesis is the
+    /// search over one labeling, so a plain job adds 1 to `permutations`
+    /// and its depth queries to `probes_run`.
+    pub search: PermutedSearchStats,
 }
 
 impl SessionStats {
@@ -439,15 +425,7 @@ impl SessionStats {
         self.gc_freed += other.gc_freed;
         self.quarantined += other.quarantined;
         self.retries += other.retries;
-        self.perm_probes += other.perm_probes;
-        self.perm_space += other.perm_space;
-        self.perm_classes += other.perm_classes;
-        self.perm_floor_skips += other.perm_floor_skips;
-        self.inc_depths += other.inc_depths;
-        self.inc_clauses_added += other.inc_clauses_added;
-        self.inc_clauses_retained += other.inc_clauses_retained;
-        self.inc_learnt_reused += other.inc_learnt_reused;
-        self.inc_conflicts += other.inc_conflicts;
+        self.search.merge(&other.search);
     }
 
     /// Computed-table hit rate in percent (0 when no lookups happened).
@@ -481,24 +459,26 @@ impl std::fmt::Display for SessionStats {
             self.retries,
             self.quarantined,
         )?;
-        if self.perm_space > 0 {
+        let s = &self.search;
+        if s.permutations > 0 {
             write!(
                 f,
                 ", perm search: {} probes over {} classes from {} permutations \
                  ({} floor skips)",
-                self.perm_probes, self.perm_classes, self.perm_space, self.perm_floor_skips,
+                s.probes_run, s.classes, s.permutations, s.depth_floor_skips,
             )?;
         }
-        if self.inc_depths > 0 {
+        let inc = &s.incremental;
+        if inc.depths > 0 {
             write!(
                 f,
                 ", incremental SAT: {} depth queries retaining {} clauses \
                  ({} added, {} learnts reused, {} conflicts)",
-                self.inc_depths,
-                self.inc_clauses_retained,
-                self.inc_clauses_added,
-                self.inc_learnt_reused,
-                self.inc_conflicts,
+                inc.depths,
+                inc.clauses_retained,
+                inc.clauses_added,
+                inc.learnt_reused,
+                inc.conflicts,
             )?;
         }
         Ok(())
@@ -517,8 +497,7 @@ impl std::fmt::Display for SessionStats {
 pub struct SynthesisSession {
     pool: ManagerPool,
     jobs: u64,
-    perm: crate::permuted::PermutedSearchStats,
-    inc: crate::driver::IncrementalSolveStats,
+    search: PermutedSearchStats,
 }
 
 impl SynthesisSession {
@@ -537,41 +516,21 @@ impl SynthesisSession {
         self.jobs += 1;
     }
 
-    /// Accumulates one pruned permutation search's probe-space counters
-    /// (surfaced through [`SessionStats`] for `qsyn batch --stats`).
-    pub fn note_permuted_search(&mut self, s: &crate::permuted::PermutedSearchStats) {
-        self.perm.permutations += s.permutations;
-        self.perm.classes += s.classes;
-        self.perm.engines_built += s.engines_built;
-        self.perm.probes_run += s.probes_run;
-        self.perm.depth_floor_skips += s.depth_floor_skips;
-        self.perm.levels_built += s.levels_built;
-        self.inc.absorb(&s.incremental);
-    }
-
-    /// Accumulates one engine run's persistent-solver reuse counters
-    /// (`None` — a non-incremental engine — is a no-op).
-    pub fn note_incremental(&mut self, s: Option<crate::driver::IncrementalSolveStats>) {
-        if let Some(s) = s {
-            self.inc.absorb(&s);
-        }
+    /// Accumulates one search's probe-space and solver counters — plain
+    /// or permuted alike (surfaced through [`SessionStats`] for
+    /// `qsyn batch --stats`).
+    pub fn note_permuted_search(&mut self, s: &PermutedSearchStats) {
+        self.search.merge(s);
     }
 
     /// Aggregated counters over everything this session has run. Call
     /// between jobs: managers still checked out are not counted.
     pub fn stats(&self) -> SessionStats {
-        let mut s = self.pool.stats();
-        s.jobs = self.jobs;
-        s.perm_probes = self.perm.probes_run;
-        s.perm_space = self.perm.permutations;
-        s.perm_classes = self.perm.classes;
-        s.perm_floor_skips = self.perm.depth_floor_skips;
-        s.inc_depths = self.inc.depths;
-        s.inc_clauses_added = self.inc.clauses_added;
-        s.inc_clauses_retained = self.inc.clauses_retained;
-        s.inc_learnt_reused = self.inc.learnt_reused;
-        s.inc_conflicts = self.inc.conflicts;
-        s
+        SessionStats {
+            jobs: self.jobs,
+            search: self.search,
+            ..self.pool.stats()
+        }
     }
 }
 

@@ -1125,6 +1125,50 @@ fn batch_no_permute_synthesizes_under_the_given_labeling() {
 }
 
 #[test]
+fn batch_no_permute_stats_count_each_job_as_a_one_labeling_search() {
+    // Plain synthesis is the permutation search over one labeling, so the
+    // session reports it like any search: one class per job, and every
+    // depth asked (3_17: 3..=6, rd32-v0: 2..=4) as a probe.
+    let dir = std::env::temp_dir().join(format!("qsyn-cli-nopermstats-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let list = dir.join("jobs.txt");
+    std::fs::write(&list, "3_17\nrd32-v0\n").unwrap();
+    let sessions = |engine: &str| {
+        let args = [
+            "batch",
+            list.to_str().unwrap(),
+            "--no-permute",
+            "--stats",
+            "--engine",
+            engine,
+        ];
+        let mut buf = Vec::new();
+        assert_eq!(run(&parse(&args).unwrap(), &mut buf).unwrap(), 0);
+        let text = String::from_utf8(buf).unwrap();
+        let line = text.lines().find(|l| l.starts_with("sessions: "));
+        line.unwrap_or_else(|| panic!("no sessions line: {text}"))
+            .to_string()
+    };
+    assert_eq!(
+        sessions("bdd"),
+        "sessions: 2 jobs, 1 managers, 1 resets, peak 14844 live nodes, \
+         cache 51075 hits / 63483 misses (44.6% hit rate, 30491 evictions), \
+         3 GCs freeing 31091 nodes, 0 retries, 0 quarantined, \
+         perm search: 7 probes over 2 classes from 2 permutations (0 floor skips)"
+    );
+    assert_eq!(
+        sessions("sat"),
+        "sessions: 2 jobs, 0 managers, 0 resets, peak 0 live nodes, \
+         cache 0 hits / 0 misses (0.0% hit rate, 0 evictions), \
+         0 GCs freeing 0 nodes, 0 retries, 0 quarantined, \
+         perm search: 7 probes over 2 classes from 2 permutations (0 floor skips), \
+         incremental SAT: 7 depth queries retaining 13499 clauses \
+         (9649 added, 1729 learnts reused, 2107 conflicts)"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn batch_store_populates_then_replays_without_an_engine() {
     let dir = std::env::temp_dir().join(format!("qsyn-cli-store-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
