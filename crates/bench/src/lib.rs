@@ -1,21 +1,13 @@
 //! Benchmark harness regenerating the evaluation of *"Quantified Synthesis
 //! of Reversible Logic"* (Wille et al., DATE 2008).
 //!
-//! The table-generator binaries mirror the paper's Tables 1–3:
+//! The `paper` binary runs each distinct `(function, options)`
+//! configuration the paper's tables read once, and writes Table 1
+//! (runtimes of SAT, SWORD*, QBF and BDD), Table 2 (`#SOL` and quantum-cost
+//! spread), Table 3 (extended gate libraries), the design ablations of
+//! `DESIGN.md` and the encoding-size scaling series.
 //!
-//! * `gen_table1` — runtime comparison of the SAT baseline, the improved
-//!   SAT baseline (standing in for SWORD \[22\]), the QBF-solver approach and
-//!   the BDD approach (all with the MCT library),
-//! * `gen_table2` — `#SOL` and quantum-cost spread of the BDD engine's
-//!   all-solutions output,
-//! * `gen_table3` — extended gate libraries (MCT+MCF, MCT+P, MCT+MCF+P),
-//! * `gen_ablations` — the design-choice ablations listed in `DESIGN.md`
-//!   (variable order, incremental construction, select encoding),
-//! * `gen_scaling` — the encoding-size argument: QBF vs row-wise SAT
-//!   instance size as the line count grows, and the BDD engine's
-//!   per-depth wall-clock on a reference benchmark.
-//!
-//! Beside them, `trajectory` gates the deterministic per-layer counters
+//! Beside it, `trajectory` gates the deterministic per-layer counters
 //! against `BENCH_trajectory.json` (see its module docs).
 //!
 //! The per-run timeout defaults to [`DEFAULT_TIMEOUT_SECS`] seconds and can
@@ -27,9 +19,9 @@
 
 #![warn(missing_docs)]
 
-use qsyn_core::{synthesize, SynthesisError, SynthesisOptions, SynthesisResult};
+use qsyn_core::{synthesize, Resource, SynthesisError, SynthesisOptions, SynthesisResult};
 use qsyn_revlogic::Spec;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Default soft timeout per synthesis run, in seconds.
 pub const DEFAULT_TIMEOUT_SECS: u64 = 60;
@@ -48,48 +40,50 @@ pub fn timeout_from_env() -> Duration {
 
 /// Outcome of one timed synthesis run.
 #[derive(Debug)]
-pub enum RunOutcome {
-    /// Finished within budget.
-    Solved(Box<SynthesisResult>),
-    /// A budget (time, nodes, conflicts) ran out at the given depth.
-    Out {
-        /// Depth reached before running out.
-        depth: u32,
-        /// Which budget tripped.
-        what: String,
-    },
+pub struct RunOutcome {
+    /// The result, or why the run stopped (a budget stop names its
+    /// [`Resource`] and how much was spent).
+    pub synthesis: Result<SynthesisResult, SynthesisError>,
+    /// Wall-clock time of the run, solved or not.
+    pub elapsed: Duration,
 }
 
 impl RunOutcome {
     /// Minimal depth if solved.
     pub fn depth(&self) -> Option<u32> {
-        match self {
-            RunOutcome::Solved(r) => Some(r.depth()),
-            RunOutcome::Out { .. } => None,
-        }
+        self.result().map(SynthesisResult::depth)
     }
 
     /// The full result if solved.
     pub fn result(&self) -> Option<&SynthesisResult> {
-        match self {
-            RunOutcome::Solved(r) => Some(r),
-            RunOutcome::Out { .. } => None,
-        }
-    }
-
-    /// `TIME` cell: seconds, with the paper's `>` marker on timeout.
-    pub fn time_cell(&self, budget: Duration) -> String {
-        match self {
-            RunOutcome::Solved(r) => format_secs(r.total_time()),
-            RunOutcome::Out { .. } => format!(">{}s", budget.as_secs()),
-        }
+        self.synthesis.as_ref().ok()
     }
 
     /// Total time if solved.
     pub fn time(&self) -> Option<Duration> {
-        match self {
-            RunOutcome::Solved(r) => Some(r.total_time()),
-            RunOutcome::Out { .. } => None,
+        self.result().map(|_| self.elapsed)
+    }
+
+    /// Whether the wall-clock budget stopped the run.
+    fn timed_out(&self) -> bool {
+        matches!(
+            self.synthesis,
+            Err(SynthesisError::BudgetExceeded {
+                resource: Resource::WallClock,
+                ..
+            })
+        )
+    }
+
+    /// `TIME` cell: seconds; `>{budget}s` when the wall-clock budget
+    /// stopped the run; the elapsed time marked `!` when another budget
+    /// did; `-` on any other failure.
+    pub fn time_cell(&self, budget: Duration) -> String {
+        match &self.synthesis {
+            Ok(_) => format_secs(self.elapsed),
+            Err(_) if self.timed_out() => format!(">{}s", budget.as_secs()),
+            Err(SynthesisError::BudgetExceeded { .. }) => format!("{}!", format_secs(self.elapsed)),
+            Err(_) => "-".to_string(),
         }
     }
 }
@@ -97,21 +91,11 @@ impl RunOutcome {
 /// Runs one synthesis with the soft timeout applied.
 pub fn run_budgeted(spec: &Spec, options: &SynthesisOptions, budget: Duration) -> RunOutcome {
     let options = options.clone().with_time_budget(budget);
-    match synthesize(spec, &options) {
-        Ok(r) => RunOutcome::Solved(Box::new(r)),
-        Err(SynthesisError::BudgetExceeded {
-            depth, resource, ..
-        }) => RunOutcome::Out {
-            depth,
-            what: match resource {
-                qsyn_core::Resource::WallClock => "time".to_string(),
-                other => other.to_string(),
-            },
-        },
-        Err(e) => RunOutcome::Out {
-            depth: e.depth().unwrap_or(0),
-            what: e.to_string(),
-        },
+    let start = Instant::now();
+    let synthesis = synthesize(spec, &options);
+    RunOutcome {
+        synthesis,
+        elapsed: start.elapsed(),
     }
 }
 
@@ -128,7 +112,8 @@ pub fn format_secs(d: Duration) -> String {
 
 /// `IMPR` cell: ratio `baseline / candidate` as the paper reports it
 /// (`>x` when only the baseline timed out, `<1.00` when the candidate is
-/// slower, `-` when both timed out).
+/// slower or only it timed out, `-` otherwise: both failed, or a run
+/// stopped on something other than the wall clock).
 pub fn improvement_cell(baseline: &RunOutcome, candidate: &RunOutcome, budget: Duration) -> String {
     match (baseline.time(), candidate.time()) {
         (Some(b), Some(c)) => {
@@ -139,12 +124,12 @@ pub fn improvement_cell(baseline: &RunOutcome, candidate: &RunOutcome, budget: D
                 format!("{ratio:.2}")
             }
         }
-        (None, Some(c)) => {
+        (None, Some(c)) if baseline.timed_out() => {
             let ratio = budget.as_secs_f64() / c.as_secs_f64().max(1e-9);
             format!(">{ratio:.2}")
         }
-        (Some(_), None) => "<1.00".to_string(),
-        (None, None) => "-".to_string(),
+        (Some(_), None) if candidate.timed_out() => "<1.00".to_string(),
+        _ => "-".to_string(),
     }
 }
 
@@ -158,48 +143,52 @@ pub fn qc_cell(range: (u64, u64)) -> String {
     }
 }
 
-/// Benchmark names the harness covers, in the paper's table order. The
-/// quick default skips the multi-minute instances; `QSYN_FULL=1` runs the
-/// paper's complete suite.
-pub fn bench_names() -> Vec<&'static str> {
-    let quick = vec![
-        "mod5mils",
-        "3_17",
-        "mod5d1",
-        "rd32-v0",
-        "rd32-v1",
-        "mod5-v0",
-        "mod5-v1",
-        "decod24-v0",
-        "decod24-v1",
-        "decod24-v2",
-        "decod24-v3",
-    ];
-    let full = vec![
-        "mod5mils",
-        "graycode6",
-        "3_17",
-        "mod5d1",
-        "mod5d2",
-        "hwb4",
-        "4_49",
-        "rd32-v0",
-        "rd32-v1",
-        "mod5-v0",
-        "mod5-v1",
-        "decod24-v0",
-        "decod24-v1",
-        "decod24-v2",
-        "decod24-v3",
-        "alu-v0",
-        "alu-v1",
-        "alu-v2",
-        "alu-v3",
-    ];
+/// The quick default suite: the paper's functions minus the
+/// multi-minute instances.
+pub const QUICK_SUITE: &[&str] = &[
+    "mod5mils",
+    "3_17",
+    "mod5d1",
+    "rd32-v0",
+    "rd32-v1",
+    "mod5-v0",
+    "mod5-v1",
+    "decod24-v0",
+    "decod24-v1",
+    "decod24-v2",
+    "decod24-v3",
+];
+
+/// The paper's complete suite, in its table order.
+pub const FULL_SUITE: &[&str] = &[
+    "mod5mils",
+    "graycode6",
+    "3_17",
+    "mod5d1",
+    "mod5d2",
+    "hwb4",
+    "4_49",
+    "rd32-v0",
+    "rd32-v1",
+    "mod5-v0",
+    "mod5-v1",
+    "decod24-v0",
+    "decod24-v1",
+    "decod24-v2",
+    "decod24-v3",
+    "alu-v0",
+    "alu-v1",
+    "alu-v2",
+    "alu-v3",
+];
+
+/// Benchmark names the harness covers, in the paper's table order:
+/// [`QUICK_SUITE`], or [`FULL_SUITE`] under `QSYN_FULL=1`.
+pub fn bench_names() -> &'static [&'static str] {
     if std::env::var("QSYN_FULL").is_ok_and(|v| v == "1") {
-        full
+        FULL_SUITE
     } else {
-        quick
+        QUICK_SUITE
     }
 }
 
@@ -257,10 +246,17 @@ mod tests {
     #[test]
     fn improvement_cell_covers_all_cases() {
         let budget = Duration::from_secs(10);
-        let timeout = RunOutcome::Out {
-            depth: 0,
-            what: "time".into(),
+        let stopped = |resource| RunOutcome {
+            synthesis: Err(SynthesisError::BudgetExceeded {
+                depth: 0,
+                resource,
+                spent: 1,
+                limit: 1,
+            }),
+            elapsed: Duration::from_secs(3),
         };
+        let timeout = stopped(Resource::WallClock);
+        let node_stop = stopped(Resource::BddNodes);
         assert_eq!(improvement_cell(&timeout, &timeout, budget), "-");
         let spec = benchmarks::spec_3_17();
         let solved = run_budgeted(
@@ -270,17 +266,38 @@ mod tests {
         );
         assert!(improvement_cell(&timeout, &solved, budget).starts_with('>'));
         assert_eq!(improvement_cell(&solved, &timeout, budget), "<1.00");
+        assert_eq!(improvement_cell(&solved, &node_stop, budget), "-");
+        assert_eq!(improvement_cell(&node_stop, &solved, budget), "-");
         let self_ratio = improvement_cell(&solved, &solved, budget);
         assert!(self_ratio == "1.00" || self_ratio == "<1.00");
     }
 
     #[test]
+    fn a_node_budget_stop_is_not_printed_as_a_timeout() {
+        let out = run_budgeted(
+            &benchmarks::spec_3_17(),
+            &SynthesisOptions::new(GateLibrary::mct(), Engine::Bdd).with_bdd_node_limit(64),
+            Duration::from_secs(120),
+        );
+        assert!(matches!(
+            out.synthesis,
+            Err(SynthesisError::BudgetExceeded {
+                resource: Resource::BddNodes,
+                ..
+            })
+        ));
+        let cell = out.time_cell(Duration::from_secs(120));
+        assert!(cell.ends_with('!') && !cell.contains('>'), "{cell}");
+    }
+
+    #[test]
     fn bench_names_resolve() {
-        for name in bench_names() {
+        for name in FULL_SUITE {
             assert!(benchmarks::by_name(name).is_some(), "{name}");
         }
         assert!(is_complete_bench("3_17"));
         assert!(!is_complete_bench("rd32-v0"));
         assert!(!is_complete_bench("nonexistent"));
+        assert!(QUICK_SUITE.iter().all(|name| FULL_SUITE.contains(name)));
     }
 }

@@ -32,11 +32,6 @@ pub trait DepthSolver {
     /// [`SynthesisError`] when a resource budget is exhausted.
     fn solve_depth(&mut self, d: u32) -> Result<Option<SolutionSet>, SynthesisError>;
 
-    /// BDD manager counters, for engines backed by one (`None` otherwise).
-    fn manager_stats(&self) -> Option<qsyn_bdd::ManagerStats> {
-        None
-    }
-
     /// Persistent-solver reuse counters, for engines that rode one
     /// incremental SAT instance across depths (`None` otherwise, including
     /// engines whose incremental path was disabled via
@@ -92,10 +87,6 @@ impl DepthSolver for BddEngine {
 
     fn solve_depth(&mut self, d: u32) -> Result<Option<SolutionSet>, SynthesisError> {
         BddEngine::solve_depth(self, d)
-    }
-
-    fn manager_stats(&self) -> Option<qsyn_bdd::ManagerStats> {
-        Some(BddEngine::manager_stats(self))
     }
 }
 

@@ -575,7 +575,7 @@ fn deepen(
     let class = classes.swap_remove(idx);
     let (name, manager_stats) = match (&cascade, &class.probe) {
         (Some(shared), _) => ("BDD", Some(shared.manager_stats())),
-        (None, Some(Probe::Engine(e))) => (e.name(), e.manager_stats()),
+        (None, Some(Probe::Engine(e))) => (e.name(), None),
         (None, _) => unreachable!("the winning class was probed"),
     };
     drop(cascade);

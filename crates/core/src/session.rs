@@ -36,7 +36,7 @@ use crate::cancel::CancelToken;
 use crate::error::{Resource, SynthesisError};
 use crate::options::SynthesisOptions;
 use crate::permuted::PermutedSearchStats;
-use qsyn_bdd::Manager;
+use qsyn_bdd::{Manager, ManagerStats};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -279,13 +279,7 @@ impl ManagerPool {
             // `m` is a `Manager`, whose `stats()` reads plain counters
             // and takes no lock.
             let s = m.stats(); // lint: allow(lock-order)
-            agg.resets += s.resets;
-            agg.peak_live = agg.peak_live.max(s.peak_live);
-            agg.cache_hits += s.cache_hits;
-            agg.cache_misses += s.cache_misses;
-            agg.cache_evictions += s.cache_evictions;
-            agg.gc_runs += s.gc_runs;
-            agg.gc_freed += s.gc_freed;
+            agg.merge(&SessionStats::of_manager(&s));
         }
         agg
     }
@@ -411,6 +405,21 @@ pub struct SessionStats {
 }
 
 impl SessionStats {
+    /// One manager's cumulative BDD counters, to be folded in through
+    /// [`SessionStats::merge`].
+    fn of_manager(s: &ManagerStats) -> SessionStats {
+        SessionStats {
+            resets: s.resets,
+            peak_live: s.peak_live,
+            cache_hits: s.cache_hits,
+            cache_misses: s.cache_misses,
+            cache_evictions: s.cache_evictions,
+            gc_runs: s.gc_runs,
+            gc_freed: s.gc_freed,
+            ..SessionStats::default()
+        }
+    }
+
     /// Merges another session's counters into this one (for aggregating
     /// across batch workers).
     pub fn merge(&mut self, other: &SessionStats) {
