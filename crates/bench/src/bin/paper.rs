@@ -3,9 +3,10 @@
 //! and `scaling.txt`.
 //!
 //! It plans the distinct `(function, options)` runs the tables read (see
-//! [`plan`]), runs each once, and renders every table from those
-//! outcomes: Table 2, ablation A's `X,Y` column, ablation B's incremental
-//! column, ablation C and scaling series 2 all read Table 1's runs.
+//! [`plan`]), runs each [`REPS`] times, and renders every table from the
+//! median-time run of each: Table 2, ablation A's `X,Y` column, ablation
+//! B's incremental column, ablation C and scaling series 2 all read
+//! Table 1's runs.
 //!
 //! ```text
 //! cargo run --release -p qsyn-bench --bin paper -- results
@@ -27,6 +28,11 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 const ABLATION_BENCHES: &[&str] = &["3_17", "rd32-v0", "decod24-v0", "mod5d1"];
+
+/// Runs per configuration. Back-to-back runs of one configuration on a
+/// shared machine differ by up to half, so every time cell is the median
+/// of this many.
+const REPS: usize = 3;
 
 /// One synthesis configuration a table reads.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -155,7 +161,7 @@ fn table1_row(cells: [String; 10]) -> String {
 fn table1(names: &[&'static str], run: &Lookup, budget: Duration) -> Vec<String> {
     let mut t = vec![
         format!(
-            "Table 1: Comparison to Previous Work (timeout {}s)",
+            "Table 1: Comparison to Previous Work (timeout {}s, median of {REPS} runs)",
             budget.as_secs()
         ),
         "SAT SOLVER = row-wise one-hot encoding [9]; SWORD* = row-wise binary".into(),
@@ -203,7 +209,8 @@ fn table2(names: &[&'static str], run: &Lookup, budget: Duration) -> Vec<String>
     let mct = Config::Bdd(GateLibrary::mct());
     let mut t = vec![
         format!(
-            "Table 2: Quantum costs of networks (BDD engine, MCT library, timeout {}s)",
+            "Table 2: Quantum costs of networks (BDD engine, MCT library, timeout {}s, \
+             median of {REPS} runs)",
             budget.as_secs()
         ),
         String::new(),
@@ -240,7 +247,8 @@ fn table3(names: &[&'static str], run: &Lookup, budget: Duration) -> Vec<String>
     }
     let mut t = vec![
         format!(
-            "Table 3: Synthesis Results Using other Gate Libraries (BDD engine, timeout {}s)",
+            "Table 3: Synthesis Results Using other Gate Libraries (BDD engine, timeout {}s, \
+             median of {REPS} runs)",
             budget.as_secs()
         ),
         String::new(),
@@ -284,7 +292,7 @@ fn nodes_cell(out: &RunOutcome) -> String {
 fn ablations(run: &Lookup, budget: Duration) -> Vec<String> {
     let xy = Config::Bdd(GateLibrary::mct());
     let mut t = vec![
-        "Ablation A: BDD variable order X,Y vs Y,X (time and peak BDD nodes)".into(),
+        format!("Ablation A: BDD variable order X,Y vs Y,X (time and peak BDD nodes, median of {REPS} runs)"),
         format!(
             "{:<12} {:>2} {:>10} {:>12} {:>10} {:>12}",
             "BENCH", "D", "X,Y time", "X,Y nodes", "Y,X time", "Y,X nodes"
@@ -307,7 +315,9 @@ fn ablations(run: &Lookup, budget: Duration) -> Vec<String> {
         "Expected: the Y,X order needs strictly more nodes and time (the sub-".into(),
         "diagrams over X enumerate every function synthesizable with <= d gates).".into(),
         String::new(),
-        "Ablation B: incremental F_d vs rebuild-per-depth (BDD engine)".into(),
+        format!(
+            "Ablation B: incremental F_d vs rebuild-per-depth (BDD engine, median of {REPS} runs)"
+        ),
     ]);
     t.push(format!(
         "{:<12} {:>12} {:>14}",
@@ -322,7 +332,7 @@ fn ablations(run: &Lookup, budget: Duration) -> Vec<String> {
         "Expected: rebuilding pays the cascade construction once per depth and".into(),
         "loses node/cache sharing across iterations.".into(),
         String::new(),
-        "Ablation C: SAT baseline select encoding, one-hot [9] vs binary [22]".into(),
+        format!("Ablation C: SAT baseline select encoding, one-hot [9] vs binary [22] (median of {REPS} runs)"),
         format!("{:<12} {:>12} {:>12}", "BENCH", "one-hot", "binary"),
     ]);
     for &name in ABLATION_BENCHES {
@@ -419,9 +429,18 @@ fn main() -> ExitCode {
     let mut outcomes = HashMap::new();
     for (i, &(name, config)) in jobs.iter().enumerate() {
         let bench = benchmarks::by_name(name).expect("known benchmark");
-        let out = run_budgeted(&bench.spec, &config.options(), budget);
+        let mut runs: Vec<RunOutcome> = (0..REPS)
+            .map(|_| run_budgeted(&bench.spec, &config.options(), budget))
+            .collect();
+        runs.sort_by_key(|r| r.elapsed);
+        let spread = format!(
+            "{}..{}",
+            format_secs(runs[0].elapsed),
+            format_secs(runs[REPS - 1].elapsed)
+        );
+        let out = runs.swap_remove(REPS / 2);
         let (n, label, time) = (jobs.len(), config.label(), out.time_cell(budget));
-        eprintln!("[{}/{n}] {name} {label}: {time}", i + 1);
+        eprintln!("[{}/{n}] {name} {label}: {time} (runs {spread})", i + 1);
         outcomes.insert((name, config), out);
     }
     let run = |name, config| &outcomes[&(name, config)];

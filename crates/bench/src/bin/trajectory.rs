@@ -300,9 +300,8 @@ fn faults(rows: &mut Rows) {
 /// schedule, are reproducible.
 #[cfg(feature = "faults")]
 fn recovery(rows: &mut Rows) {
-    use qsyn_core::RetryPolicy;
     use qsyn_faults::FaultPlane;
-    use qsyn_portfolio::{run_batch, BatchConfig, JobStatus};
+    use qsyn_portfolio::{run_batch, BatchConfig, JobStatus, RetryPolicy};
 
     // At most one one-shot fault per site can fire, so the supervisor
     // needs at most `sites + 1` attempts.
@@ -315,11 +314,13 @@ fn recovery(rows: &mut Rows) {
             vec![("rd32-v0".to_string(), spec.clone())],
             &BatchConfig {
                 workers: 1,
-                per_job_timeout: None,
                 retry: RetryPolicy::escalating(MAX_ATTEMPTS, Vec::new()),
             },
             None,
-            |spec, _token, session, _attempt| synthesize_in(spec, &mct(Engine::Bdd), session),
+            |spec, token, session, attempt| {
+                let options = attempt.apply(&mct(Engine::Bdd));
+                synthesize_in(spec, &options.with_cancel_token(token.clone()), session)
+            },
         );
         let fired: Vec<String> = FaultPlane::fired()
             .into_iter()

@@ -2,7 +2,8 @@
 //! of Reversible Logic"* (Wille et al., DATE 2008).
 //!
 //! The `paper` binary runs each distinct `(function, options)`
-//! configuration the paper's tables read once, and writes Table 1
+//! configuration the paper's tables read three times, and writes, from
+//! each configuration's median-time run, Table 1
 //! (runtimes of SAT, SWORD*, QBF and BDD), Table 2 (`#SOL` and quantum-cost
 //! spread), Table 3 (extended gate libraries), the design ablations of
 //! `DESIGN.md` and the encoding-size scaling series.

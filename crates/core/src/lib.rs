@@ -56,7 +56,6 @@ mod error;
 mod options;
 pub mod permuted;
 mod qbf_engine;
-pub mod retry;
 mod sat_engine;
 mod session;
 mod solutions;
@@ -69,7 +68,6 @@ pub use error::{Resource, SynthesisError};
 pub use options::{Engine, SatSelectEncoding, SynthesisOptions, VarOrder};
 pub use permuted::{synthesize, synthesize_in};
 pub use qbf_engine::QbfEngine;
-pub use retry::{run_with_retry, Attempt, FailureKind, RetryOutcome, RetryPolicy};
 pub use sat_engine::SatEngine;
 pub use session::{ManagerPool, PooledManager, ResourceGovernor, SessionStats, SynthesisSession};
 pub use solutions::SolutionSet;

@@ -66,9 +66,10 @@ impl ResourceGovernor {
     }
 
     /// Starts the wall-clock budget, once: if the token already carries a
-    /// deadline (an outer driver armed it, or the batch scheduler set a
-    /// per-job deadline), the earlier arming stands — re-entering the
-    /// driver must never extend a run's budget.
+    /// deadline (an outer driver armed it, or an injected fault expired
+    /// it), the earlier arming stands — re-entering the driver must never
+    /// extend a run's budget. Supervised attempts each run on a fresh
+    /// token, so each arms its own (scaled) budget.
     pub fn arm(&self) {
         if let Some(budget) = self.time_budget {
             if !self.cancel.has_deadline() {
@@ -259,7 +260,8 @@ impl ManagerPool {
     }
 
     /// Records one supervised retry attempt (see
-    /// [`SessionStats::retries`]); called by the batch scheduler.
+    /// [`SessionStats::retries`]); called by the supervisor
+    /// (`qsyn_portfolio::supervise`).
     pub fn note_retry(&self) {
         self.inner.lock().expect("manager pool lock").retries += 1;
     }
@@ -396,7 +398,7 @@ pub struct SessionStats {
     /// Managers quarantined (dropped after a panic, an explicit
     /// quarantine, or a failed check-in audit) — never re-issued.
     pub quarantined: u64,
-    /// Supervised retry attempts recorded by the batch scheduler.
+    /// Supervised retry attempts recorded by the supervisor.
     pub retries: u64,
     /// Every search the session ran, summed: plain synthesis is the
     /// search over one labeling, so a plain job adds 1 to `permutations`

@@ -8,9 +8,11 @@
 //! * [`mod@race`] — spawn one thread per engine with per-racer
 //!   [`CancelToken`](qsyn_core::CancelToken)s; the first engine to *prove*
 //!   a minimal circuit wins and the losers are cancelled mid-depth.
-//! * [`scheduler`] — a bounded work queue plus a fixed `--jobs N` worker
-//!   pool with per-job deadlines, graceful shutdown, panic isolation, and
-//!   input-ordered reports.
+//! * [`scheduler`] — the one supervisor every synthesis job runs under
+//!   ([`supervise`]: retry with escalated budgets down an engine ladder,
+//!   panic containment), plus a bounded work queue and a fixed
+//!   `--jobs N` worker pool with graceful shutdown and input-ordered
+//!   reports.
 //! * [`cache`] — the resolve path: canonicalize under output permutation,
 //!   then answer from the memo, the circuit store or a compute, and
 //!   publish fresh results to both; an equivalent request is answered by
@@ -39,4 +41,7 @@ pub use race::{
     race, race_engines, race_engines_permuted, RaceError, RaceResult, Racer, RacerOutcome,
     RacerReport, RACE_ENGINES,
 };
-pub use scheduler::{run_batch, BatchConfig, BatchOutcome, JobReport, JobStatus, WorkQueue};
+pub use scheduler::{
+    classify, contain, run_batch, supervise, Attempt, BatchConfig, BatchOutcome, FailureKind,
+    JobReport, JobStatus, PanicReport, RetryPolicy, WorkQueue,
+};

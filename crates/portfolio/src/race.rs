@@ -14,13 +14,13 @@
 //! common instantiation, and tests can inject scripted racers to observe
 //! cancellation deterministically.
 
+use crate::scheduler::{contain, PanicReport};
 use qsyn_core::permuted::{synthesize_with_output_permutation_in, PermutedSynthesisResult};
 use qsyn_core::{
     synthesize_in, CancelToken, Engine, SynthesisError, SynthesisOptions, SynthesisResult,
     SynthesisSession,
 };
 use qsyn_revlogic::Spec;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
@@ -58,8 +58,9 @@ pub enum RacerOutcome {
     FinishedLate,
     /// Failed with a real error (budget, depth limit, …).
     Failed(SynthesisError),
-    /// Panicked; the panic was contained and did not take down the race.
-    Panicked,
+    /// Panicked; the panic was contained (by the scheduler's
+    /// [`contain`]) and did not take down the race.
+    Panicked(PanicReport),
 }
 
 /// Per-racer report, in the order the racers were supplied.
@@ -175,7 +176,7 @@ pub fn race<T: Send + 'static>(racers: Vec<Racer<T>>) -> Result<RaceResult<T>, R
             let token = token.clone();
             std::thread::spawn(move || {
                 let run = racer.run;
-                let verdict = catch_unwind(AssertUnwindSafe(move || run(token)));
+                let verdict = contain(move || run(token));
                 // The receiver hangs up once all messages are in; a failed
                 // send can only mean the supervisor itself panicked.
                 let _ = tx.send((idx, verdict, start.elapsed()));
@@ -204,7 +205,7 @@ pub fn race<T: Send + 'static>(racers: Vec<Racer<T>>) -> Result<RaceResult<T>, R
             }
             Ok(Err(SynthesisError::Cancelled { .. })) => RacerOutcome::Cancelled,
             Ok(Err(e)) => RacerOutcome::Failed(e),
-            Err(_panic) => RacerOutcome::Panicked,
+            Err(panic) => RacerOutcome::Panicked(panic),
         };
         outcomes[idx] = Some((outcome, elapsed));
     }
@@ -353,7 +354,14 @@ mod tests {
         });
         let r = race(vec![bomb, slow]).unwrap();
         assert_eq!(r.winner, 7);
-        assert_eq!(r.reports[0].outcome, RacerOutcome::Panicked);
+        match &r.reports[0].outcome {
+            RacerOutcome::Panicked(p) => {
+                assert_eq!(p.message, "boom");
+                let at = p.location.as_deref().expect("hook captured the site");
+                assert!(at.contains("race.rs"), "got location {at}");
+            }
+            other => panic!("expected a contained panic, got {other:?}"),
+        }
     }
 
     #[test]

@@ -1,28 +1,36 @@
-//! Batch synthesis: a bounded work queue feeding a fixed worker pool.
+//! Batch synthesis and the one supervisor every synthesis job runs under.
 //!
-//! The scheduler owns the concurrency story so the synthesis code doesn't
-//! have to: jobs are pushed into a bounded [`WorkQueue`], `--jobs N` worker
-//! threads drain it, each job runs under its own [`CancelToken`] (armed
-//! with the per-job deadline when one is configured), and a panicking job
-//! marks *that job* failed without poisoning the queue or taking down its
-//! worker. Results come back in input order regardless of completion
-//! order, so a parallel batch is byte-for-byte comparable to a sequential
-//! one.
+//! [`supervise`] runs one job on the calling thread: it retries
+//! budget-tripped attempts with escalated budgets down the
+//! [`RetryPolicy`]'s engine ladder, re-runs panicked attempts unchanged,
+//! and reports how the job ended ([`JobStatus`]). `qsyn synth`/`bench`
+//! call it for their one job, [`run_batch`] workers for each queued job,
+//! and the `qsyn-serve` workers with [`RetryPolicy::none`]. Its panic
+//! containment, [`contain`], also guards each engine-race thread. A
+//! panicking attempt's BDD manager is quarantined by the session pool
+//! (drop-during-unwind, see `qsyn_core::ManagerPool`), so recovery never
+//! recycles wreckage into the next attempt.
 //!
-//! # Supervision
+//! [`run_batch`] owns the concurrency story so the synthesis code doesn't
+//! have to: jobs are pushed into a bounded [`WorkQueue`], `--jobs N`
+//! worker threads drain it, and a panicking job marks *that job* failed
+//! without poisoning the queue or taking down its worker. Results come
+//! back in input order regardless of completion order, so a parallel
+//! batch is byte-for-byte comparable to a sequential one.
 //!
-//! With a [`RetryPolicy`] in the [`BatchConfig`], the scheduler is also
-//! the supervisor: a budget-tripped attempt is re-run with escalated
-//! budgets and degraded down the policy's engine ladder, a panicked
-//! attempt is re-run unchanged, and the job's report says how it
-//! recovered ([`JobStatus::Degraded`]). A panicking attempt's BDD manager
-//! is quarantined by the session pool (drop-during-unwind, see
-//! `qsyn_core::ManagerPool`), so recovery never recycles wreckage into
-//! the next attempt.
+//! # Retry policy
+//!
+//! Exact synthesis is an iterative-deepening search whose cost is hard to
+//! predict, so budget trips are a normal outcome, not an anomaly. What is
+//! retryable is deliberately narrow (see [`classify`]): resource
+//! exhaustion and worker panics are; an explicit cancellation is the
+//! caller's intent and a deterministic failure (unsatisfiable depth
+//! bound, oversized spec) would only fail identically again. Exponential
+//! backoff between attempts keeps a sick machine (the usual cause of
+//! repeated panics) from being hammered.
 
-use qsyn_core::retry::{classify, FailureKind};
 use qsyn_core::{
-    Attempt, CancelToken, Engine, RetryPolicy, SessionStats, SynthesisError, SynthesisSession,
+    CancelToken, Engine, SessionStats, SynthesisError, SynthesisOptions, SynthesisSession,
 };
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
@@ -140,10 +148,6 @@ impl<T> WorkQueue<T> {
 pub struct BatchConfig {
     /// Worker threads (at least 1).
     pub workers: usize,
-    /// Wall-clock deadline per job attempt, enforced through the job's
-    /// token (retried attempts get a fresh deadline, scaled by the retry
-    /// policy's escalation).
-    pub per_job_timeout: Option<Duration>,
     /// Recovery plan for budget-tripped and panicked jobs;
     /// [`RetryPolicy::none`] (the default) preserves the old
     /// fail-on-first-error behaviour.
@@ -154,7 +158,6 @@ impl Default for BatchConfig {
     fn default() -> BatchConfig {
         BatchConfig {
             workers: 1,
-            per_job_timeout: None,
             retry: RetryPolicy::none(),
         }
     }
@@ -186,8 +189,8 @@ pub enum JobStatus<R> {
     Panicked {
         /// The panic payload's message, when it was a string.
         message: String,
-        /// `file:line:column` of the panic site, captured by the worker
-        /// panic hook.
+        /// `file:line:column` of the panic site, captured by
+        /// [`contain`]'s panic hook.
         location: Option<String>,
         /// A captured backtrace, when `RUST_BACKTRACE` is set (and not
         /// `0`) in the environment.
@@ -232,11 +235,12 @@ pub struct BatchOutcome<R> {
 }
 
 /// Runs `run` over all `jobs` on `config.workers` threads and returns one
-/// report per job **in input order**. `run` receives the job's payload,
-/// its cancellation token, the worker's [`SynthesisSession`] and the
-/// current [`Attempt`] (number, budget scale, engine override — apply it
-/// to the job's options so retries actually escalate); honour the token
-/// to make deadlines and shutdown effective mid-job. Each worker owns one
+/// report per job **in input order**. Each job runs under [`supervise`]
+/// with the config's retry policy: `run` receives the job's payload, the
+/// attempt's cancellation token, the worker's [`SynthesisSession`] and
+/// the current [`Attempt`] (apply it to the job's options with
+/// [`Attempt::apply`] so retries actually escalate); honour the token to
+/// make deadlines and shutdown effective mid-job. Each worker owns one
 /// session for its whole lifetime, so BDD managers (and their warmed
 /// unique/computed tables) are recycled from job to job instead of
 /// rebuilt; the aggregated counters come back in
@@ -268,12 +272,15 @@ where
     std::thread::scope(|scope| {
         for _ in 0..workers {
             scope.spawn(|| {
-                install_worker_panic_hook();
                 let mut session = SynthesisSession::new();
                 while let Some((idx, name, job)) = queue.pop() {
                     let start = Instant::now();
-                    let (status, attempts) =
-                        supervise_job(&job, config, shutdown, &mut session, &run);
+                    let (status, attempts) = supervise(
+                        &config.retry,
+                        shutdown,
+                        &mut session,
+                        |token, s, attempt| run(&job, token, s, attempt),
+                    );
                     reports.lock().expect("reports lock")[idx] = Some(JobReport {
                         name,
                         status,
@@ -322,22 +329,192 @@ where
     }
 }
 
-/// One job under supervision: runs attempts per the config's retry
-/// policy until one settles, returning the final status and the attempt
-/// count. A panicking attempt's manager is quarantined by the session
-/// pool's drop-during-unwind path before the panic reaches the
-/// `catch_unwind` here.
-fn supervise_job<J, R, F>(
-    job: &J,
-    config: &BatchConfig,
+/// Recovery plan for budget-tripped or panicked synthesis attempts; see
+/// the module docs.
+#[derive(Clone, Debug, PartialEq)]
+pub struct RetryPolicy {
+    /// Total attempts allowed, including the first (minimum 1).
+    pub max_attempts: u32,
+    /// Budget multiplier applied on each budget-trip retry, compounding:
+    /// attempt `k` runs at `budget_escalation^(k-1)` times the configured
+    /// budgets.
+    pub budget_escalation: f64,
+    /// Engines to degrade through on budget-trip retries, in order. The
+    /// first attempt always uses the job's own engine; rung `i` of the
+    /// ladder serves the `i+1`-th budget-tripped attempt. Empty means
+    /// retry on the same engine.
+    pub engine_ladder: Vec<Engine>,
+    /// Base backoff slept before the second attempt; doubles per further
+    /// attempt.
+    pub backoff: Duration,
+}
+
+impl Default for RetryPolicy {
+    fn default() -> RetryPolicy {
+        RetryPolicy::none()
+    }
+}
+
+impl RetryPolicy {
+    /// One attempt, no recovery.
+    pub fn none() -> RetryPolicy {
+        RetryPolicy {
+            max_attempts: 1,
+            budget_escalation: 1.0,
+            engine_ladder: Vec::new(),
+            backoff: Duration::ZERO,
+        }
+    }
+
+    /// `max_attempts` tries with doubled budgets per retry, degrading
+    /// down `ladder` on budget trips.
+    pub fn escalating(max_attempts: u32, ladder: Vec<Engine>) -> RetryPolicy {
+        RetryPolicy {
+            max_attempts: max_attempts.max(1),
+            budget_escalation: 2.0,
+            engine_ladder: ladder,
+            backoff: Duration::from_millis(25),
+        }
+    }
+
+    /// The first attempt: the job's own engine at its configured budgets.
+    pub fn first(&self) -> Attempt {
+        Attempt {
+            number: 1,
+            budget_scale: 1.0,
+            engine: None,
+            rung: 0,
+        }
+    }
+
+    /// The follow-up to `prev` ending in `failure`, or `None` when the
+    /// failure is not retryable or the attempts are exhausted.
+    ///
+    /// Budget trips escalate the budget scale and advance one ladder rung
+    /// when rungs remain; panics retry the same configuration (the crash
+    /// was environmental, not a budget misfit).
+    pub fn next(&self, prev: &Attempt, failure: FailureKind) -> Option<Attempt> {
+        if prev.number >= self.max_attempts {
+            return None;
+        }
+        match failure {
+            FailureKind::Fatal => None,
+            FailureKind::Panic => Some(Attempt {
+                number: prev.number + 1,
+                ..prev.clone()
+            }),
+            FailureKind::Budget => {
+                let (engine, rung) = match self.engine_ladder.get(prev.rung) {
+                    Some(&next_engine) => (Some(next_engine), prev.rung + 1),
+                    None => (prev.engine, prev.rung),
+                };
+                Some(Attempt {
+                    number: prev.number + 1,
+                    budget_scale: prev.budget_scale * self.budget_escalation,
+                    engine,
+                    rung,
+                })
+            }
+        }
+    }
+
+    /// Exponential backoff to sleep before `attempt` runs: zero for the
+    /// first attempt, `backoff * 2^(n-2)` for attempt `n ≥ 2`.
+    pub fn backoff_before(&self, attempt: &Attempt) -> Duration {
+        if attempt.number < 2 || self.backoff.is_zero() {
+            return Duration::ZERO;
+        }
+        self.backoff
+            .saturating_mul(1u32 << (attempt.number - 2).min(16))
+    }
+}
+
+/// One scheduled try of a job: attempt number, compound budget scale, and
+/// the ladder's engine override (when the job has been degraded).
+#[derive(Clone, Debug, PartialEq)]
+pub struct Attempt {
+    /// 1-based attempt number.
+    pub number: u32,
+    /// Compound budget multiplier for this attempt.
+    pub budget_scale: f64,
+    /// Engine override from the degradation ladder; `None` runs the job's
+    /// own engine.
+    pub engine: Option<Engine>,
+    /// Next ladder rung to consume on a further budget trip.
+    rung: usize,
+}
+
+impl Attempt {
+    /// `options` as this attempt runs them: the ladder's engine override,
+    /// and the node, conflict and wall-clock budgets scaled by the
+    /// compound factor (saturating). The wall-clock budget is armed on
+    /// the attempt's own token when the job starts, so each attempt gets
+    /// the whole (scaled) budget.
+    pub fn apply(&self, options: &SynthesisOptions) -> SynthesisOptions {
+        let mut o = options.clone();
+        if let Some(engine) = self.engine {
+            o = o.with_engine(engine);
+        }
+        if self.budget_scale > 1.0 {
+            let nodes = self.scale(o.bdd_node_limit as u64);
+            o.bdd_node_limit = usize::try_from(nodes).unwrap_or(usize::MAX);
+            o.conflict_limit = self.scale(o.conflict_limit);
+            o.time_budget = o.time_budget.map(|b| b.mul_f64(self.budget_scale));
+        }
+        o
+    }
+
+    /// Scales an integral budget by this attempt's compound factor,
+    /// saturating.
+    fn scale(&self, budget: u64) -> u64 {
+        let scaled = (budget as f64) * self.budget_scale;
+        if scaled >= u64::MAX as f64 {
+            u64::MAX
+        } else {
+            scaled as u64
+        }
+    }
+}
+
+/// How a failed attempt is classified for retry purposes.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum FailureKind {
+    /// A resource budget tripped — retry with escalation / degradation.
+    Budget,
+    /// The attempt panicked — retry unchanged.
+    Panic,
+    /// Deterministic or intentional failure — never retried.
+    Fatal,
+}
+
+/// Classifies a synthesis error: only [`SynthesisError::BudgetExceeded`]
+/// is retryable. Cancellation is caller intent; everything else would
+/// fail identically on a second run.
+pub fn classify(error: &SynthesisError) -> FailureKind {
+    match error {
+        SynthesisError::BudgetExceeded { .. } => FailureKind::Budget,
+        _ => FailureKind::Fatal,
+    }
+}
+
+/// Runs one job under `policy` on the calling thread, attempt after
+/// attempt until one settles, and returns how it ended plus the number
+/// of attempts run.
+///
+/// Each attempt gets a fresh token merged with `shutdown`, so the job's
+/// governor arms its wall-clock budget anew (scaled by
+/// [`Attempt::apply`]) and an expired deadline never leaks forward. The
+/// attempt runs inside [`contain`]: a panic becomes
+/// [`JobStatus::Panicked`] or a retry, and the panicking attempt's
+/// pooled manager is quarantined by the session pool before the retry
+/// checks out another. Once `shutdown` is cancelled no further attempt
+/// starts.
+pub fn supervise<R>(
+    policy: &RetryPolicy,
     shutdown: &CancelToken,
     session: &mut SynthesisSession,
-    run: &F,
-) -> (JobStatus<R>, u32)
-where
-    F: Fn(&J, &CancelToken, &mut SynthesisSession, &Attempt) -> Result<R, SynthesisError> + Sync,
-{
-    let policy = &config.retry;
+    mut run: impl FnMut(&CancelToken, &mut SynthesisSession, &Attempt) -> Result<R, SynthesisError>,
+) -> (JobStatus<R>, u32) {
     let mut attempt = policy.first();
     let mut ladder_path: Vec<Engine> = Vec::new();
     loop {
@@ -356,17 +533,27 @@ where
                 ladder_path.push(engine);
             }
         }
-        // Every attempt gets a fresh token: the previous attempt's
-        // deadline (possibly already expired) must not leak forward.
         let token = CancelToken::merged([shutdown]);
-        if let Some(deadline) = config.per_job_timeout {
-            token.set_deadline(Instant::now() + attempt.scale_duration(deadline));
-        }
-        let end = run_one_attempt(job, &token, session, &attempt, run);
+        let end = contain(|| {
+            // Fault-plane site `scheduler.worker`, polled once per
+            // attempt: a panic fault crashes the attempt (inside the
+            // containment, so the caller survives), a cancel fault
+            // expires the attempt's deadline so the job trips its
+            // wall-clock budget at the next governor check.
+            if let Some(kind) = qsyn_faults::hit(qsyn_faults::Site::SchedulerWorker) {
+                match kind {
+                    qsyn_faults::FaultKind::Panic => {
+                        panic!("fault-plane: injected panic at scheduler.worker")
+                    }
+                    _ => token.set_deadline(Instant::now()),
+                }
+            }
+            run(&token, session, &attempt)
+        });
         let failure = match &end {
-            AttemptEnd::Ok(_) => None,
-            AttemptEnd::Err(e) => Some(classify(e)),
-            AttemptEnd::Panic { .. } => Some(FailureKind::Panic),
+            Ok(Ok(_)) => None,
+            Ok(Err(e)) => Some(classify(e)),
+            Err(_) => Some(FailureKind::Panic),
         };
         match failure.and_then(|f| policy.next(&attempt, f)) {
             Some(next) => {
@@ -376,21 +563,17 @@ where
             None => {
                 let attempts = attempt.number;
                 let status = match end {
-                    AttemptEnd::Ok(result) if attempts > 1 => JobStatus::Degraded {
+                    Ok(Ok(result)) if attempts > 1 => JobStatus::Degraded {
                         result,
                         attempts,
                         ladder_path,
                     },
-                    AttemptEnd::Ok(result) => JobStatus::Done(result),
-                    AttemptEnd::Err(e) => JobStatus::Failed(e),
-                    AttemptEnd::Panic {
-                        message,
-                        location,
-                        backtrace,
-                    } => JobStatus::Panicked {
-                        message,
-                        location,
-                        backtrace,
+                    Ok(Ok(result)) => JobStatus::Done(result),
+                    Ok(Err(e)) => JobStatus::Failed(e),
+                    Err(p) => JobStatus::Panicked {
+                        message: p.message,
+                        location: p.location,
+                        backtrace: p.backtrace,
                     },
                 };
                 return (status, attempts);
@@ -399,61 +582,40 @@ where
     }
 }
 
-/// How a single attempt ended (panics caught and contextualized).
-enum AttemptEnd<R> {
-    Ok(R),
-    Err(SynthesisError),
-    Panic {
-        message: String,
-        location: Option<String>,
-        backtrace: Option<String>,
-    },
+/// A panic caught by [`contain`].
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct PanicReport {
+    /// The panic payload's message, when it was a string.
+    pub message: String,
+    /// `file:line:column` of the panic site, captured by the panic hook.
+    pub location: Option<String>,
+    /// A captured backtrace, when `RUST_BACKTRACE` is set (and not `0`)
+    /// in the environment.
+    pub backtrace: Option<String>,
 }
 
-fn run_one_attempt<J, R, F>(
-    job: &J,
-    token: &CancelToken,
-    session: &mut SynthesisSession,
-    attempt: &Attempt,
-    run: &F,
-) -> AttemptEnd<R>
-where
-    F: Fn(&J, &CancelToken, &mut SynthesisSession, &Attempt) -> Result<R, SynthesisError> + Sync,
-{
-    if token.is_cancelled() {
-        return AttemptEnd::Err(SynthesisError::Cancelled { depth: 0 });
-    }
-    WORKER_PANIC_CONTEXT.with(|flag| flag.set(true));
-    let caught = catch_unwind(AssertUnwindSafe(|| {
-        // Fault-plane site `scheduler.worker`, polled once per attempt: a
-        // panic fault crashes the attempt (inside the catch so the worker
-        // survives), a cancel fault expires the attempt's deadline so the
-        // job trips its wall-clock budget at the next governor check.
-        if let Some(kind) = qsyn_faults::hit(qsyn_faults::Site::SchedulerWorker) {
-            match kind {
-                qsyn_faults::FaultKind::Panic => {
-                    panic!("fault-plane: injected panic at scheduler.worker")
-                }
-                _ => token.set_deadline(Instant::now()),
-            }
-        }
-        run(job, token, session, attempt)
-    }));
-    WORKER_PANIC_CONTEXT.with(|flag| flag.set(false));
-    match caught {
-        Ok(Ok(result)) => AttemptEnd::Ok(result),
-        Ok(Err(e)) => AttemptEnd::Err(e),
-        Err(payload) => {
-            let context = LAST_PANIC
-                .with(|slot| slot.borrow_mut().take())
-                .unwrap_or_default();
-            AttemptEnd::Panic {
-                message: panic_message(payload.as_ref()),
-                location: context.location,
-                backtrace: context.backtrace,
-            }
-        }
-    }
+/// Runs `f` on the calling thread, turning a panic into a
+/// [`PanicReport`] that carries the panic's message, its location and
+/// (with `RUST_BACKTRACE` set) a backtrace. The panic is reported only
+/// through the returned error, not on stderr. The one panic-containment
+/// step: [`supervise`] wraps each attempt in it, the engine race each
+/// racer thread.
+///
+/// # Errors
+///
+/// The [`PanicReport`] when `f` panicked.
+pub fn contain<R>(f: impl FnOnce() -> R) -> Result<R, PanicReport> {
+    install_panic_hook();
+    let outer = CAPTURING.with(|flag| flag.replace(true));
+    let caught = catch_unwind(AssertUnwindSafe(f));
+    CAPTURING.with(|flag| flag.set(outer));
+    caught.map_err(|payload| {
+        let mut report = LAST_PANIC
+            .with(|slot| slot.borrow_mut().take())
+            .unwrap_or_default();
+        report.message = panic_message(payload.as_ref());
+        report
+    })
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -466,34 +628,28 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Context the worker panic hook captures at panic time — `catch_unwind`
-/// only sees the payload, by which point the location and stack are gone.
-#[derive(Debug, Default)]
-struct PanicContext {
-    location: Option<String>,
-    backtrace: Option<String>,
-}
-
 thread_local! {
-    /// `true` while this thread is inside a supervised attempt, so the
-    /// global hook knows to capture context (and suppress the default
-    /// stderr print — the panic is reported through the job's status).
-    static WORKER_PANIC_CONTEXT: Cell<bool> = const { Cell::new(false) };
-    /// Context of the most recent supervised panic on this thread.
-    static LAST_PANIC: RefCell<Option<PanicContext>> = const { RefCell::new(None) };
+    /// `true` while this thread is inside [`contain`], so the global hook
+    /// knows to capture context (and suppress the default stderr print —
+    /// the panic is reported through the returned error).
+    static CAPTURING: Cell<bool> = const { Cell::new(false) };
+    /// Location and backtrace of the most recent contained panic on this
+    /// thread; `catch_unwind` only sees the payload, by which point they
+    /// are gone.
+    static LAST_PANIC: RefCell<Option<PanicReport>> = const { RefCell::new(None) };
 }
 
 static INSTALL_HOOK: Once = Once::new();
 
 /// Installs (once, process-wide) a panic hook that records the panic
 /// location — and a backtrace when `RUST_BACKTRACE` is set and not `0` —
-/// for panics inside supervised attempts, delegating every other panic
-/// to the previously installed hook.
-fn install_worker_panic_hook() {
+/// for panics inside [`contain`], delegating every other panic to the
+/// previously installed hook.
+fn install_panic_hook() {
     INSTALL_HOOK.call_once(|| {
         let previous = std::panic::take_hook();
         std::panic::set_hook(Box::new(move |info| {
-            if WORKER_PANIC_CONTEXT.with(|flag| flag.get()) {
+            if CAPTURING.with(Cell::get) {
                 let location = info
                     .location()
                     .map(|l| format!("{}:{}:{}", l.file(), l.line(), l.column()));
@@ -501,7 +657,8 @@ fn install_worker_panic_hook() {
                     .filter(|v| v != "0")
                     .map(|_| std::backtrace::Backtrace::force_capture().to_string());
                 LAST_PANIC.with(|slot| {
-                    *slot.borrow_mut() = Some(PanicContext {
+                    *slot.borrow_mut() = Some(PanicReport {
+                        message: String::new(),
                         location,
                         backtrace,
                     })
@@ -516,12 +673,159 @@ fn install_worker_panic_hook() {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qsyn_core::{GateLibrary, Resource};
     use std::sync::atomic::{AtomicUsize, Ordering};
+
+    fn budget_error() -> SynthesisError {
+        SynthesisError::BudgetExceeded {
+            depth: 3,
+            resource: Resource::BddNodes,
+            spent: 10,
+            limit: 10,
+        }
+    }
+
+    #[test]
+    fn none_policy_never_retries() {
+        let p = RetryPolicy::none();
+        let first = p.first();
+        assert_eq!(p.next(&first, FailureKind::Budget), None);
+        assert_eq!(p.next(&first, FailureKind::Panic), None);
+    }
+
+    #[test]
+    fn budget_trips_escalate_and_degrade() {
+        let p = RetryPolicy::escalating(3, vec![Engine::Sat]);
+        let a1 = p.first();
+        assert_eq!(a1.engine, None);
+        let a2 = p.next(&a1, FailureKind::Budget).expect("second attempt");
+        assert_eq!(a2.number, 2);
+        assert_eq!(a2.engine, Some(Engine::Sat), "first rung degrades");
+        assert_eq!(a2.scale(1_000), 2_000);
+        let a3 = p.next(&a2, FailureKind::Budget).expect("third attempt");
+        assert_eq!(a3.engine, Some(Engine::Sat), "ladder exhausted, stay put");
+        assert_eq!(a3.scale(1_000), 4_000, "escalation compounds");
+        assert_eq!(p.next(&a3, FailureKind::Budget), None, "attempts spent");
+    }
+
+    #[test]
+    fn panics_retry_without_escalation() {
+        let p = RetryPolicy::escalating(3, vec![Engine::Sat]);
+        let a2 = p.next(&p.first(), FailureKind::Panic).expect("retry");
+        assert_eq!(a2.engine, None, "panic retry keeps the engine");
+        assert_eq!(a2.budget_scale, 1.0, "and the budget");
+    }
+
+    #[test]
+    fn fatal_failures_never_retry() {
+        let p = RetryPolicy::escalating(5, vec![]);
+        assert_eq!(p.next(&p.first(), FailureKind::Fatal), None);
+        assert_eq!(
+            classify(&SynthesisError::Cancelled { depth: 0 }),
+            FailureKind::Fatal
+        );
+        assert_eq!(classify(&budget_error()), FailureKind::Budget);
+    }
+
+    #[test]
+    fn backoff_is_exponential_from_the_second_attempt() {
+        let p = RetryPolicy {
+            backoff: Duration::from_millis(10),
+            ..RetryPolicy::escalating(4, vec![])
+        };
+        let a1 = p.first();
+        assert_eq!(p.backoff_before(&a1), Duration::ZERO);
+        let a2 = p.next(&a1, FailureKind::Budget).expect("a2");
+        assert_eq!(p.backoff_before(&a2), Duration::from_millis(10));
+        let a3 = p.next(&a2, FailureKind::Budget).expect("a3");
+        assert_eq!(p.backoff_before(&a3), Duration::from_millis(20));
+    }
+
+    #[test]
+    fn apply_overrides_the_engine_and_scales_every_budget() {
+        let base = SynthesisOptions::new(GateLibrary::mct(), Engine::Bdd)
+            .with_bdd_node_limit(1_000)
+            .with_conflict_limit(50)
+            .with_time_budget(Duration::from_secs(3));
+        let p = RetryPolicy::escalating(3, vec![Engine::Sat]);
+        let first = p.first().apply(&base);
+        assert_eq!(first.engine, Engine::Bdd);
+        assert_eq!(first.bdd_node_limit, 1_000);
+        assert_eq!(first.time_budget, Some(Duration::from_secs(3)));
+        let a2 = p.next(&p.first(), FailureKind::Budget).expect("a2");
+        let second = a2.apply(&base);
+        assert_eq!(second.engine, Engine::Sat);
+        assert_eq!(second.bdd_node_limit, 2_000);
+        assert_eq!(second.conflict_limit, 100);
+        assert_eq!(second.time_budget, Some(Duration::from_secs(6)));
+        let huge = base.with_conflict_limit(u64::MAX);
+        assert_eq!(a2.apply(&huge).conflict_limit, u64::MAX, "saturates");
+    }
+
+    #[test]
+    fn supervise_runs_on_the_calling_thread_with_a_fresh_token_per_attempt() {
+        let p = RetryPolicy {
+            backoff: Duration::ZERO,
+            ..RetryPolicy::escalating(3, vec![Engine::Sat])
+        };
+        let caller = std::thread::current().id();
+        let mut seen = Vec::new();
+        let (status, attempts) = supervise(
+            &p,
+            &CancelToken::new(),
+            &mut SynthesisSession::new(),
+            |token, _, attempt| {
+                assert_eq!(std::thread::current().id(), caller);
+                assert!(!token.has_deadline(), "no deadline leaks forward");
+                token.set_deadline(Instant::now());
+                seen.push((attempt.number, attempt.engine));
+                if attempt.number < 3 {
+                    Err(budget_error())
+                } else {
+                    Ok(attempt.scale(100))
+                }
+            },
+        );
+        assert_eq!(attempts, 3);
+        match status {
+            JobStatus::Degraded {
+                result,
+                attempts,
+                ladder_path,
+            } => {
+                assert_eq!((result, attempts), (400, 3));
+                assert_eq!(ladder_path, vec![Engine::Sat]);
+            }
+            other => panic!("expected recovery, got {other:?}"),
+        }
+        assert_eq!(
+            seen,
+            vec![(1, None), (2, Some(Engine::Sat)), (3, Some(Engine::Sat))]
+        );
+    }
+
+    #[test]
+    fn contain_reports_the_message_and_site_and_nests() {
+        let outer = contain(|| {
+            let inner = contain(|| -> u32 { panic!("inner {}", 7) });
+            let report = inner.expect_err("inner panic contained");
+            assert_eq!(report.message, "inner 7");
+            let at = report.location.as_deref().expect("hook captured the site");
+            assert!(at.contains("scheduler.rs"), "got location {at}");
+            panic!("outer")
+        });
+        let report = outer.expect_err("outer panic contained");
+        assert_eq!(report.message, "outer");
+        assert!(
+            report.location.is_some(),
+            "the outer capture survives nesting"
+        );
+        assert_eq!(contain(|| 5), Ok(5));
+    }
 
     fn config(workers: usize) -> BatchConfig {
         BatchConfig {
             workers,
-            per_job_timeout: None,
             retry: RetryPolicy::none(),
         }
     }
@@ -590,7 +894,6 @@ mod tests {
     fn budget_tripped_jobs_recover_down_the_ladder() {
         let cfg = BatchConfig {
             workers: 2,
-            per_job_timeout: None,
             retry: RetryPolicy {
                 backoff: Duration::ZERO,
                 ..RetryPolicy::escalating(3, vec![Engine::Sat])
@@ -602,7 +905,7 @@ mod tests {
             if i % 2 == 1 && attempt.engine != Some(Engine::Sat) {
                 return Err(SynthesisError::BudgetExceeded {
                     depth: 1,
-                    resource: qsyn_core::Resource::BddNodes,
+                    resource: Resource::BddNodes,
                     spent: 9,
                     limit: 9,
                 });
@@ -636,7 +939,6 @@ mod tests {
     fn panicked_attempts_are_retried_and_quarantined() {
         let cfg = BatchConfig {
             workers: 1,
-            per_job_timeout: None,
             retry: RetryPolicy {
                 backoff: Duration::ZERO,
                 ..RetryPolicy::escalating(2, vec![])
@@ -681,7 +983,6 @@ mod tests {
     fn exhausted_retries_report_the_last_error() {
         let cfg = BatchConfig {
             workers: 1,
-            per_job_timeout: None,
             retry: RetryPolicy {
                 backoff: Duration::ZERO,
                 ..RetryPolicy::escalating(2, vec![])
@@ -694,7 +995,7 @@ mod tests {
             |(), _, _, _| -> Result<(), SynthesisError> {
                 Err(SynthesisError::BudgetExceeded {
                     depth: 0,
-                    resource: qsyn_core::Resource::SatConflicts,
+                    resource: Resource::SatConflicts,
                     spent: 1,
                     limit: 1,
                 })
@@ -703,32 +1004,6 @@ mod tests {
         let r = &outcome.reports[0];
         assert!(matches!(r.status, JobStatus::Failed(_)));
         assert_eq!(r.attempts, 2, "both attempts were spent");
-    }
-
-    #[test]
-    fn per_job_deadline_arms_the_token() {
-        let cfg = BatchConfig {
-            workers: 2,
-            per_job_timeout: Some(Duration::ZERO),
-            retry: RetryPolicy::none(),
-        };
-        let outcome = run_batch(
-            vec![("t".to_string(), ())],
-            &cfg,
-            None,
-            |(), token: &CancelToken, _session: &mut SynthesisSession, _: &Attempt| {
-                token.check(3)?;
-                Ok(())
-            },
-        );
-        assert!(matches!(
-            outcome.reports[0].status,
-            JobStatus::Failed(SynthesisError::BudgetExceeded {
-                depth: 3,
-                resource: qsyn_core::Resource::WallClock,
-                ..
-            })
-        ));
     }
 
     #[test]

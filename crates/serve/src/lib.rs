@@ -88,13 +88,12 @@ use qsyn_core::{
     CancelToken, Engine, GateLibrary, SynthesisError, SynthesisOptions, SynthesisSession,
 };
 use qsyn_portfolio::cache::Lookup;
-use qsyn_portfolio::{canonicalize, SpecCache, WorkQueue};
+use qsyn_portfolio::{canonicalize, supervise, JobStatus, SpecCache, WorkQueue};
 use qsyn_revlogic::Spec;
 use qsyn_store::{Store, StoredCircuit};
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
@@ -159,8 +158,9 @@ pub enum ServeError {
     },
     /// The synthesis engine failed (budget exhausted, depth cap, …).
     Synthesis(SynthesisError),
-    /// The worker thread panicked mid-job; the panic was isolated and
-    /// the worker's session replaced.
+    /// The worker thread panicked mid-job; the panic was contained, its
+    /// message logged, and the manager it held quarantined by the
+    /// worker's session pool.
     WorkerPanicked,
     /// The daemon is draining; no new work is accepted.
     ShuttingDown,
@@ -555,9 +555,10 @@ pub fn install_drain_signals() {
     }
 }
 
-/// The worker loop: pop cold jobs, synthesize under the per-job governor
-/// budgets, publish through the cache (memo, then store), fill the
-/// waiters' slot.
+/// The worker loop: pop cold jobs, synthesize each under the one
+/// supervisor (one attempt, fresh token, panic contained) and the
+/// options' budgets, publish through the cache (memo, then store), fill
+/// the waiters' slot.
 fn worker_loop(shared: &Arc<Shared>) {
     let mut session = SynthesisSession::new();
     while let Some(job) = shared.queue.pop() {
@@ -568,15 +569,20 @@ fn worker_loop(shared: &Arc<Shared>) {
             continue;
         }
         Metrics::inc(&shared.metrics.engine_invocations);
-        // Fresh cancel token per job: the template's budgets re-arm from
-        // zero for every request (ResourceGovernor deadlines are
-        // first-arming-wins per token).
-        let options = shared.options.clone().with_cancel_token(CancelToken::new());
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            synthesize_with_output_permutation_in(&job.canonical, &options, &mut session)
-        }));
-        match outcome {
-            Ok(Ok(r)) => {
+        // The supervisor hands each attempt a fresh token, so the
+        // template's budgets re-arm from zero for every request
+        // (ResourceGovernor deadlines are first-arming-wins per token).
+        let (status, _) = supervise(
+            &qsyn_portfolio::RetryPolicy::none(),
+            &CancelToken::new(),
+            &mut session,
+            |token, session, _| {
+                let options = shared.options.clone().with_cancel_token(token.clone());
+                synthesize_with_output_permutation_in(&job.canonical, &options, session)
+            },
+        );
+        match status {
+            JobStatus::Done(r) | JobStatus::Degraded { result: r, .. } => {
                 let (record, write_error) = shared.cache.publish(&job.canonical, &job.name, &r);
                 if let Some(e) = write_error {
                     // Served from memory regardless; the record is
@@ -586,10 +592,12 @@ fn worker_loop(shared: &Arc<Shared>) {
                 }
                 publish(shared, job, Ok(record));
             }
-            Ok(Err(e)) => publish(shared, job, Err(ServeError::Synthesis(e))),
-            Err(_) => {
-                // The session may hold poisoned engine state; replace it.
-                session = SynthesisSession::new();
+            JobStatus::Failed(e) => publish(shared, job, Err(ServeError::Synthesis(e))),
+            JobStatus::Panicked {
+                message, location, ..
+            } => {
+                let at = location.map(|l| format!(" at {l}")).unwrap_or_default();
+                eprintln!("qsyn-serve: worker panicked on {}: {message}{at}", job.name);
                 publish(shared, job, Err(ServeError::WorkerPanicked));
             }
         }

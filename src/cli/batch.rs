@@ -1,15 +1,15 @@
 //! `batch`: many specifications on the portfolio's worker pool, with an
 //! optional crash-safe journal and persistent circuit store.
 
-use super::synth::{apply_attempt, ladder_note, refuse, synthesize, FaultArming};
+use super::synth::{ladder_note, panic_note, refuse, synthesize, EngineChoice, FaultArming};
 use super::{store, Args, Command, Outcome, SynthConfig};
 use crate::portfolio::cache::{SpecCache, StoreIssue};
 use crate::portfolio::journal::{job_key, open_journal, render_record, JournalRecord};
-use crate::portfolio::scheduler::{run_batch, BatchConfig, JobStatus};
+use crate::portfolio::scheduler::{run_batch, Attempt, BatchConfig, JobStatus};
 use crate::revlogic::{benchmarks, real, spec_format, Spec};
 use crate::store::Fnv1a;
 use crate::synth::permuted::PermutedSynthesisResult;
-use crate::synth::{Attempt, CancelToken, SynthesisError, SynthesisSession};
+use crate::synth::{CancelToken, SynthesisError, SynthesisSession};
 use std::collections::HashMap;
 use std::io::Write;
 use std::path::Path;
@@ -215,7 +215,6 @@ pub(super) fn run(
     let store_issues: Mutex<Vec<(String, StoreIssue)>> = Mutex::new(Vec::new());
     let batch_config = BatchConfig {
         workers: jobs,
-        per_job_timeout: config.timeout.map(Duration::from_secs),
         retry: config.retry_policy(),
     };
 
@@ -263,8 +262,8 @@ pub(super) fn run(
                    session: &mut SynthesisSession,
                    attempt: &Attempt|
      -> Result<PermutedSynthesisResult, SynthesisError> {
-        let (opts, engine) = apply_attempt(&options, config.engine, attempt);
-        let opts = opts.with_cancel_token(token.clone());
+        let engine = attempt.engine.map_or(config.engine, EngineChoice::Single);
+        let opts = attempt.apply(&options).with_cancel_token(token.clone());
         let job_started = Instant::now();
         let mut compute =
             |s: &Spec| synthesize(s, &opts, engine, !no_permute, session).map(|(p, _)| p);
@@ -336,13 +335,7 @@ pub(super) fn run(
             JobStatus::Failed(e) => (None, format!("error: {e}")),
             JobStatus::Panicked {
                 message, location, ..
-            } => {
-                let at = location
-                    .as_ref()
-                    .map(|l| format!(" at {l}"))
-                    .unwrap_or_default();
-                (None, format!("panicked: {message}{at}"))
-            }
+            } => (None, panic_note(message, location.as_ref())),
         };
         match result {
             Some(p) => {

@@ -4,11 +4,12 @@
 
 use super::{Args, Command, Outcome};
 use crate::portfolio::race::{race_engines, race_engines_permuted, RaceError};
+use crate::portfolio::scheduler::{supervise, JobStatus, RetryPolicy};
 use crate::revlogic::{benchmarks, cost, real, spec_format, GateLibrary, Spec};
 use crate::synth::permuted::{synthesize_with_output_permutation_in, PermutedSynthesisResult};
 use crate::synth::{
-    run_with_retry, synthesize_in, Attempt, Engine, RetryOutcome, RetryPolicy, SynthesisError,
-    SynthesisOptions, SynthesisResult, SynthesisSession,
+    synthesize_in, CancelToken, Engine, SynthesisError, SynthesisOptions, SynthesisResult,
+    SynthesisSession,
 };
 use std::io::Write;
 use std::time::Duration;
@@ -263,34 +264,6 @@ impl Drop for FaultArming {
     }
 }
 
-/// Applies a retry [`Attempt`] to the configured options and engine
-/// choice: the ladder's engine override (which turns a raced attempt into
-/// a single-engine one — degradation narrows the portfolio) plus the
-/// compound budget escalation over the node, conflict and wall-clock
-/// limits.
-pub(super) fn apply_attempt(
-    options: &SynthesisOptions,
-    mut engine: EngineChoice,
-    attempt: &Attempt,
-) -> (SynthesisOptions, EngineChoice) {
-    let mut o = options.clone();
-    if let Some(e) = attempt.engine {
-        o = o.with_engine(e);
-        engine = EngineChoice::Single(e);
-    }
-    if attempt.budget_scale > 1.0 {
-        let nodes = attempt.scale_budget(o.bdd_node_limit as u64);
-        let conflicts = attempt.scale_budget(o.conflict_limit);
-        o = o
-            .with_bdd_node_limit(usize::try_from(nodes).unwrap_or(usize::MAX))
-            .with_conflict_limit(conflicts);
-        if let Some(budget) = o.time_budget {
-            o = o.with_time_budget(attempt.scale_duration(budget));
-        }
-    }
-    (o, engine)
-}
-
 /// The one synthesis call: `spec` under `engine`, with free output
 /// relabeling when `permute` is set, otherwise under the spec's own
 /// labeling (wrapped as the identity permutation). Returns the result and
@@ -320,19 +293,6 @@ pub(super) fn synthesize(
     }
 }
 
-/// One line describing a recovered (multi-attempt) run, `None` for a
-/// clean first-attempt success or failure.
-fn recovery_note<R>(outcome: &RetryOutcome<R>) -> Option<String> {
-    if !outcome.degraded() {
-        return None;
-    }
-    Some(format!(
-        "recovered after {} attempts{}",
-        outcome.attempts,
-        ladder_note(&outcome.ladder_path)
-    ))
-}
-
 /// `", via sat"` — the engines a degraded job was routed through.
 pub(super) fn ladder_note(path: &[Engine]) -> String {
     if path.is_empty() {
@@ -340,6 +300,13 @@ pub(super) fn ladder_note(path: &[Engine]) -> String {
     }
     let names: Vec<String> = path.iter().map(ToString::to_string).collect();
     format!(", via {}", names.join(" -> "))
+}
+
+/// `"panicked: <message> at <file:line:column>"` — a contained panic as
+/// `synth` and `batch` report it.
+pub(super) fn panic_note(message: &str, location: Option<&String>) -> String {
+    let at = location.map(|l| format!(" at {l}")).unwrap_or_default();
+    format!("panicked: {message}{at}")
 }
 
 impl Source {
@@ -365,19 +332,36 @@ pub(super) fn run(source: &Source, config: &SynthConfig, out: &mut dyn Write) ->
         return heuristic(&spec, config, out);
     }
     let _faults = FaultArming::arm(config.fault_seed)?;
-    let outcome = run_with_retry(&config.retry_policy(), |attempt| {
-        let (opts, engine) = apply_attempt(&options, config.engine, attempt);
-        let mut session = SynthesisSession::new();
-        synthesize(
-            &spec,
-            &opts,
-            engine,
-            config.output_permutation,
-            &mut session,
-        )
-    });
-    let recovery = recovery_note(&outcome);
-    let (p, winner) = outcome.result.map_err(|e| e.to_string())?;
+    let (status, _) = supervise(
+        &config.retry_policy(),
+        &CancelToken::new(),
+        &mut SynthesisSession::new(),
+        |token, session, attempt| {
+            // A ladder rung turns a raced job into a single-engine one:
+            // degradation narrows the portfolio.
+            let engine = attempt.engine.map_or(config.engine, EngineChoice::Single);
+            let opts = attempt.apply(&options).with_cancel_token(token.clone());
+            synthesize(&spec, &opts, engine, config.output_permutation, session)
+        },
+    );
+    let (recovery, (p, winner)) = match status {
+        JobStatus::Done(r) => (None, r),
+        JobStatus::Degraded {
+            result,
+            attempts,
+            ladder_path,
+        } => {
+            let note = format!(
+                "recovered after {attempts} attempts{}",
+                ladder_note(&ladder_path)
+            );
+            (Some(note), result)
+        }
+        JobStatus::Failed(e) => return Err(e.to_string().into()),
+        JobStatus::Panicked {
+            message, location, ..
+        } => return Err(panic_note(&message, location.as_ref()).into()),
+    };
     let r = &p.result;
     let race_note = match winner {
         Some(label) => format!(" [race winner: {label}]"),

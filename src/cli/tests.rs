@@ -471,6 +471,37 @@ fn batch_rejects_bad_targets() {
 }
 
 #[test]
+fn batch_timeout_zero_fails_every_row_as_a_wall_clock_stop() {
+    let dir = std::env::temp_dir().join(format!("qsyn-cli-timeout-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let list = dir.join("jobs.txt");
+    std::fs::write(&list, "3_17\nrd32-v0\n").unwrap();
+    let list = list.to_str().unwrap();
+    // `--timeout` is the options' wall-clock budget, armed on each
+    // attempt's own token; a retry doubles zero and trips again.
+    for extra in [&[][..], &["--retries", "1"][..]] {
+        let mut args = vec!["batch", list, "--timeout", "0"];
+        args.extend_from_slice(extra);
+        let mut buf = Vec::new();
+        assert_eq!(run(&parse(&args).unwrap(), &mut buf).unwrap(), 1);
+        let text = String::from_utf8(buf).unwrap();
+        let rows: Vec<&str> = text
+            .lines()
+            .filter(|l| l.starts_with("3_17 ") || l.starts_with("rd32-v0 "))
+            .collect();
+        assert_eq!(rows.len(), 2, "{text}");
+        for row in rows {
+            assert!(
+                row.contains("error: wall-clock (ms) budget exhausted"),
+                "{extra:?}: {row}"
+            );
+        }
+        assert!(text.contains("2 jobs, 0 ok, 2 failed"), "{text}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn race_engine_synthesizes_a_benchmark() {
     let cmd = parse(&["bench", "3_17", "--engine", "race"]).unwrap();
     let mut buf = Vec::new();

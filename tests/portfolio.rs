@@ -6,11 +6,11 @@ use qsyn::cli::{run, Command};
 use qsyn::portfolio::cache::{canonicalize, SpecCache};
 use qsyn::portfolio::race::race_engines_permuted;
 use qsyn::portfolio::read_journal;
-use qsyn::portfolio::scheduler::{run_batch, BatchConfig, JobStatus};
+use qsyn::portfolio::scheduler::{run_batch, Attempt, BatchConfig, JobStatus, RetryPolicy};
 use qsyn::revlogic::benchmarks::{random_incomplete_spec, random_permutation};
 use qsyn::revlogic::{spec_format, GateLibrary, Spec};
 use qsyn::synth::permuted::{permute_spec, synthesize_with_output_permutation};
-use qsyn::synth::{Attempt, CancelToken, Engine, RetryPolicy, SynthesisOptions, SynthesisSession};
+use qsyn::synth::{CancelToken, Engine, SynthesisOptions, SynthesisSession};
 
 fn opts() -> SynthesisOptions {
     SynthesisOptions::new(GateLibrary::mct(), Engine::Bdd).with_max_depth(10)
@@ -106,7 +106,6 @@ fn batch_with_four_workers_matches_sequential() {
     let digest = |workers: usize| -> Vec<(String, u32, u128, Vec<u32>)> {
         let config = BatchConfig {
             workers,
-            per_job_timeout: None,
             retry: RetryPolicy::none(),
         };
         run_batch(jobs(), &config, None, run_one)

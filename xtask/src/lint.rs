@@ -18,11 +18,13 @@
 //! * **no-process-exit** — `process::exit` skips destructors (worker-pool
 //!   joins, cache flushes) and is allowed only in `bin/` targets and
 //!   xtask itself.
-//! * **no-catch-unwind** — panic isolation is the batch scheduler's job:
-//!   it pairs `catch_unwind` with panic-context capture, manager
-//!   quarantine and the retry supervisor. A `catch_unwind` anywhere else
-//!   silently swallows a broken invariant. Files with a legitimate
-//!   supervisor role are listed in `xtask/catch-unwind-allowlist.txt`.
+//! * **no-catch-unwind** — panic isolation is the one supervisor's job
+//!   (`qsyn_portfolio::scheduler`): it pairs `catch_unwind` with
+//!   panic-context capture, manager quarantine and the retry policy, and
+//!   every other caller contains panics through it. A `catch_unwind`
+//!   anywhere else silently swallows a broken invariant. Files with a
+//!   legitimate supervisor role are listed in
+//!   `xtask/catch-unwind-allowlist.txt`.
 //!
 //! A finding on a line ending with `// lint: allow(<rule>)` is waived.
 //! Test code is exempt: `#[cfg(test)]` regions (tracked by brace
@@ -263,7 +265,7 @@ fn scan_file(
                 file: rel.to_string(),
                 line: lineno,
                 message: "catch_unwind outside the designated supervisors swallows broken \
-                          invariants — let the batch scheduler isolate panics, or add the file \
+                          invariants — contain panics through qsyn_portfolio::contain, or add the file \
                           to xtask/catch-unwind-allowlist.txt with a justification",
             });
         }
