@@ -10,7 +10,11 @@
 //!    no-op test and breaks canonicity).
 //! 3. **Unique table agreement** — the `(var, lo, hi) → node` table and
 //!    the node arena describe the same set of nodes, with no duplicate
-//!    triples (hash consing is what makes equality checks O(1)).
+//!    triples (hash consing is what makes equality checks O(1)). The table
+//!    is bucket chains threaded through the nodes, so every chain is also
+//!    walked: each chained node is live and sits in its key's bucket, no
+//!    chain cycles or shares a node with another, and the chained count
+//!    equals the live count.
 //! 4. **Free-list integrity** — slots on the free list are genuinely dead:
 //!    none is a terminal, none is listed twice, none still holds a live
 //!    node, and no live node points into a freed slot. A violation here
@@ -178,6 +182,8 @@ pub fn audit_manager(m: &Manager) -> Result<(), AuditError> {
         }
     }
 
+    check_chains(m, &entries, &mut violations);
+
     // Only spot-check the cache on a structurally sound arena — the
     // evaluator below assumes well-formed nodes.
     if violations.is_empty() {
@@ -188,6 +194,55 @@ pub fn audit_manager(m: &Manager) -> Result<(), AuditError> {
     }
 
     AuditError::from_violations(AuditFamily::Bdd, violations)
+}
+
+/// Walks every unique-table chain (invariant 3). Each step either visits a
+/// new in-range slot or stops the chain, so a cycle cannot hang the walk.
+fn check_chains(m: &Manager, entries: &[NodeEntry], out: &mut Vec<Violation>) {
+    let allocated = m.stats().allocated;
+    let live: HashMap<Bdd, &NodeEntry> = entries.iter().map(|e| (e.id, e)).collect();
+    let mut chained: HashSet<Bdd> = HashSet::new();
+    for bucket in 0..m.unique_bucket_count() {
+        let mut cur = m.unique_bucket_head(bucket);
+        while let Some(id) = cur {
+            if id.is_terminal() || id.index() >= allocated {
+                out.push(Violation::new(
+                    "bdd.chain-range",
+                    format!("bucket {bucket} chains slot {id:?}, not a node of the arena"),
+                ));
+                break;
+            }
+            if !chained.insert(id) {
+                out.push(Violation::new(
+                    "bdd.chain-cycle",
+                    format!("bucket {bucket} reaches {id:?} a second time"),
+                ));
+                break;
+            }
+            match live.get(&id) {
+                None => out.push(Violation::new(
+                    "bdd.chain-dead",
+                    format!("bucket {bucket} chains free slot {id:?}"),
+                )),
+                Some(e) => {
+                    let home = m.unique_bucket_of(e.var, e.lo, e.hi);
+                    if home != bucket {
+                        out.push(Violation::new(
+                            "bdd.chain-bucket",
+                            format!("node {id:?} is chained in bucket {bucket}, its key hashes to {home}"),
+                        ));
+                    }
+                }
+            }
+            cur = m.unique_chain_next(id);
+        }
+    }
+    if chained.len() != entries.len() {
+        out.push(Violation::new(
+            "bdd.chain-count",
+            format!("{} nodes chained but {} live", chained.len(), entries.len()),
+        ));
+    }
 }
 
 /// Independent evaluator over a snapshot of the node table.
@@ -440,6 +495,63 @@ mod tests {
         let err = audit_manager(&m).expect_err("aliased free slot must be rejected");
         assert!(err.violations.iter().any(|v| v.check == "bdd.free-live"));
         assert!(err.violations.iter().any(|v| v.check == "bdd.free-count"));
+    }
+
+    #[test]
+    fn unlinked_chain_node_is_caught() {
+        let mut m = busy_manager();
+        let a = m.var(0);
+        let b = m.var(1);
+        let ab = m.and(a, b);
+        m.corrupt_unique_chain_for_audit(ab);
+        let err = audit_manager(&m).expect_err("unlinked node must be rejected");
+        assert!(err.violations.iter().any(|v| v.check == "bdd.chain-count"));
+        assert!(err.violations.iter().any(|v| v.check == "bdd.unique-table"));
+    }
+
+    #[test]
+    fn cyclic_chain_is_caught_and_the_walk_ends() {
+        let mut m = busy_manager();
+        let a = m.var(0);
+        m.corrupt_chain_link_for_audit(a, a);
+        let err = audit_manager(&m).expect_err("cyclic chain must be rejected");
+        assert!(err.violations.iter().any(|v| v.check == "bdd.chain-cycle"));
+    }
+
+    #[test]
+    fn chained_free_slot_is_caught() {
+        let mut m = busy_manager();
+        let a = m.var(0);
+        let b = m.var(1);
+        let keep = m.xor(a, b);
+        assert!(m.collect_garbage(&[keep]) > 0);
+        let dead = m.free_slot_ids()[0];
+        m.corrupt_chain_link_for_audit(keep, dead);
+        let err = audit_manager(&m).expect_err("chained free slot must be rejected");
+        assert!(err.violations.iter().any(|v| v.check == "bdd.chain-dead"));
+    }
+
+    #[test]
+    fn node_in_the_wrong_bucket_is_caught() {
+        // Rewriting a node's key in place leaves it chained under its old
+        // key's bucket.
+        let mut m = Manager::new(12);
+        let mut f = m.zero();
+        for v in 0..12 {
+            let x = m.var(v);
+            f = m.xor(f, x);
+        }
+        let victim = m
+            .node_entries()
+            .find(|e| {
+                e.var >= 1
+                    && m.unique_bucket_of(e.var - 1, e.lo, e.hi)
+                        != m.unique_bucket_of(e.var, e.lo, e.hi)
+            })
+            .expect("some node moves bucket with its variable");
+        m.corrupt_node_for_audit(victim.id, victim.var - 1, victim.lo, victim.hi);
+        let err = audit_manager(&m).expect_err("misplaced node must be rejected");
+        assert!(err.violations.iter().any(|v| v.check == "bdd.chain-bucket"));
     }
 
     #[test]

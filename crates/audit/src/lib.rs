@@ -9,9 +9,10 @@
 //! implementation), this crate re-validates the workspace's core invariants
 //! from the outside:
 //!
-//! * [`bdd_audit`] — ROBDD manager consistency: unique-table agreement,
-//!   strict variable ordering, no redundant or duplicate nodes, free-list
-//!   integrity after garbage collection, and semantic re-validation of a
+//! * [`bdd_audit`] — ROBDD manager consistency: unique-table agreement
+//!   (including a walk of every bucket chain), strict variable ordering,
+//!   no redundant or duplicate nodes, free-list integrity after garbage
+//!   collection, and semantic re-validation of a
 //!   sample of memoized operation results (including the fused
 //!   quantified-AND kernels).
 //! * [`formula_audit`] — CNF and prenex-QBF well-formedness: literal
@@ -120,6 +121,23 @@ pub fn self_test() -> Result<SelfTestReport, String> {
         Err(e) if e.family == AuditFamily::Bdd => report.rejected += 1,
         Err(e) => return Err(format!("free-list corruption misattributed: {e}")),
         Ok(_) => return Err("aliased free-list slot accepted".to_string()),
+    }
+
+    // A node unlinked from its unique-table chain is invisible to hash
+    // consing (the next `mk` of its triple would build a twin): the chain
+    // walk must miss it.
+    let mut m4 = qsyn_bdd::Manager::new(4);
+    let a = m4.var(0);
+    let b = m4.var(1);
+    let ab = m4.and(a, b);
+    bdd_audit::audit_manager(&m4).map_err(|e| format!("clean BDD manager rejected: {e}"))?;
+    m4.corrupt_unique_chain_for_audit(ab);
+    match bdd_audit::audit_manager(&m4) {
+        Err(e) if e.violations.iter().any(|v| v.check == "bdd.chain-count") => {
+            report.rejected += 1;
+        }
+        Err(e) => return Err(format!("unique-chain corruption misattributed: {e}")),
+        Ok(_) => return Err("node missing from its unique-table chain accepted".to_string()),
     }
 
     // ---- Formula family -----------------------------------------------

@@ -6,12 +6,11 @@
 //! integrity) and a sample of the computed table *independently* of this
 //! crate's own code. The methods here expose just enough raw structure to
 //! make that possible without giving callers a way to violate the
-//! invariants themselves — with two deliberate exceptions,
-//! [`Manager::corrupt_node_for_audit`] and
-//! [`Manager::corrupt_free_list_for_audit`], which exist so the auditors'
-//! own rejection paths can be tested.
+//! invariants themselves — with four deliberate exceptions, the
+//! `corrupt_*_for_audit` hooks, which exist so the auditors' own
+//! rejection paths can be tested.
 
-use crate::manager::{Bdd, Manager, OpTag, FREE_LEVEL, TERMINAL_LEVEL};
+use crate::manager::{Bdd, Manager, OpTag, CHAIN_END, FREE_LEVEL, TERMINAL_LEVEL};
 
 /// One non-terminal **live** node of the manager's node table, as raw
 /// indices. Slots on the free list are not reported here; they appear in
@@ -150,12 +149,32 @@ impl Manager {
     /// For a consistent manager this returns `Some(id)` exactly when a live
     /// node `id` with those fields exists; the auditors cross-check this
     /// against the node table itself.
+    ///
+    /// The walk gives up after as many steps as the arena has slots, so a
+    /// corrupted (cyclic) chain reports `None` instead of looping.
     pub fn unique_entry(&self, var: u32, lo: Bdd, hi: Bdd) -> Option<Bdd> {
-        self.unique_lookup(var, lo, hi)
+        let bucket = self.unique_bucket_of(var, lo, hi);
+        self.find_in_bucket(bucket, var, lo, hi, self.nodes.len())
     }
 
-    pub(crate) fn unique_lookup(&self, var: u32, lo: Bdd, hi: Bdd) -> Option<Bdd> {
-        self.unique_get(&(var, lo, hi))
+    /// Number of unique-table buckets (a power of two).
+    pub fn unique_bucket_count(&self) -> usize {
+        self.buckets.len()
+    }
+
+    /// First node of bucket `bucket`'s chain, `None` for an empty bucket.
+    /// Panics if `bucket` is not below [`Manager::unique_bucket_count`].
+    pub fn unique_bucket_head(&self, bucket: usize) -> Option<Bdd> {
+        let id = self.buckets[bucket];
+        (id != CHAIN_END).then_some(Bdd(id))
+    }
+
+    /// The node after `id` on its unique-table chain, as stored (the link
+    /// is not range-checked); `None` at the end of the chain or for a slot
+    /// outside the arena.
+    pub fn unique_chain_next(&self, id: Bdd) -> Option<Bdd> {
+        let next = self.nodes.get(id.index())?.next;
+        (next != CHAIN_END).then_some(Bdd(next))
     }
 
     /// Up to `limit` computed-table entries, in unspecified order,
@@ -212,6 +231,34 @@ impl Manager {
         slot.var = var;
         slot.lo = lo;
         slot.hi = hi;
+    }
+
+    /// **Test-only corruption hook**: unlinks live node `id` from its
+    /// unique-table chain, leaving the node itself intact — a later `mk`
+    /// of the same triple would then build a duplicate. Panics if `id` is
+    /// not on the chain of its own bucket.
+    #[doc(hidden)]
+    pub fn corrupt_unique_chain_for_audit(&mut self, id: Bdd) {
+        let n = self.nodes[id.index()];
+        let bucket = self.unique_bucket_of(n.var, n.lo, n.hi);
+        if self.buckets[bucket] == id.0 {
+            self.buckets[bucket] = n.next;
+            return;
+        }
+        let mut cur = self.buckets[bucket];
+        while self.nodes[cur as usize].next != id.0 {
+            cur = self.nodes[cur as usize].next;
+            assert!(cur != CHAIN_END, "{id:?} is not chained in its bucket");
+        }
+        self.nodes[cur as usize].next = n.next;
+    }
+
+    /// **Test-only corruption hook**: overwrites the chain link out of
+    /// node `id` (`Bdd::ZERO` ends the chain); linking a node to itself
+    /// makes its chain cyclic.
+    #[doc(hidden)]
+    pub fn corrupt_chain_link_for_audit(&mut self, id: Bdd, next: Bdd) {
+        self.nodes[id.index()].next = next.0;
     }
 
     /// **Test-only corruption hook**: pushes the slot of a *live* node onto
@@ -297,12 +344,93 @@ mod tests {
     }
 
     #[test]
+    fn cache_samples_decode_to_operations_that_recompute_their_results() {
+        let mut m = Manager::new(6);
+        let v: Vec<Bdd> = (0..6).map(|i| m.var(i)).collect();
+        let f = m.or(v[0], v[3]);
+        let g = m.xor(v[1], v[3]);
+        let h = m.and(f, v[5]);
+        let _ = m.not(h);
+        let _ = m.exists(g, &[1, 3]);
+        let _ = m.forall(f, &[0]);
+        let _ = m.compose(f, 3, g);
+        let _ = m.restrict(g, 1, false);
+        let _ = m.and_forall(f, g, &[3, 4]);
+        let _ = m.and_exists(f, h, &[3]);
+        let samples = m.cache_samples(usize::MAX);
+        let mut kinds = std::collections::HashSet::new();
+        for s in &samples {
+            let recomputed = match s.op.clone() {
+                CachedOp::Ite { f, g, h } => m.ite(f, g, h),
+                CachedOp::Not { f } => m.not(f),
+                CachedOp::Exists { f, vars } => m.exists(f, &vars),
+                CachedOp::Forall { f, vars } => m.forall(f, &vars),
+                CachedOp::Compose { f, var, g } => m.compose(f, var, g),
+                CachedOp::Restrict { f, var, value } => m.restrict(f, var, value),
+                CachedOp::AndExists { f, g, vars } => m.and_exists(f, g, &vars),
+                CachedOp::AndForall { f, g, vars } => m.and_forall(f, g, &vars),
+            };
+            assert_eq!(recomputed, s.result, "{:?}", s.op);
+            kinds.insert(std::mem::discriminant(&s.op));
+        }
+        assert_eq!(kinds.len(), 8, "every operation kind is sampled");
+    }
+
+    #[test]
     fn corruption_hook_overwrites_in_place() {
         let mut m = Manager::new(2);
         let v = m.var(1);
         m.corrupt_node_for_audit(v, 1, Bdd::ONE, Bdd::ONE);
         let e = m.node_entries().find(|e| e.id == v).unwrap();
         assert_eq!((e.lo, e.hi), (Bdd::ONE, Bdd::ONE));
+    }
+
+    #[test]
+    fn chains_hold_exactly_the_live_nodes_in_their_buckets() {
+        let mut m = Manager::new(10);
+        let mut f = m.zero();
+        for v in 0..10 {
+            let x = m.var(v);
+            let g = m.and(f, x);
+            f = m.xor(g, x);
+        }
+        let _ = m.collect_garbage(&[f]);
+        let mut chained = Vec::new();
+        for b in 0..m.unique_bucket_count() {
+            let mut cur = m.unique_bucket_head(b);
+            while let Some(id) = cur {
+                let (lo, hi) = m.children(id);
+                assert_eq!(m.unique_bucket_of(m.raw_level(id), lo, hi), b);
+                chained.push(id);
+                cur = m.unique_chain_next(id);
+            }
+        }
+        chained.sort();
+        let live: Vec<Bdd> = m.node_entries().map(|e| e.id).collect();
+        assert_eq!(chained, live);
+        assert!(m.unique_bucket_count().is_power_of_two());
+        assert!(m.unique_bucket_count() >= m.node_count());
+    }
+
+    #[test]
+    fn chain_hooks_unlink_and_loop() {
+        let mut m = Manager::new(4);
+        let a = m.var(0);
+        let b = m.var(1);
+        let ab = m.and(a, b);
+        let (lo, hi) = m.children(ab);
+        m.corrupt_unique_chain_for_audit(ab);
+        assert_eq!(m.unique_entry(0, lo, hi), None, "unlinked");
+        m.corrupt_chain_link_for_audit(a, a);
+        assert_eq!(m.unique_chain_next(a), Some(a));
+        // A missing key in `a`'s bucket walks onto the cycle; the bounded
+        // walk still terminates.
+        let bucket = m.unique_bucket_of(0, Bdd::ZERO, Bdd::ONE);
+        let missing = (2..100_000)
+            .map(|i| (3, Bdd(i), Bdd::ONE))
+            .find(|&(v, lo, hi)| m.unique_bucket_of(v, lo, hi) == bucket)
+            .expect("some key shares a's bucket");
+        assert_eq!(m.unique_entry(missing.0, missing.1, missing.2), None);
     }
 
     #[test]

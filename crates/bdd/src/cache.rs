@@ -21,27 +21,48 @@
 //! the occupancy trigger — up to a configurable slot cap, so that tiny
 //! managers — tests allocate thousands of them — stay tiny while synthesis
 //! workloads grow to their configured bound.
+//!
+//! A slot is 16 bytes: three key words and the result (see [`pack`]). The
+//! operation's discriminant rides in the top three bits of the first
+//! operand, the quantifiers' and `compose`'s payload in the key word their
+//! operation leaves unused, and the fused quantified-AND packs its varset
+//! position and id into 16 bits each. Keys still compare exactly; a key
+//! that does not fit is not memoized. The slot index is a hash of the
+//! unpacked key, so hits and evictions do not depend on the packing.
 
 use crate::manager::{Bdd, OpTag};
 
 /// Initial slot count of a fresh table (power of two).
 const INITIAL_SLOTS: usize = 1 << 10;
 
-/// Default slot cap: ~1M slots × 24 B ≈ 24 MiB, far below the node arenas
+/// Default slot cap: ~1M slots × 16 B = 16 MiB, far below the node arenas
 /// it serves. [`ComputedTable::set_max_slots`] adjusts it.
 const DEFAULT_MAX_SLOTS: usize = 1 << 20;
 
 /// Hard ceiling on the slot cap, whatever the caller asks for.
 const HARD_MAX_SLOTS: usize = 1 << 24;
 
-/// Sentinel in [`Slot::tag`] marking an empty slot. Real encoded tags are
-/// `discriminant | payload << 3 < 2^35`, so `u64::MAX` cannot collide.
-const EMPTY: u64 = u64::MAX;
+/// Low bits of a slot's first key word holding the first operand; the top
+/// three hold the operation's discriminant.
+const OPERAND_BITS: u32 = 29;
+
+/// First operands must stay below this to be memoized: the all-ones first
+/// word (discriminant 7 with operand `2^29 - 1`) is [`EMPTY`]. The node
+/// arena stops at this many slots (`Manager::mk`), so every node id fits.
+pub(crate) const OPERAND_LIMIT: u32 = (1 << OPERAND_BITS) - 1;
+
+/// Bits per half of the packed `(pos, varset id)` word of the fused ops.
+const HALF_BITS: u32 = 16;
+
+/// First key word of an empty slot; see [`OPERAND_LIMIT`].
+const EMPTY: u32 = u32::MAX;
 
 /// Encodes an [`OpTag`] into the low 35 bits of a `u64`: 3 bits of variant
 /// discriminant plus an optional 32-bit payload (varset id / variable).
+/// Slot indices hash this word with the three operands, so they do not
+/// depend on how a slot packs its key.
 #[inline]
-pub(crate) fn encode_tag(tag: OpTag) -> u64 {
+fn encode_tag(tag: OpTag) -> u64 {
     match tag {
         OpTag::Ite => 0,
         OpTag::Not => 1,
@@ -54,37 +75,70 @@ pub(crate) fn encode_tag(tag: OpTag) -> u64 {
     }
 }
 
-/// Inverse of [`encode_tag`].
+/// A key as the three words a [`Slot`] stores:
+///
+/// * word 0: discriminant (as in [`encode_tag`]) `<< 29 | a`;
+/// * `Ite`, `Not`, `Restrict`: `b`, `c`;
+/// * `Exists(id)`, `Forall(id)`: `b` (the varset position), `id` in the
+///   word `c` would hold — their `c` is always `⊥`;
+/// * `Compose(var)`: `b` (the substituted function), `var` likewise;
+/// * `AndExists(id)`, `AndForall(id)`: `b`, then `pos << 16 | id` where
+///   `pos` is `c`, the varset position.
+///
+/// `None` when the key does not fit (`a ≥ 2^29 − 1`, a position or varset
+/// id `≥ 2^16`, or a nonzero `c` where the payload goes): such a key is
+/// simply not memoized, which a lossy table allows.
 #[inline]
-fn decode_tag(word: u64) -> OpTag {
-    let payload = u32::try_from(word >> 3).unwrap_or(u32::MAX);
-    match word & 0b111 {
-        0 => OpTag::Ite,
-        1 => OpTag::Not,
-        2 => OpTag::Exists(payload),
-        3 => OpTag::Forall(payload),
-        4 => OpTag::Compose(payload),
-        5 => OpTag::Restrict,
-        6 => OpTag::AndExists(payload),
-        _ => OpTag::AndForall(payload),
+fn pack(tag: OpTag, a: u32, b: u32, c: u32) -> Option<[u32; 3]> {
+    if a >= OPERAND_LIMIT {
+        return None;
+    }
+    let half = |pos: u32, id: u32| {
+        (pos >> HALF_BITS == 0 && id >> HALF_BITS == 0).then_some(pos << HALF_BITS | id)
+    };
+    let (disc, k1, k2) = match tag {
+        OpTag::Ite => (0, b, c),
+        OpTag::Not => (1, b, c),
+        OpTag::Exists(id) if c == 0 => (2, b, id),
+        OpTag::Forall(id) if c == 0 => (3, b, id),
+        OpTag::Compose(var) if c == 0 => (4, b, var),
+        OpTag::Restrict => (5, b, c),
+        OpTag::AndExists(id) => (6, b, half(c, id)?),
+        OpTag::AndForall(id) => (7, b, half(c, id)?),
+        OpTag::Exists(_) | OpTag::Forall(_) | OpTag::Compose(_) => return None,
+    };
+    Some([disc << OPERAND_BITS | a, k1, k2])
+}
+
+/// Inverse of [`pack`]: the `(tag, a, b, c)` key of an occupied slot.
+#[inline]
+fn unpack([k0, k1, k2]: [u32; 3]) -> (OpTag, u32, u32, u32) {
+    let a = k0 & ((1 << OPERAND_BITS) - 1);
+    let low = k2 & ((1 << HALF_BITS) - 1);
+    let high = k2 >> HALF_BITS;
+    match k0 >> OPERAND_BITS {
+        0 => (OpTag::Ite, a, k1, k2),
+        1 => (OpTag::Not, a, k1, k2),
+        2 => (OpTag::Exists(k2), a, k1, 0),
+        3 => (OpTag::Forall(k2), a, k1, 0),
+        4 => (OpTag::Compose(k2), a, k1, 0),
+        5 => (OpTag::Restrict, a, k1, k2),
+        6 => (OpTag::AndExists(low), a, k1, high),
+        _ => (OpTag::AndForall(low), a, k1, high),
     }
 }
 
-/// One direct-mapped slot: the encoded operation key and its result.
+/// One direct-mapped slot: the packed operation key and its result.
 #[derive(Clone, Copy)]
 struct Slot {
-    tag: u64,
-    a: u32,
-    b: u32,
-    c: u32,
+    key: [u32; 3],
     result: u32,
 }
 
+const _: () = assert!(std::mem::size_of::<Slot>() == 16);
+
 const EMPTY_SLOT: Slot = Slot {
-    tag: EMPTY,
-    a: 0,
-    b: 0,
-    c: 0,
+    key: [EMPTY, 0, 0],
     result: 0,
 };
 
@@ -128,17 +182,12 @@ impl Default for ComputedTable {
     }
 }
 
-/// Fibonacci-style mixer over the four key words (same family as
-/// `crate::hash::FibHasher`, inlined here so a probe is branch-free).
+/// Slot hash of a key's four words: [`crate::hash::mix`] plus a final
+/// avalanche, since slot indices keep the low bits.
 #[inline]
 fn mix(tag: u64, a: u32, b: u32, c: u32) -> u64 {
-    const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
-    let mut h = tag.wrapping_mul(SEED);
-    h = (h.rotate_left(5) ^ u64::from(a)).wrapping_mul(SEED);
-    h = (h.rotate_left(5) ^ u64::from(b)).wrapping_mul(SEED);
-    h = (h.rotate_left(5) ^ u64::from(c)).wrapping_mul(SEED);
-    h ^= h >> 32;
-    h.wrapping_mul(0xd6e8_feb8_6659_fd93)
+    let h = crate::hash::mix([tag, u64::from(a), u64::from(b), u64::from(c)]);
+    (h ^ h >> 32).wrapping_mul(0xd6e8_feb8_6659_fd93)
 }
 
 impl ComputedTable {
@@ -152,26 +201,29 @@ impl ComputedTable {
     }
 
     #[inline]
-    fn index(&self, tag: u64, a: u32, b: u32, c: u32) -> usize {
+    fn index(&self, tag: OpTag, a: u32, b: u32, c: u32) -> usize {
         // High bits are the best-mixed; fold them onto the mask.
-        (mix(tag, a, b, c) >> 32) as usize & self.mask
+        (mix(encode_tag(tag), a, b, c) >> 32) as usize & self.mask
     }
 
-    /// Looks up a memoized result.
+    /// Looks up a memoized result. A key [`pack`] cannot hold always
+    /// misses.
     #[inline]
     pub(crate) fn get(&mut self, key: (OpTag, Bdd, Bdd, Bdd)) -> Option<Bdd> {
-        let (tag, a, b, c) = (encode_tag(key.0), key.1 .0, key.2 .0, key.3 .0);
-        let slot = &self.slots[self.index(tag, a, b, c)];
-        if slot.tag == tag && slot.a == a && slot.b == b && slot.c == c {
-            self.hits += 1;
-            Some(Bdd(slot.result))
-        } else {
-            self.misses += 1;
-            None
+        let (tag, a, b, c) = (key.0, key.1 .0, key.2 .0, key.3 .0);
+        if let Some(words) = pack(tag, a, b, c) {
+            let slot = &self.slots[self.index(tag, a, b, c)];
+            if slot.key == words {
+                self.hits += 1;
+                return Some(Bdd(slot.result));
+            }
         }
+        self.misses += 1;
+        None
     }
 
-    /// Inserts a result, overwriting whatever occupied the slot.
+    /// Inserts a result, overwriting whatever occupied the slot; a key
+    /// [`pack`] cannot hold is dropped.
     ///
     /// Growth fires on either of two pressures: occupancy crossing 3/4
     /// (a table filling up cleanly) or the evictions since the last
@@ -181,26 +233,26 @@ impl ComputedTable {
     /// an occupancy-only heuristic stalls the table far under its cap
     /// and every probe past that point thrashes.
     pub(crate) fn insert(&mut self, key: (OpTag, Bdd, Bdd, Bdd), value: Bdd) {
+        let (tag, a, b, c) = (key.0, key.1 .0, key.2 .0, key.3 .0);
+        let Some(words) = pack(tag, a, b, c) else {
+            return;
+        };
         if self.slots.len() < self.max_slots
             && (self.occupied * 4 >= self.slots.len() * 3
                 || self.evictions_since_grow as usize * 2 >= self.slots.len())
         {
             self.grow();
         }
-        let (tag, a, b, c) = (encode_tag(key.0), key.1 .0, key.2 .0, key.3 .0);
         let idx = self.index(tag, a, b, c);
         let slot = &mut self.slots[idx];
-        if slot.tag == EMPTY {
+        if slot.key[0] == EMPTY {
             self.occupied += 1;
-        } else if !(slot.tag == tag && slot.a == a && slot.b == b && slot.c == c) {
+        } else if slot.key != words {
             self.evictions += 1;
             self.evictions_since_grow += 1;
         }
         *slot = Slot {
-            tag,
-            a,
-            b,
-            c,
+            key: words,
             result: value.0,
         };
     }
@@ -222,7 +274,11 @@ impl ComputedTable {
         self.evictions_since_grow = 0;
         for i in 0..old_len {
             let slot = self.slots[i];
-            if slot.tag != EMPTY && self.index(slot.tag, slot.a, slot.b, slot.c) != i {
+            if slot.key[0] == EMPTY {
+                continue;
+            }
+            let (tag, a, b, c) = unpack(slot.key);
+            if self.index(tag, a, b, c) != i {
                 self.slots[i + old_len] = slot;
                 self.slots[i] = EMPTY_SLOT;
             }
@@ -256,11 +312,9 @@ impl ComputedTable {
     /// Iterates over the occupied slots as decoded `(key, result)` pairs
     /// (for the audit layer's spot checks).
     pub(crate) fn iter(&self) -> impl Iterator<Item = ((OpTag, Bdd, Bdd, Bdd), Bdd)> + '_ {
-        self.slots.iter().filter(|s| s.tag != EMPTY).map(|s| {
-            (
-                (decode_tag(s.tag), Bdd(s.a), Bdd(s.b), Bdd(s.c)),
-                Bdd(s.result),
-            )
+        self.slots.iter().filter(|s| s.key[0] != EMPTY).map(|s| {
+            let (tag, a, b, c) = unpack(s.key);
+            ((tag, Bdd(a), Bdd(b), Bdd(c)), Bdd(s.result))
         })
     }
 }
@@ -274,20 +328,58 @@ mod tests {
     }
 
     #[test]
-    fn tag_roundtrip() {
-        for tag in [
-            OpTag::Ite,
-            OpTag::Not,
-            OpTag::Exists(7),
-            OpTag::Forall(u32::MAX - 1),
-            OpTag::Compose(3),
-            OpTag::Restrict,
-            OpTag::AndExists(0),
-            OpTag::AndForall(19),
-        ] {
-            assert_eq!(decode_tag(encode_tag(tag)), tag);
-            assert_ne!(encode_tag(tag), EMPTY);
+    fn every_tag_round_trips_at_its_boundary_payloads() {
+        let top = OPERAND_LIMIT - 1;
+        let half = (1 << HALF_BITS) - 1;
+        let keys = [
+            (OpTag::Ite, top, u32::MAX, u32::MAX),
+            (OpTag::Ite, 0, 0, 0),
+            (OpTag::Not, top, 0, 0),
+            (OpTag::Not, 2, u32::MAX, 7),
+            (OpTag::Exists(u32::MAX), top, u32::MAX, 0),
+            (OpTag::Exists(0), 0, 0, 0),
+            (OpTag::Forall(u32::MAX), top, u32::MAX, 0),
+            (OpTag::Forall(19), 5, 3, 0),
+            (OpTag::Compose(u32::MAX), top, u32::MAX, 0),
+            (OpTag::Compose(0), 9, 1, 0),
+            (OpTag::Restrict, top, u32::MAX, u32::MAX),
+            (OpTag::AndExists(half), top, u32::MAX, half),
+            (OpTag::AndExists(0), 0, 0, 0),
+            (OpTag::AndForall(half), top, u32::MAX, half),
+            (OpTag::AndForall(0), 3, 4, half),
+        ];
+        for (tag, a, b, c) in keys {
+            let words = pack(tag, a, b, c).unwrap_or_else(|| panic!("{tag:?} fits"));
+            assert_ne!(words[0], EMPTY, "{tag:?} must not read as empty");
+            assert_eq!(unpack(words), (tag, a, b, c));
         }
+    }
+
+    #[test]
+    fn keys_that_do_not_fit_are_not_packed() {
+        let limit = 1 << HALF_BITS;
+        for (tag, a, b, c) in [
+            (OpTag::Ite, OPERAND_LIMIT, 0, 0),
+            (OpTag::Not, u32::MAX, 0, 0),
+            (OpTag::Exists(1), 2, 0, 1),
+            (OpTag::Forall(1), 2, 0, 1),
+            (OpTag::Compose(1), 2, 3, 1),
+            (OpTag::AndExists(limit), 2, 3, 0),
+            (OpTag::AndForall(0), 2, 3, limit),
+            (OpTag::AndForall(limit), 2, 3, limit),
+        ] {
+            assert_eq!(pack(tag, a, b, c), None, "{tag:?} ({a}, {b}, {c})");
+        }
+    }
+
+    #[test]
+    fn an_unpackable_key_is_a_miss_and_is_never_stored() {
+        let mut t = ComputedTable::default();
+        let key = (OpTag::AndForall(1 << HALF_BITS), Bdd(2), Bdd(3), Bdd(0));
+        t.insert(key, Bdd(1));
+        assert_eq!(t.get(key), None);
+        let c = t.counters();
+        assert_eq!((c.entries, c.hits, c.misses, c.evictions), (0, 0, 1, 0));
     }
 
     #[test]
@@ -307,10 +399,10 @@ mod tests {
         let mut t = ComputedTable::default();
         t.set_max_slots(INITIAL_SLOTS);
         t.insert(key(1, 1, 1), Bdd(10));
-        let target = t.index(encode_tag(OpTag::Ite), 1, 1, 1);
+        let target = t.index(OpTag::Ite, 1, 1, 1);
         let mut other = None;
         for a in 2..100_000u32 {
-            if t.index(encode_tag(OpTag::Ite), a, 0, 0) == target {
+            if t.index(OpTag::Ite, a, 0, 0) == target {
                 other = Some(a);
                 break;
             }
@@ -342,9 +434,10 @@ mod tests {
         t.set_max_slots(INITIAL_SLOTS * 8);
         // A pseudo-random insert stream on a direct-mapped table plateaus
         // around ~63% occupancy; only the eviction-pressure trigger can
-        // carry it to the cap.
+        // carry it to the cap. (First operands are shifted below 2^29 so
+        // every key packs.)
         for i in 0..(INITIAL_SLOTS as u32 * 64) {
-            t.insert(key(i.wrapping_mul(2654435761), i, i ^ 7), Bdd(i));
+            t.insert(key(i.wrapping_mul(2654435761) >> 3, i, i ^ 7), Bdd(i));
         }
         assert_eq!(t.counters().capacity, INITIAL_SLOTS * 8);
     }
@@ -357,16 +450,20 @@ mod tests {
         t.set_max_slots(INITIAL_SLOTS);
         let n = INITIAL_SLOTS as u32;
         for i in 0..n {
-            t.insert(key(i.wrapping_mul(2654435761), i, i ^ 7), Bdd(i));
+            t.insert(key(i.wrapping_mul(2654435761) >> 3, i, i ^ 7), Bdd(i));
         }
         t.set_max_slots(INITIAL_SLOTS * 8);
         let before = t.counters();
         assert!(before.evictions > 0 && before.entries > n as usize / 2);
         let mut fresh = vec![EMPTY_SLOT; t.slots.len() * 2];
         for s in &t.slots {
-            if s.tag != EMPTY {
-                let idx = (mix(s.tag, s.a, s.b, s.c) >> 32) as usize & (fresh.len() - 1);
-                assert_eq!(fresh[idx].tag, EMPTY, "a regrown table has no collisions");
+            if s.key[0] != EMPTY {
+                let (tag, a, b, c) = unpack(s.key);
+                let idx = (mix(encode_tag(tag), a, b, c) >> 32) as usize & (fresh.len() - 1);
+                assert_eq!(
+                    fresh[idx].key[0], EMPTY,
+                    "a regrown table has no collisions"
+                );
                 fresh[idx] = *s;
             }
         }
@@ -377,15 +474,14 @@ mod tests {
             (after.entries, after.hits, after.misses, after.evictions),
             (before.entries, before.hits, before.misses, before.evictions)
         );
-        let slots = |v: &[Slot]| -> Vec<(u64, u32, u32, u32, u32)> {
-            v.iter().map(|s| (s.tag, s.a, s.b, s.c, s.result)).collect()
-        };
+        let slots =
+            |v: &[Slot]| -> Vec<([u32; 3], u32)> { v.iter().map(|s| (s.key, s.result)).collect() };
         assert_eq!(slots(&t.slots), slots(&fresh));
         for j in 0..n {
-            let k = key(j.wrapping_mul(2654435761), j, j ^ 7);
+            let k = key(j.wrapping_mul(2654435761) >> 3, j, j ^ 7);
             let present = fresh
                 .iter()
-                .any(|s| (s.a, s.b, s.c) == (k.1 .0, k.2 .0, k.3 .0));
+                .any(|s| s.key == pack(k.0, k.1 .0, k.2 .0, k.3 .0).unwrap());
             assert_eq!(t.get(k).is_some(), present, "entry {j}");
         }
     }

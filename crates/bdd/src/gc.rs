@@ -20,9 +20,11 @@
 //!
 //! 1. **Mark**: iterative depth-first traversal from the roots over an
 //!    explicit work stack (no recursion — spec BDDs can be deep).
-//! 2. **Sweep**: every unmarked non-terminal slot is overwritten with the
-//!    `FREE_LEVEL` sentinel and pushed onto the free list; dead entries are
-//!    dropped from the unique table.
+//! 2. **Sweep**: one pass over the arena overwrites every unmarked
+//!    non-terminal slot with the `FREE_LEVEL` sentinel and pushes it onto
+//!    the free list, and re-chains every marked one into the emptied
+//!    unique-table buckets (the chains run through the nodes, so dead
+//!    nodes leave them by not being re-linked).
 //! 3. **Cache flush**: the computed table is cleared wholesale. This is not
 //!    optional: results are keyed by node indices, and a reused slot index
 //!    would otherwise alias a stale entry for the *previous* occupant of
@@ -31,7 +33,7 @@
 //! The mark bitmap is kept on the manager and reused across collections to
 //! avoid re-allocating it each time.
 
-use crate::manager::{Bdd, Manager, FREE_LEVEL, TERMINAL_LEVEL};
+use crate::manager::{Bdd, Manager, Node, CHAIN_END, FREE_LEVEL, TERMINAL_LEVEL};
 
 impl Manager {
     /// Reclaims every node not reachable from `roots`; returns the number
@@ -61,6 +63,8 @@ impl Manager {
         marks.resize(self.nodes.len(), false);
         marks[0] = true;
         marks[1] = true;
+        // Marked slots are exactly the survivors, terminals included.
+        let mut survivors = 2usize;
         let mut stack: Vec<Bdd> = Vec::with_capacity(64);
         for &r in roots {
             debug_assert!((r.index()) < self.nodes.len(), "root out of arena range");
@@ -70,6 +74,7 @@ impl Manager {
             );
             if !marks[r.index()] {
                 marks[r.index()] = true;
+                survivors += 1;
                 stack.push(r);
             }
         }
@@ -79,48 +84,52 @@ impl Manager {
             for child in [n.lo, n.hi] {
                 if !marks[child.index()] {
                     marks[child.index()] = true;
+                    survivors += 1;
                     stack.push(child);
                 }
             }
         }
 
         // -- Sweep -------------------------------------------------------
-        let mut freed = 0usize;
-        for (i, node) in self.nodes.iter_mut().enumerate().skip(2) {
-            if marks[i] || node.var == FREE_LEVEL {
-                continue;
-            }
-            debug_assert!(node.var != TERMINAL_LEVEL, "terminal past index 1");
-            node.var = FREE_LEVEL;
-            node.lo = Bdd::ZERO;
-            node.hi = Bdd::ZERO;
-            freed += 1;
-        }
-        self.gc_marks = marks;
+        // The survivor count tells whether anything dies before the arena
+        // is walked.
+        let freed = self.node_count() - survivors;
         if freed > 0 {
-            self.rebuild_free_list();
-            self.unique_retain_marked();
+            self.sweep(&marks);
             // Cache flush is mandatory when slots were freed: computed-table
             // entries are keyed by node indices, and a reused slot would
             // alias a stale entry for the slot's previous occupant. When
             // nothing was freed no reuse is possible and the cache stands.
             self.clear_caches();
         }
+        self.gc_marks = marks;
         self.note_collection(freed as u64);
         freed
     }
 
-    /// Rebuilds the free list to contain exactly the `FREE_LEVEL` slots
-    /// (both freshly swept ones and slots freed in earlier collections that
-    /// have not been reused yet).
-    fn rebuild_free_list(&mut self) {
-        let mut free = Vec::new();
-        for (i, node) in self.nodes.iter().enumerate().skip(2) {
-            if node.var == FREE_LEVEL {
-                free.push(u32::try_from(i).expect("node index fits u32"));
+    /// One pass over the arena: every unmarked slot gets the `FREE_LEVEL`
+    /// sentinel and goes on the free list (in ascending slot order, so the
+    /// next constructions pop the highest slots first), and every marked
+    /// one is pushed onto its unique-table chain, which are rebuilt from
+    /// empty buckets.
+    fn sweep(&mut self, marks: &[bool]) {
+        self.buckets.fill(CHAIN_END);
+        self.free.clear();
+        for (i, &live) in marks.iter().enumerate().skip(2) {
+            let id = u32::try_from(i).expect("node index fits u32");
+            if live {
+                debug_assert!(self.nodes[i].var != TERMINAL_LEVEL, "terminal past index 1");
+                self.chain(id);
+            } else {
+                self.nodes[i] = Node {
+                    var: FREE_LEVEL,
+                    lo: Bdd::ZERO,
+                    hi: Bdd::ZERO,
+                    next: CHAIN_END,
+                };
+                self.free.push(id);
             }
         }
-        self.replace_free_list(free);
     }
 }
 

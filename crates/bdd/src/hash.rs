@@ -1,8 +1,9 @@
-//! A small, fast, non-cryptographic hasher for the unique and operation
-//! caches.
+//! A small, fast, non-cryptographic hasher for the crate's hash maps
+//! (interned varsets, model-count memos). The unique and computed tables
+//! hash their key words with the same mixer ([`mix`]).
 //!
 //! The standard library's default SipHash is a poor fit for the millions of
-//! tiny `(u32, u32, u32)` keys a BDD package hashes; this is the classic
+//! tiny integer keys a BDD package hashes; this is the classic
 //! Fibonacci-multiplication scheme (the same family `rustc`'s FxHash uses),
 //! re-implemented here to keep the crate dependency-free.
 
@@ -15,6 +16,20 @@ pub struct FibHasher {
 }
 
 const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
+
+/// One mixing step: folds `word` into `state`.
+#[inline(always)]
+fn step(state: u64, word: u64) -> u64 {
+    (state.rotate_left(5) ^ word).wrapping_mul(SEED)
+}
+
+/// [`FibHasher`]'s mixer folded over `words` from a zero state, without
+/// its final avalanche: the unique table keeps the high bits of this over
+/// a node's `(var, lo, hi)`, the computed table avalanches it over a key.
+#[inline(always)]
+pub(crate) fn mix<const N: usize>(words: [u64; N]) -> u64 {
+    words.into_iter().fold(0, step)
+}
 
 impl Hasher for FibHasher {
     #[inline]
@@ -41,7 +56,7 @@ impl Hasher for FibHasher {
 
     #[inline]
     fn write_u64(&mut self, i: u64) {
-        self.state = (self.state.rotate_left(5) ^ i).wrapping_mul(SEED);
+        self.state = step(self.state, i);
     }
 
     #[inline]

@@ -1,6 +1,15 @@
 //! The BDD manager: hash-consed node storage with a fixed variable order.
+//!
+//! # Unique table
+//!
+//! Hash consing uses CUDD's layout: a power-of-two array of bucket heads
+//! whose chains run through the nodes themselves (`Node::next`), so a
+//! node's `(var, lo, hi)` key is stored once, in the arena, and the table
+//! costs one `u32` per bucket. The bucket count doubles whenever live
+//! nodes outnumber it (load factor at most 1); garbage collection rebuilds
+//! the chains in the sweep that builds the free list.
 
-use crate::cache::ComputedTable;
+use crate::cache::{ComputedTable, OPERAND_LIMIT};
 use crate::hash::FibHashMap;
 
 /// Handle to a BDD node inside a [`Manager`].
@@ -76,7 +85,19 @@ pub(crate) struct Node {
     pub var: u32,
     pub lo: Bdd,
     pub hi: Bdd,
+    /// Next node in the same unique-table bucket. [`CHAIN_END`] ends the
+    /// chain (index 0 is the ⊥ terminal, which is never chained).
+    pub next: u32,
 }
+
+const _: () = assert!(std::mem::size_of::<Node>() == 16);
+
+/// `Node::next` / bucket-head value marking the end of a chain.
+pub(crate) const CHAIN_END: u32 = 0;
+
+/// Bucket count of a fresh unique table (power of two): small, because
+/// tests and the session pool create many tiny managers.
+const INITIAL_BUCKETS: usize = 1 << 8;
 
 /// Operation tags for the shared computed table.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -164,7 +185,12 @@ impl std::fmt::Display for ManagerStats {
 /// list. All remaining storage is released when the manager is dropped.
 pub struct Manager {
     pub(crate) nodes: Vec<Node>,
-    unique: FibHashMap<(u32, Bdd, Bdd), Bdd>,
+    /// Unique-table bucket heads (power-of-two length), chained through
+    /// `Node::next`; see the module docs.
+    pub(crate) buckets: Vec<u32>,
+    /// `64 - log2(buckets.len())`: shifts a key's [`crate::hash::mix`] down
+    /// to its bucket.
+    bucket_shift: u32,
     /// Direct-mapped lossy memoization table for all recursive operations.
     pub(crate) computed: ComputedTable,
     /// Slots of `nodes` available for reuse (their `var` is `FREE_LEVEL`).
@@ -220,16 +246,19 @@ impl Manager {
                 var: TERMINAL_LEVEL,
                 lo: Bdd::ZERO,
                 hi: Bdd::ZERO,
+                next: CHAIN_END,
             },
             Node {
                 var: TERMINAL_LEVEL,
                 lo: Bdd::ONE,
                 hi: Bdd::ONE,
+                next: CHAIN_END,
             },
         ];
         Manager {
             nodes,
-            unique: FibHashMap::default(),
+            buckets: vec![CHAIN_END; INITIAL_BUCKETS],
+            bucket_shift: 64 - INITIAL_BUCKETS.trailing_zeros(),
             computed: ComputedTable::default(),
             free: Vec::new(),
             varsets: Vec::new(),
@@ -251,10 +280,11 @@ impl Manager {
     /// Recycles the manager for a new problem over `num_vars` variables:
     /// the arena is truncated back to the two terminals and the unique
     /// table, free list, variable sets and computed table are emptied —
-    /// but every container **keeps its allocated capacity**, so a manager
-    /// that grew large tables on one job starts the next job warm instead
-    /// of re-growing them from scratch. The node cap, overflow flag and
-    /// interrupt probe are cleared back to their `new` defaults.
+    /// but every container **keeps its allocated capacity** (the unique
+    /// table its bucket count), so a manager that grew large tables on one
+    /// job starts the next job warm instead of re-growing them from
+    /// scratch. The node cap, overflow flag and interrupt probe are cleared
+    /// back to their `new` defaults.
     ///
     /// Cumulative lifetime counters (peak live nodes, GC runs/freed,
     /// cache hits/misses/evictions) survive the reset, and
@@ -269,7 +299,7 @@ impl Manager {
     pub fn reset(&mut self, num_vars: u32) {
         assert!(num_vars < u32::MAX / 2, "variable count out of range");
         self.nodes.truncate(2);
-        self.unique.clear();
+        self.buckets.fill(CHAIN_END);
         self.computed.clear();
         self.free.clear();
         self.varsets.clear();
@@ -366,6 +396,10 @@ impl Manager {
     /// headroom: callers that free dead roots via
     /// [`Manager::collect_garbage`] before the cap is hit can keep running
     /// where an allocation-counting cap would have overflowed on garbage.
+    ///
+    /// Whatever the cap, the arena holds at most `2^29 − 1` slots (ids that
+    /// fit a computed-table key): a construction that would need a slot
+    /// past them overflows the manager the same way.
     pub fn set_node_cap(&mut self, cap: usize) {
         self.node_cap = cap;
     }
@@ -475,24 +509,99 @@ impl Manager {
             var < self.level(lo) && var < self.level(hi),
             "order violation"
         );
-        if let Some(&id) = self.unique.get(&(var, lo, hi)) {
+        let bucket = self.unique_bucket_of(var, lo, hi);
+        if let Some(id) = self.find_in_bucket(bucket, var, lo, hi, usize::MAX) {
             return id;
         }
-        if self.node_count() >= self.node_cap {
+        // Ids at or past `OPERAND_LIMIT` would not fit a computed-table key
+        // (see `cache.rs`), so the arena stops there as at the node cap.
+        if self.node_count() >= self.node_cap
+            || (self.free.is_empty() && self.nodes.len() >= OPERAND_LIMIT as usize)
+        {
             self.overflowed = true;
             return Bdd::ZERO;
         }
+        let node = Node {
+            var,
+            lo,
+            hi,
+            next: self.buckets[bucket],
+        };
         let id = if let Some(slot) = self.free.pop() {
-            self.nodes[slot as usize] = Node { var, lo, hi };
-            Bdd(slot)
+            self.nodes[slot as usize] = node;
+            slot
         } else {
-            let id = Bdd(u32::try_from(self.nodes.len()).expect("node table overflow"));
-            self.nodes.push(Node { var, lo, hi });
+            let id = self.nodes.len() as u32;
+            self.nodes.push(node);
             id
         };
-        self.unique.insert((var, lo, hi), id);
-        self.peak_live = self.peak_live.max(self.node_count());
-        id
+        self.buckets[bucket] = id;
+        let live = self.node_count();
+        self.peak_live = self.peak_live.max(live);
+        if live > self.buckets.len() {
+            self.grow_buckets();
+        }
+        Bdd(id)
+    }
+
+    /// The unique-table bucket a node with key `(var, lo, hi)` is chained
+    /// in (below [`Manager::unique_bucket_count`]).
+    #[inline]
+    pub fn unique_bucket_of(&self, var: u32, lo: Bdd, hi: Bdd) -> usize {
+        let h = crate::hash::mix([u64::from(var), u64::from(lo.0), u64::from(hi.0)]);
+        (h >> self.bucket_shift) as usize
+    }
+
+    /// The node with key `(var, lo, hi)` on bucket `bucket`'s chain,
+    /// following at most `max_steps` links (so a corrupted, cyclic chain
+    /// still ends); `None` when the key is not found or a link leaves the
+    /// arena.
+    #[inline]
+    pub(crate) fn find_in_bucket(
+        &self,
+        bucket: usize,
+        var: u32,
+        lo: Bdd,
+        hi: Bdd,
+        max_steps: usize,
+    ) -> Option<Bdd> {
+        let mut cur = self.buckets[bucket];
+        for _ in 0..max_steps {
+            if cur == CHAIN_END {
+                return None;
+            }
+            let n = self.nodes.get(cur as usize)?;
+            if n.var == var && n.lo == lo && n.hi == hi {
+                return Some(Bdd(cur));
+            }
+            cur = n.next;
+        }
+        None
+    }
+
+    /// Doubles the bucket count and re-chains every live node. The old
+    /// array is released before the new one is allocated, so growth never
+    /// holds both.
+    #[cold]
+    fn grow_buckets(&mut self) {
+        let len = self.buckets.len() * 2;
+        self.buckets = Vec::new();
+        self.buckets = vec![CHAIN_END; len];
+        self.bucket_shift = 64 - len.trailing_zeros();
+        for i in 2..self.nodes.len() {
+            if self.nodes[i].var != FREE_LEVEL {
+                self.chain(i as u32);
+            }
+        }
+    }
+
+    /// Pushes live node `id` onto the front of its bucket's chain.
+    #[inline]
+    pub(crate) fn chain(&mut self, id: u32) {
+        let n = self.nodes[id as usize];
+        let bucket = self.unique_bucket_of(n.var, n.lo, n.hi);
+        self.nodes[id as usize].next = self.buckets[bucket];
+        self.buckets[bucket] = id;
     }
 
     /// Level (variable index) of the root of `f`; terminals report
@@ -551,18 +660,6 @@ impl Manager {
         &self.varsets[id as usize]
     }
 
-    /// Unique-table lookup for the audit layer (see `audit.rs`).
-    pub(crate) fn unique_get(&self, key: &(u32, Bdd, Bdd)) -> Option<Bdd> {
-        self.unique.get(key).copied()
-    }
-
-    /// Removes dead entries from the unique table after a sweep (`gc.rs`).
-    pub(crate) fn unique_retain_marked(&mut self) {
-        let marks = &self.gc_marks;
-        self.unique
-            .retain(|_, id| marks.get(id.0 as usize).copied().unwrap_or(false));
-    }
-
     /// Number of **live** nodes (allocated minus freed, including both
     /// terminals). This is what [`Manager::set_node_cap`] bounds.
     #[inline]
@@ -587,15 +684,6 @@ impl Manager {
     pub(crate) fn note_collection(&mut self, freed: u64) {
         self.gc_runs += 1;
         self.gc_freed += freed;
-    }
-
-    /// Replaces the free list wholesale after a sweep (`gc.rs` only). Every
-    /// slot on the list must carry the `FREE_LEVEL` sentinel.
-    pub(crate) fn replace_free_list(&mut self, free: Vec<u32>) {
-        debug_assert!(free
-            .iter()
-            .all(|&s| self.nodes[s as usize].var == FREE_LEVEL));
-        self.free = free;
     }
 
     /// Drops all memoization tables, keeping the node store intact.

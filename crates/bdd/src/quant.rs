@@ -658,4 +658,29 @@ mod tests {
         // Without the conflicting operand the rows agree: ∀x (x0 ∨ y1) = y1.
         assert_eq!(m.forall_and_all(&[l2], &[0, 1]), y1);
     }
+    #[test]
+    fn fused_ops_beyond_2_16_varsets_are_answered_unmemoized() {
+        let mut m = Manager::new(20);
+        // Fill the varset ids the computed table can pack (16 bits).
+        for i in 1..=(1u32 << 16) {
+            let set: Vec<u32> = (0..17).filter(|b| i >> b & 1 == 1).collect();
+            m.intern_varset(&set);
+        }
+        let v: Vec<Bdd> = (0..6).map(|i| m.var(i)).collect();
+        let f = m.or(v[0], v[2]);
+        let g = m.xor(v[1], v[2]);
+        let fg = m.and(f, g);
+        let vars = [2, 18, 19];
+        let forall = m.forall(fg, &vars);
+        let exists = m.exists(fg, &vars);
+        let before = m.stats();
+        assert_eq!(m.and_forall(f, g, &vars), forall);
+        assert_eq!(m.and_exists(f, g, &vars), exists);
+        assert!(m.intern_varset(&vars) >= 1 << 16);
+        assert!(m.stats().cache_misses > before.cache_misses);
+        assert!(!m.cache_samples(usize::MAX).iter().any(|s| matches!(
+            s.op,
+            crate::CachedOp::AndForall { .. } | crate::CachedOp::AndExists { .. }
+        )));
+    }
 }

@@ -18,6 +18,11 @@ pub enum Resource {
     /// [`VarOrder::YThenX`](crate::VarOrder), whose select block is sized
     /// up front from `max_depth`).
     SelectVarBlock,
+    /// No budget: a deadline forced on a run that had no wall-clock
+    /// budget ([`CancelToken::expire`](crate::CancelToken::expire), used
+    /// by injected faults and a supervisor's cancel fault). Reported with
+    /// `spent` and `limit` both 0, which the message leaves out.
+    ForcedDeadline,
 }
 
 impl std::fmt::Display for Resource {
@@ -27,6 +32,7 @@ impl std::fmt::Display for Resource {
             Resource::BddNodes => write!(f, "live BDD node"),
             Resource::SatConflicts => write!(f, "SAT conflict"),
             Resource::SelectVarBlock => write!(f, "pre-allocated select-level"),
+            Resource::ForcedDeadline => write!(f, "forced deadline"),
         }
     }
 }
@@ -97,6 +103,14 @@ impl std::fmt::Display for SynthesisError {
             SynthesisError::DepthLimitReached { max_depth } => {
                 write!(f, "no realization with at most {max_depth} gates")
             }
+            SynthesisError::BudgetExceeded {
+                depth,
+                resource: Resource::ForcedDeadline,
+                ..
+            } => write!(
+                f,
+                "deadline forced while solving depth {depth} (no wall-clock budget was armed)"
+            ),
             SynthesisError::BudgetExceeded {
                 depth,
                 resource,

@@ -38,7 +38,7 @@ use crate::options::SynthesisOptions;
 use crate::permuted::PermutedSearchStats;
 use qsyn_bdd::{Manager, ManagerStats};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Unified budget enforcement for one synthesis run; see the module docs.
 ///
@@ -72,8 +72,8 @@ impl ResourceGovernor {
     /// token, so each arms its own (scaled) budget.
     pub fn arm(&self) {
         if let Some(budget) = self.time_budget {
-            if !self.cancel.has_deadline() {
-                self.cancel.set_deadline(Instant::now() + budget);
+            if !self.cancel.has_budget() {
+                self.cancel.set_budget(budget);
             }
         }
     }
@@ -142,7 +142,7 @@ impl ResourceGovernor {
         let token = self.cancel.clone();
         Box::new(move || {
             if qsyn_faults::hit(qsyn_faults::Site::BddGcSweep).is_some() {
-                token.set_deadline(Instant::now());
+                token.expire();
             }
             token.is_cancelled() || token.deadline_expired()
         })
@@ -160,7 +160,7 @@ impl ResourceGovernor {
         let token = self.cancel.clone();
         Box::new(move || {
             if qsyn_faults::hit(qsyn_faults::Site::SatPropagate).is_some() {
-                token.set_deadline(Instant::now());
+                token.expire();
             }
             token.is_cancelled() || token.deadline_expired()
         })
@@ -179,7 +179,7 @@ impl ResourceGovernor {
     /// See [`check`](Self::check).
     pub fn retention_probe(&self, depth: u32) -> Result<(), SynthesisError> {
         if qsyn_faults::hit(qsyn_faults::Site::SatRetain).is_some() {
-            self.cancel.set_deadline(Instant::now());
+            self.cancel.expire();
         }
         self.check(depth)
     }
@@ -635,15 +635,32 @@ mod tests {
         let options = opts().with_time_budget(Duration::from_secs(3600));
         let g = ResourceGovernor::from_options(&options);
         g.arm();
-        assert!(options.cancel.has_deadline());
+        assert!(options.cancel.has_budget());
         assert!(g.check(0).is_ok());
         // A second arming (the permuted winner re-run) must not move the
         // deadline: expire it manually and re-arm.
-        options
-            .cancel
-            .set_deadline(Instant::now() - Duration::from_millis(1));
+        options.cancel.expire();
         g.arm();
         assert!(g.check(0).is_err(), "re-arming must not extend the budget");
+    }
+
+    #[test]
+    fn a_deadline_forced_before_arming_reports_the_budget() {
+        // The supervisor's `scheduler.worker` cancel fault expires the
+        // attempt's token before the run arms its governor.
+        let options = opts().with_time_budget(Duration::from_secs(60));
+        options.cancel.expire();
+        let g = ResourceGovernor::from_options(&options);
+        g.arm();
+        match g.check(4) {
+            Err(SynthesisError::BudgetExceeded {
+                depth: 4,
+                resource: Resource::WallClock,
+                limit: 60_000,
+                ..
+            }) => {}
+            other => panic!("expected the armed 60 s budget, got {other:?}"),
+        }
     }
 
     #[test]

@@ -38,8 +38,8 @@ pub mod scheduler;
 pub use cache::{canonicalize, CanonicalSpec, SpecCache};
 pub use journal::{job_key, open_journal, read_journal, JournalRecord};
 pub use race::{
-    race, race_engines, race_engines_permuted, RaceError, RaceResult, Racer, RacerOutcome,
-    RacerReport, RACE_ENGINES,
+    race, race_engines, race_engines_permuted, RaceError, RaceResult, Racer, RacerFailure,
+    RacerOutcome, RacerReport, RACE_ENGINES,
 };
 pub use scheduler::{
     classify, contain, run_batch, supervise, Attempt, BatchConfig, BatchOutcome, FailureKind,

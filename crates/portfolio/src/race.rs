@@ -85,14 +85,37 @@ pub struct RaceResult<T> {
     pub reports: Vec<RacerReport>,
 }
 
+/// Why one racer of a lost race did not win.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum RacerFailure {
+    /// Returned an error (cancellation included).
+    Error(SynthesisError),
+    /// Panicked; the contained report.
+    Panicked(PanicReport),
+}
+
+impl std::fmt::Display for RacerFailure {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            RacerFailure::Error(e) => write!(f, "{e}"),
+            RacerFailure::Panicked(p) => {
+                write!(f, "panicked: {}", p.message)?;
+                match &p.location {
+                    Some(at) => write!(f, " at {at}"),
+                    None => Ok(()),
+                }
+            }
+        }
+    }
+}
+
 /// A race nobody won.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum RaceError {
     /// Called with an empty racer list.
     NoRacers,
-    /// Every racer failed; the per-racer errors (a panic is reported as
-    /// `None`), in input order.
-    AllFailed(Vec<(String, Option<SynthesisError>)>),
+    /// Every racer failed; why each one did, in input order.
+    AllFailed(Vec<(String, RacerFailure)>),
 }
 
 impl std::fmt::Display for RaceError {
@@ -101,11 +124,8 @@ impl std::fmt::Display for RaceError {
             RaceError::NoRacers => write!(f, "race started with no racers"),
             RaceError::AllFailed(fails) => {
                 write!(f, "every racer failed:")?;
-                for (label, err) in fails {
-                    match err {
-                        Some(e) => write!(f, " [{label}: {e}]")?,
-                        None => write!(f, " [{label}: panicked]")?,
-                    }
+                for (label, failure) in fails {
+                    write!(f, " [{label}: {failure}]")?;
                 }
                 Ok(())
             }
@@ -130,7 +150,10 @@ impl RaceError {
         match self {
             RaceError::NoRacers => fallback,
             RaceError::AllFailed(fails) => {
-                let mut errors = fails.into_iter().filter_map(|(_, e)| e);
+                let mut errors = fails.into_iter().filter_map(|(_, failure)| match failure {
+                    RacerFailure::Error(e) => Some(e),
+                    RacerFailure::Panicked(_) => None,
+                });
                 match errors.next() {
                     None => fallback,
                     Some(first) => {
@@ -187,6 +210,9 @@ pub fn race<T: Send + 'static>(racers: Vec<Racer<T>>) -> Result<RaceResult<T>, R
 
     let mut winner: Option<(usize, T)> = None;
     let mut outcomes: Vec<Option<(RacerOutcome, Duration)>> = labels.iter().map(|_| None).collect();
+    // Why each racer lost, kept whole (a cancelled racer's depth
+    // included) in case nobody wins.
+    let mut failures: Vec<Option<RacerFailure>> = labels.iter().map(|_| None).collect();
     for (idx, verdict, elapsed) in rx {
         let outcome = match verdict {
             Ok(Ok(result)) => {
@@ -203,9 +229,18 @@ pub fn race<T: Send + 'static>(racers: Vec<Racer<T>>) -> Result<RaceResult<T>, R
                     RacerOutcome::FinishedLate
                 }
             }
-            Ok(Err(SynthesisError::Cancelled { .. })) => RacerOutcome::Cancelled,
-            Ok(Err(e)) => RacerOutcome::Failed(e),
-            Err(panic) => RacerOutcome::Panicked(panic),
+            Ok(Err(e)) => {
+                let outcome = match &e {
+                    SynthesisError::Cancelled { .. } => RacerOutcome::Cancelled,
+                    e => RacerOutcome::Failed(e.clone()),
+                };
+                failures[idx] = Some(RacerFailure::Error(e));
+                outcome
+            }
+            Err(panic) => {
+                failures[idx] = Some(RacerFailure::Panicked(panic.clone()));
+                RacerOutcome::Panicked(panic)
+            }
         };
         outcomes[idx] = Some((outcome, elapsed));
     }
@@ -234,13 +269,8 @@ pub fn race<T: Send + 'static>(racers: Vec<Racer<T>>) -> Result<RaceResult<T>, R
         None => Err(RaceError::AllFailed(
             reports
                 .into_iter()
-                .map(|r| {
-                    let err = match r.outcome {
-                        RacerOutcome::Failed(e) => Some(e),
-                        _ => None,
-                    };
-                    (r.label, err)
-                })
+                .zip(failures)
+                .filter_map(|(r, failure)| Some((r.label, failure?)))
                 .collect(),
         )),
     }
@@ -378,13 +408,59 @@ mod tests {
                     fails[0],
                     (
                         "a".to_string(),
-                        Some(SynthesisError::DepthLimitReached { max_depth: 1 })
+                        RacerFailure::Error(SynthesisError::DepthLimitReached { max_depth: 1 })
                     )
                 );
-                assert_eq!(fails[1], ("b".to_string(), None));
+                match &fails[1] {
+                    (label, RacerFailure::Panicked(p)) => {
+                        assert_eq!((label.as_str(), p.message.as_str()), ("b", "dead"));
+                    }
+                    other => panic!("expected b's panic, got {other:?}"),
+                }
             }
             other => panic!("unexpected: {other:?}"),
         }
+    }
+
+    #[test]
+    fn a_race_where_every_racer_panics_reports_each_panic() {
+        let racers: Vec<Racer<u32>> = vec![
+            Racer::new("bdd", |_| panic!("arena poisoned")),
+            Racer::new("sat", |_| panic!("solver poisoned")),
+        ];
+        let err = race(racers).unwrap_err();
+        let text = err.to_string();
+        assert!(text.starts_with("every racer failed:"), "{text}");
+        for (label, message) in [("bdd", "arena poisoned"), ("sat", "solver poisoned")] {
+            let at = text
+                .split(&format!("[{label}: panicked: {message} at "))
+                .nth(1)
+                .unwrap_or_else(|| panic!("{label}'s report missing from {text}"));
+            assert!(at.contains("race.rs:"), "{label} location in {text}");
+        }
+        assert!(matches!(
+            err.into_synthesis_error(),
+            SynthesisError::Internal { .. }
+        ));
+    }
+
+    #[test]
+    fn a_cancelled_race_reports_the_cancellation() {
+        let token = CancelToken::new();
+        token.cancel();
+        let racers: Vec<Racer<u32>> = vec![Racer::new("bdd", move |_| {
+            token.check(4)?;
+            Ok(1)
+        })];
+        let err = race(racers).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "every racer failed: [bdd: synthesis cancelled before finishing depth 4]"
+        );
+        assert_eq!(
+            err.into_synthesis_error(),
+            SynthesisError::Cancelled { depth: 4 }
+        );
     }
 
     #[test]

@@ -545,7 +545,7 @@ pub fn supervise<R>(
                     qsyn_faults::FaultKind::Panic => {
                         panic!("fault-plane: injected panic at scheduler.worker")
                     }
-                    _ => token.set_deadline(Instant::now()),
+                    _ => token.expire(),
                 }
             }
             run(&token, session, &attempt)
@@ -776,8 +776,8 @@ mod tests {
             &mut SynthesisSession::new(),
             |token, _, attempt| {
                 assert_eq!(std::thread::current().id(), caller);
-                assert!(!token.has_deadline(), "no deadline leaks forward");
-                token.set_deadline(Instant::now());
+                assert!(!token.deadline_expired(), "no deadline leaks forward");
+                token.expire();
                 seen.push((attempt.number, attempt.engine));
                 if attempt.number < 3 {
                     Err(budget_error())

@@ -1,6 +1,7 @@
 //! `qsyn bench` runs its one job under the same supervisor as a batch:
 //! an injected panic is contained, retried under `--retries`, and
-//! reported with its site otherwise.
+//! reported with its site otherwise; an injected deadline reports the
+//! run's real wall-clock budget, or none when the run had none.
 //!
 //! Drives the `qsyn` binary, so each run arms the process-global fault
 //! plane in a process of its own.
@@ -52,4 +53,31 @@ fn bench_recovers_from_an_injected_panic_and_reports_it_without_retries() {
     );
     assert!(text.contains("session.rs:"), "the panic's site: {text}");
     assert_eq!(depth_line(&text), None, "{text}");
+}
+
+/// A schedule whose first fault expires `rd32-v0`'s deadline at depth 3
+/// (the `bdd.gc-sweep` site).
+const DEADLINE_SEED: &str = "1";
+
+#[test]
+fn an_injected_deadline_reports_the_real_budget_or_none() {
+    let (unbudgeted, text) = bench(&["rd32-v0", "--fault-seed", DEADLINE_SEED]);
+    assert!(!unbudgeted.status.success(), "{text}");
+    assert!(
+        text.contains(
+            "error: deadline forced while solving depth 3 (no wall-clock budget was armed)"
+        ),
+        "{text}"
+    );
+    assert!(!text.contains("spent of 0"), "{text}");
+
+    let (budgeted, text) = bench(&["rd32-v0", "--fault-seed", DEADLINE_SEED, "--timeout", "60"]);
+    assert!(!budgeted.status.success(), "{text}");
+    let spent: u64 = text
+        .split("error: wall-clock (ms) budget exhausted while solving depth 3 (")
+        .nth(1)
+        .and_then(|rest| rest.split_once(" spent of 60000)"))
+        .and_then(|(spent, _)| spent.parse().ok())
+        .unwrap_or_else(|| panic!("the armed 60 s budget: {text}"));
+    assert!(spent < 60_000, "{text}");
 }
