@@ -29,13 +29,14 @@
 //! exhaustively over all `2^n` assignments when the manager is small,
 //! otherwise over a deterministic pseudo-random sample.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use qsyn_bdd::{Bdd, CacheSample, CachedOp, Manager, NodeEntry};
 
 use crate::report::{AuditError, AuditFamily, Violation};
 
-/// How many operation-cache entries [`audit_manager`] re-validates.
+/// How many operation-cache entries [`audit_manager`] re-validates, taken
+/// at an even stride across the whole table.
 pub const CACHE_SAMPLE_LIMIT: usize = 32;
 
 /// Managers with at most this many variables are checked over *all*
@@ -65,8 +66,14 @@ pub fn audit_manager(m: &Manager) -> Result<(), AuditError> {
     let in_range = |f: Bdd| f.index() < allocated;
 
     let free = m.free_slot_ids();
-    let live_ids: HashSet<Bdd> = entries.iter().map(|e| e.id).collect();
-    let mut seen_free: HashSet<Bdd> = HashSet::new();
+    // Slot-indexed sets: every free slot is range-checked before lookup.
+    let mut live_ids = vec![false; allocated];
+    for e in &entries {
+        if let Some(live) = live_ids.get_mut(e.id.index()) {
+            *live = true;
+        }
+    }
+    let mut seen_free = vec![false; allocated];
     for &slot in &free {
         if slot.is_terminal() {
             violations.push(Violation::new(
@@ -82,14 +89,14 @@ pub fn audit_manager(m: &Manager) -> Result<(), AuditError> {
             ));
             continue;
         }
-        if !seen_free.insert(slot) {
+        if std::mem::replace(&mut seen_free[slot.index()], true) {
             violations.push(Violation::new(
                 "bdd.free-duplicate",
                 format!("slot {slot:?} appears twice on the free list"),
             ));
             continue;
         }
-        if live_ids.contains(&slot) || !m.slot_is_free(slot) {
+        if live_ids[slot.index()] || !m.slot_is_free(slot) {
             violations.push(Violation::new(
                 "bdd.free-live",
                 format!("slot {slot:?} is on the free list but still holds a live node"),
@@ -188,8 +195,9 @@ pub fn audit_manager(m: &Manager) -> Result<(), AuditError> {
     // evaluator below assumes well-formed nodes.
     if violations.is_empty() {
         let eval = Evaluator::new(&entries);
+        let envs = envs(m.num_vars());
         for sample in m.cache_samples(CACHE_SAMPLE_LIMIT) {
-            check_sample(m, &eval, &sample, &mut violations);
+            check_sample(&eval, &envs, &sample, &mut violations);
         }
     }
 
@@ -200,8 +208,14 @@ pub fn audit_manager(m: &Manager) -> Result<(), AuditError> {
 /// new in-range slot or stops the chain, so a cycle cannot hang the walk.
 fn check_chains(m: &Manager, entries: &[NodeEntry], out: &mut Vec<Violation>) {
     let allocated = m.stats().allocated;
-    let live: HashMap<Bdd, &NodeEntry> = entries.iter().map(|e| (e.id, e)).collect();
-    let mut chained: HashSet<Bdd> = HashSet::new();
+    let mut live: Vec<Option<&NodeEntry>> = vec![None; allocated];
+    for e in entries {
+        if let Some(slot) = live.get_mut(e.id.index()) {
+            *slot = Some(e);
+        }
+    }
+    let mut chained = vec![false; allocated];
+    let mut chained_count = 0;
     for bucket in 0..m.unique_bucket_count() {
         let mut cur = m.unique_bucket_head(bucket);
         while let Some(id) = cur {
@@ -212,14 +226,15 @@ fn check_chains(m: &Manager, entries: &[NodeEntry], out: &mut Vec<Violation>) {
                 ));
                 break;
             }
-            if !chained.insert(id) {
+            if std::mem::replace(&mut chained[id.index()], true) {
                 out.push(Violation::new(
                     "bdd.chain-cycle",
                     format!("bucket {bucket} reaches {id:?} a second time"),
                 ));
                 break;
             }
-            match live.get(&id) {
+            chained_count += 1;
+            match live[id.index()] {
                 None => out.push(Violation::new(
                     "bdd.chain-dead",
                     format!("bucket {bucket} chains free slot {id:?}"),
@@ -237,27 +252,28 @@ fn check_chains(m: &Manager, entries: &[NodeEntry], out: &mut Vec<Violation>) {
             cur = m.unique_chain_next(id);
         }
     }
-    if chained.len() != entries.len() {
+    if chained_count != entries.len() {
         out.push(Violation::new(
             "bdd.chain-count",
-            format!("{} nodes chained but {} live", chained.len(), entries.len()),
+            format!("{chained_count} nodes chained but {} live", entries.len()),
         ));
     }
 }
 
-/// Independent evaluator over a snapshot of the node table.
+/// Independent evaluator over a snapshot of the node table, indexed by
+/// node id.
 struct Evaluator {
-    nodes: HashMap<Bdd, (u32, Bdd, Bdd)>,
+    nodes: Vec<Option<(u32, Bdd, Bdd)>>,
 }
 
 impl Evaluator {
     fn new(entries: &[NodeEntry]) -> Evaluator {
-        Evaluator {
-            nodes: entries
-                .iter()
-                .map(|e| (e.id, (e.var, e.lo, e.hi)))
-                .collect(),
+        let len = entries.iter().map(|e| e.id.index() + 1).max().unwrap_or(0);
+        let mut nodes = vec![None; len];
+        for e in entries {
+            nodes[e.id.index()] = Some((e.var, e.lo, e.hi));
         }
+        Evaluator { nodes }
     }
 
     /// Evaluates `f` under `env` by walking the table; `None` if the walk
@@ -270,13 +286,18 @@ impl Evaluator {
             if f == Bdd::ONE {
                 return Some(true);
             }
-            let &(var, lo, hi) = self.nodes.get(&f)?;
+            let (var, lo, hi) = (*self.nodes.get(f.index())?)?;
             f = if *env.get(var as usize)? { hi } else { lo };
         }
     }
 }
 
-fn check_sample(m: &Manager, eval: &Evaluator, sample: &CacheSample, out: &mut Vec<Violation>) {
+fn check_sample(
+    eval: &Evaluator,
+    envs: &[Vec<bool>],
+    sample: &CacheSample,
+    out: &mut Vec<Violation>,
+) {
     if let CachedOp::Exists { vars, .. }
     | CachedOp::Forall { vars, .. }
     | CachedOp::AndExists { vars, .. }
@@ -286,23 +307,19 @@ fn check_sample(m: &Manager, eval: &Evaluator, sample: &CacheSample, out: &mut V
             return; // see QUANT_BLOCK_LIMIT: sampling the block is unsound
         }
     }
-    for env in envs(m.num_vars()) {
+    for env in envs {
         let expected = match &sample.op {
             CachedOp::Ite { f, g, h } => {
-                let (f, g, h) = (
-                    eval.eval(*f, &env),
-                    eval.eval(*g, &env),
-                    eval.eval(*h, &env),
-                );
+                let (f, g, h) = (eval.eval(*f, env), eval.eval(*g, env), eval.eval(*h, env));
                 match (f, g, h) {
                     (Some(f), Some(g), Some(h)) => Some(if f { g } else { h }),
                     _ => None,
                 }
             }
-            CachedOp::Not { f } => eval.eval(*f, &env).map(|v| !v),
-            CachedOp::Exists { f, vars } => quantify(eval, *f, vars, &env, false),
-            CachedOp::Forall { f, vars } => quantify(eval, *f, vars, &env, true),
-            CachedOp::Compose { f, var, g } => eval.eval(*g, &env).and_then(|gv| {
+            CachedOp::Not { f } => eval.eval(*f, env).map(|v| !v),
+            CachedOp::Exists { f, vars } => quantify(eval, *f, vars, env, false),
+            CachedOp::Forall { f, vars } => quantify(eval, *f, vars, env, true),
+            CachedOp::Compose { f, var, g } => eval.eval(*g, env).and_then(|gv| {
                 let mut env2 = env.clone();
                 env2[*var as usize] = gv;
                 eval.eval(*f, &env2)
@@ -312,10 +329,10 @@ fn check_sample(m: &Manager, eval: &Evaluator, sample: &CacheSample, out: &mut V
                 env2[*var as usize] = *value;
                 eval.eval(*f, &env2)
             }
-            CachedOp::AndExists { f, g, vars } => and_quantify(eval, *f, *g, vars, &env, false),
-            CachedOp::AndForall { f, g, vars } => and_quantify(eval, *f, *g, vars, &env, true),
+            CachedOp::AndExists { f, g, vars } => and_quantify(eval, *f, *g, vars, env, false),
+            CachedOp::AndForall { f, g, vars } => and_quantify(eval, *f, *g, vars, env, true),
         };
-        let actual = eval.eval(sample.result, &env);
+        let actual = eval.eval(sample.result, env);
         let (Some(expected), Some(actual)) = (expected, actual) else {
             out.push(Violation::new(
                 "bdd.cache-dangling",
@@ -582,6 +599,44 @@ mod tests {
         let _ = m.and_forall(f, g, &[2, 4]);
         let _ = m.and_exists(f, g, &[2]);
         audit_manager(&m).expect("fused cache entries must revalidate");
+    }
+
+    #[test]
+    fn fused_entries_deep_in_many_varsets_are_revalidated() {
+        // Eight quantified blocks of five variables each, memoized by the
+        // fused kernels at every position of their descent, with nothing
+        // else in the table: the stride sample lands on entries of many
+        // varsets at positions past 0, so a key decoded with its varset id
+        // and position swapped recomputes to another function.
+        let mut m = Manager::new(14);
+        let vars: Vec<Bdd> = (0..14).map(|v| m.var(v)).collect();
+        let mut ops = Vec::new();
+        for k in 0..8usize {
+            let mut f = vars[k];
+            let mut g = vars[k + 6];
+            for i in 1..6 {
+                let fi = m.and(vars[k + i], vars[(k + i + 3) % 14]);
+                f = m.xor(f, fi);
+                g = m.or(g, vars[(k + 2 * i) % 14]);
+            }
+            let block: Vec<u32> = (k as u32..k as u32 + 5).collect();
+            ops.push((f, g, block));
+        }
+        m.clear_caches();
+        for (f, g, block) in &ops {
+            let _ = m.and_forall(*f, *g, block);
+            let _ = m.and_exists(*f, *g, block);
+        }
+        let samples = m.cache_samples(CACHE_SAMPLE_LIMIT);
+        let deep = samples.iter().filter(|s| match &s.op {
+            CachedOp::AndForall { vars, .. } | CachedOp::AndExists { vars, .. } => vars.len() < 5,
+            _ => false,
+        });
+        assert!(
+            deep.count() >= 4,
+            "too few fused entries past position 0 sampled"
+        );
+        audit_manager(&m).expect("fused entries at deep positions must revalidate");
     }
 
     #[test]

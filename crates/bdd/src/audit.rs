@@ -177,11 +177,19 @@ impl Manager {
         (next != CHAIN_END).then_some(Bdd(next))
     }
 
-    /// Up to `limit` computed-table entries, in unspecified order,
-    /// re-expressed as [`CacheSample`]s an external checker can recompute.
+    /// Up to `limit` computed-table entries, taken at an even stride over
+    /// the occupied slots so the sample spans the whole table, re-expressed
+    /// as [`CacheSample`]s an external checker can recompute.
     pub fn cache_samples(&self, limit: usize) -> Vec<CacheSample> {
+        let stride = self
+            .computed
+            .counters()
+            .entries
+            .div_ceil(limit.max(1))
+            .max(1);
         self.computed
             .iter()
+            .step_by(stride)
             .take(limit)
             .map(|((tag, a, b, c), result)| {
                 let op = match tag {

@@ -29,14 +29,38 @@
 //! `F_a ⊕ F_b`); Peres and mixed-polarity gates enter one slot at a time.
 //! The result is the same function, so the same canonical BDD, as the
 //! slot table, which stays as a `#[cfg(test)]` reference.
+//!
+//! # A cascade outlives its job
+//!
+//! A [`SynthesisSession`] keeps the cascade of its last BDD job, and the
+//! next job over the same lines and library starts from it: it registers
+//! its targets, builds only the levels past the deepest one kept, checks
+//! depth `d` against the kept `F_d`, and drops its targets at the end.
+//! For that the cascade keeps every level `F_0 ..= F_d` rooted, not just
+//! the newest. Under `XThenY` level `i` gets the same select variables in
+//! every job, so the models — and the circuit order — do not change.
+//!
+//! Kept levels cost arena space, so they are capped: each level's live-node
+//! growth is counted as it is committed, and once the total passes
+//! [`RETAINED_SHARE`]`⁻¹` of the node budget the lower levels are let go
+//! and the cascade is not handed back. The cap keeps whole small cascades
+//! (3- and 4-line MCT to depth 6 count 2.3k and 8.8k nodes) and lets the
+//! 5- and 6-line Table 1 rows' levels go within their first few. Kept levels count toward the node budget; when
+//! the budget trips while they are held, the engine drops them and
+//! rebuilds from `F_0` before it reports a stop. Ablation B (rebuild per
+//! depth) and the `YThenX` order never keep a cascade. The opportunistic
+//! GC trigger (`last_gc_live`) carries over from job to job: resetting it
+//! at every job start would keep any collection from ever firing.
 
 use crate::encode::{decode_circuit, select_bits};
-use crate::error::SynthesisError;
+use crate::error::{Resource, SynthesisError};
 use crate::options::{SynthesisOptions, VarOrder};
-use crate::session::{ManagerPool, PooledManager, ResourceGovernor, SynthesisSession};
+use crate::session::{
+    passes_check_in_audit, ManagerPool, PooledManager, ResourceGovernor, SynthesisSession,
+};
 use crate::solutions::SolutionSet;
 use qsyn_bdd::Bdd;
-use qsyn_revlogic::{Circuit, Gate, LineSet, Spec};
+use qsyn_revlogic::{Circuit, Gate, GateLibrary, LineSet, Spec};
 
 /// BDD-based depth oracle; see the module docs.
 pub struct BddEngine {
@@ -54,18 +78,30 @@ pub struct BddEngine {
 
 /// The spec-independent BDD state of a (possibly partial) cascade
 /// construction. Its arena also holds every registered [`Target`]'s sets.
-struct Cascade {
+/// A session keeps one across jobs (see the module docs).
+#[derive(Debug)]
+pub(crate) struct Cascade {
     m: PooledManager,
+    /// The library the levels were built from; a later job reuses the
+    /// cascade only under the same library and line count.
+    library: GateLibrary,
     /// Variable index of each input line.
     x_vars: Vec<u32>,
     /// Select variables so far, level-major, LSB first.
     y_vars: Vec<u32>,
-    /// Cascade outputs `F_d` per line, over `X ∪ Y`.
-    state: Vec<Bdd>,
-    depth: u32,
+    /// Cascade outputs `F_0 ..= F_depth`, per line over `X ∪ Y`. While
+    /// `retain` holds every level is rooted; otherwise only the newest,
+    /// and the lower ones are empty.
+    levels: Vec<Vec<Bdd>>,
     /// Live-node count right after the last garbage collection (or after
     /// construction); the opportunistic trigger compares against it.
     last_gc_live: usize,
+    /// Live-node growth counted over the committed levels.
+    level_nodes: usize,
+    /// The `level_nodes` past which the levels stop being kept.
+    retained_cap: usize,
+    /// Every level stays rooted, so the cascade can outlive its job.
+    retain: bool,
 }
 
 /// One registered specification: the only part of the engine that
@@ -174,12 +210,19 @@ const GC_MIN_NODES: usize = 8_192;
 /// fraction of time spent re-deriving flushed cache entries).
 const GC_GROWTH_FACTOR: usize = 2;
 
+/// A cascade keeps its levels while their node growth stays within this
+/// fraction of the node budget (≈ 9.8k nodes of the default 20M): whole
+/// 3- and 4-line MCT cascades to depth 6, while the 5- and 6-line Table 1
+/// rows pass it early and peak and collect as a cascade that keeps
+/// nothing.
+const RETAINED_SHARE: usize = 2048;
+
 impl std::fmt::Debug for BddEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("BddEngine")
             .field("lines", &self.cascade.x_vars.len())
             .field("gates", &self.gates.len())
-            .field("depth", &self.cascade.depth)
+            .field("depth", &self.cascade.depth())
             .field("targets", &self.targets.len())
             .finish_non_exhaustive()
     }
@@ -193,10 +236,12 @@ impl BddEngine {
         BddEngine::new_in(spec, options, &mut SynthesisSession::new())
     }
 
-    /// Prepares an engine inside `session`: its manager is checked out of
-    /// the session's [`ManagerPool`] (recycled with warm table capacity
-    /// when a retired one is available) and all budgets are enforced
-    /// through a [`ResourceGovernor`] built from `options`.
+    /// Prepares an engine inside `session`: it starts from the cascade the
+    /// session kept when that one fits (same lines and library), else from
+    /// a manager checked out of the session's [`ManagerPool`] (recycled
+    /// with warm table capacity when a retired one is available). All
+    /// budgets are enforced through a [`ResourceGovernor`] built from
+    /// `options`.
     ///
     /// `spec` becomes target 0, the one [`solve_depth`](Self::solve_depth)
     /// answers for; the output-permutation search registers more targets
@@ -211,7 +256,15 @@ impl BddEngine {
         let sbits = select_bits(gates.len());
         let governor = ResourceGovernor::from_options(options);
         governor.arm();
-        let cascade = Cascade::fresh(spec.lines(), options, sbits, &session.pool(), &governor);
+        let kept = session.take_cascade(spec.lines(), options);
+        let resumed = kept.is_some();
+        let cascade = match kept {
+            Some(mut cascade) => {
+                cascade.arm(options, &governor);
+                cascade
+            }
+            None => Cascade::fresh(spec.lines(), options, sbits, &session.pool(), &governor),
+        };
         let mut engine = BddEngine {
             options: options.clone(),
             gates,
@@ -223,8 +276,30 @@ impl BddEngine {
             levels_built: 0,
         };
         engine.add_target(spec);
-        engine.cascade.last_gc_live = engine.cascade.m.node_count();
+        if !resumed {
+            engine.cascade.last_gc_live = engine.cascade.m.node_count();
+        }
         engine
+    }
+
+    /// Ends the engine's job: its cascade goes back to `session` for the
+    /// next job when it kept all its levels and its manager is sound (not
+    /// overflowed, not interrupted, passes the check-in audit — a failed
+    /// audit quarantines it); otherwise the manager returns to the pool.
+    /// The targets are dropped; their sets become garbage for the next
+    /// collection.
+    pub(crate) fn retire(self, session: &mut SynthesisSession) {
+        let mut cascade = self.cascade;
+        if !cascade.retain || cascade.m.is_overflowed() || cascade.m.is_interrupted() {
+            return;
+        }
+        // The probe captures this job's token; never carry it across jobs.
+        cascade.m.set_interrupt_poll(None);
+        if passes_check_in_audit(&cascade.m) {
+            session.keep_cascade(cascade);
+        } else {
+            cascade.m.quarantine();
+        }
     }
 
     /// Registers another specification over the same lines and returns
@@ -292,10 +367,24 @@ impl BddEngine {
         target: usize,
         d: u32,
     ) -> Result<Option<SolutionSet>, SynthesisError> {
-        self.extend_to(d)?;
-        let solutions_bdd = self
-            .cascade
-            .check(&self.governor, &self.targets, target, d)?;
+        let solutions_bdd = match self.check_at(target, d) {
+            Err(SynthesisError::BudgetExceeded {
+                resource: Resource::BddNodes,
+                spent,
+                limit,
+                ..
+            }) if self.cascade.retain && spent > limit => {
+                // The kept levels count toward the budget and may be what
+                // ran it out: let them go and rebuild from F_0, keeping
+                // only F_d, before reporting a stop. (An overflow latched
+                // below the budget — the fault plane's simulated OOM — is
+                // not theirs, and is reported as it is.)
+                self.cascade.retain = false;
+                self.restart();
+                self.check_at(target, d)?
+            }
+            outcome => outcome?,
+        };
         if solutions_bdd.is_zero() {
             return Ok(None);
         }
@@ -318,6 +407,13 @@ impl BddEngine {
         Ok(Some(self.materialize(target, solutions_bdd, d)))
     }
 
+    /// The quantified check of `target` at depth `d`, on a cascade brought
+    /// to `F_d`.
+    fn check_at(&mut self, target: usize, d: u32) -> Result<Bdd, SynthesisError> {
+        self.extend_to(d)?;
+        self.cascade.check(&self.governor, &self.targets, target, d)
+    }
+
     /// Brings the cascade to `F_d` — rebuilding it from `F_0` first when
     /// the engine is not incremental — and ends at a GC safe point, ready
     /// for [`Cascade::check`] at `d`.
@@ -328,17 +424,19 @@ impl BddEngine {
             // unusable.
             return Err(self.governor.nodes_exceeded(d, self.cascade.m.node_count()));
         }
-        if !self.options.incremental && self.cascade.depth != d {
+        if !self.options.incremental && self.cascade.depth() != d {
             // Ablation B: every depth builds its cascade from F_0 — once
             // per depth, shared by every target checked at it.
             self.restart();
         }
+        // A kept cascade holds every level it reached, so it may already
+        // be past `d`; any other cascade holds only its newest.
         assert!(
-            self.cascade.depth <= d,
+            self.cascade.depth() <= d || self.cascade.retain,
             "depths must be queried in increasing order (at {}, asked {d})",
-            self.cascade.depth
+            self.cascade.depth()
         );
-        while self.cascade.depth < d {
+        while self.cascade.depth() < d {
             self.governor.check(d)?;
             self.cascade
                 .extend_one_level(&self.gates, &self.runs, self.sbits, &self.options)?;
@@ -380,10 +478,13 @@ impl BddEngine {
             debug_assert!(spec.is_realized_by(&circuit));
             return SolutionSet::new(vec![circuit], 1, true);
         }
-        let total = b.m.count_models(solutions, &b.y_vars);
+        // A kept cascade may reach past `d`; the solutions are over the
+        // select variables of levels 1..=d only.
+        let y_vars = &b.y_vars[..(d * self.sbits) as usize];
+        let total = b.m.count_models(solutions, y_vars);
         let cap = self.options.max_solutions;
         let mut circuits = Vec::new();
-        for model in b.m.models(solutions, &b.y_vars).take(cap) {
+        for model in b.m.models(solutions, y_vars).take(cap) {
             let c = decode_circuit(spec.lines(), &self.gates, self.sbits, &model);
             debug_assert!(spec.is_realized_by(&c), "decoded circuit violates the spec");
             // When d is the minimal depth (the iterative-deepening driver's
@@ -412,6 +513,13 @@ impl Cascade {
         }
     }
 
+    /// Whether a cascade built under `options` may outlive its job:
+    /// ablation B rebuilds every depth from `F_0`, and under `YThenX` the
+    /// select block is sized by the job's depth cap.
+    fn retains(options: &SynthesisOptions) -> bool {
+        options.incremental && options.var_order == VarOrder::XThenY
+    }
+
     /// Fresh depth-0 state: `F_0 = (x_1, …, x_n)`, over a manager checked
     /// out of `pool` (recycled when one is available) and wired to the
     /// governor's interrupt probe.
@@ -425,14 +533,33 @@ impl Cascade {
         let (num_vars, x_base) = Cascade::layout(lines, options, sbits);
         let mut cascade = Cascade {
             m: pool.checkout(num_vars),
+            library: options.library,
             x_vars: (x_base..x_base + lines).collect(),
             y_vars: Vec::new(),
-            state: Vec::new(),
-            depth: 0,
+            levels: Vec::new(),
             last_gc_live: 0,
+            level_nodes: 0,
+            retained_cap: 0,
+            retain: Cascade::retains(options),
         };
         cascade.start(options, governor);
         cascade
+    }
+
+    /// Whether a job over `lines` lines under `options` may start from this
+    /// kept cascade: same lines and library, in an order and mode that keep
+    /// cascades. (A budget the kept levels crowd is handled when it trips;
+    /// see [`BddEngine::solve_target`].)
+    pub(crate) fn fits(&self, lines: u32, options: &SynthesisOptions) -> bool {
+        self.retain
+            && Cascade::retains(options)
+            && self.x_vars.len() == lines as usize
+            && self.library == options.library
+    }
+
+    /// The cumulative counters of the cascade's manager.
+    pub(crate) fn manager_stats(&self) -> qsyn_bdd::ManagerStats {
+        self.m.stats()
     }
 
     /// Returns the arena to its pool, takes a fresh loan and restarts at
@@ -446,6 +573,16 @@ impl Cascade {
     /// Configures a just-checked-out manager and sets `F_0`. The caller
     /// registers the targets and then sets `last_gc_live`.
     fn start(&mut self, options: &SynthesisOptions, governor: &ResourceGovernor) {
+        self.arm(options, governor);
+        self.levels = vec![self.x_vars.iter().map(|&v| self.m.var(v)).collect()];
+        self.y_vars.clear();
+        self.level_nodes = 0;
+    }
+
+    /// Arms the manager for a job under `options`: a fresh one, or a kept
+    /// one whose previous job ran under other budgets (the supervisor
+    /// scales them per attempt).
+    fn arm(&mut self, options: &SynthesisOptions, governor: &ResourceGovernor) {
         // Hard caps: a single apply/quantify call must not allocate nodes
         // or memoization entries past the budget (out-of-memory
         // containment; see Manager::set_node_cap / set_cache_cap).
@@ -458,9 +595,17 @@ impl Cascade {
         // latched interrupt into the structured error before any ⊥ can be
         // misread as UNSAT.
         self.m.set_interrupt_poll(Some(governor.interrupt_probe()));
-        self.state = self.x_vars.iter().map(|&v| self.m.var(v)).collect();
-        self.y_vars.clear();
-        self.depth = 0;
+        self.retained_cap = options.bdd_node_limit / RETAINED_SHARE;
+    }
+
+    /// The number of cascade levels past `F_0`.
+    pub(crate) fn depth(&self) -> u32 {
+        self.levels.len() as u32 - 1
+    }
+
+    /// `F_{depth, line}`, the newest level's output on `line`.
+    fn top(&self, line: u32) -> Bdd {
+        self.levels[self.levels.len() - 1][line as usize]
     }
 
     /// The per-line ON-set and don't-care-set BDDs of `spec` over `X`.
@@ -483,13 +628,13 @@ impl Cascade {
     }
 
     /// The engine's GC root set: every handle that must survive a
-    /// collection at a safe point — the cascade state `F_d` and every
+    /// collection at a safe point — the cascade levels still held (all of
+    /// them while the cascade is kept, else just the newest) and every
     /// registered target's per-line ON/DC sets. (Projection BDDs of bare
     /// variables are deliberately not rooted: `Manager::var` re-creates
     /// them on demand.)
     fn gc_roots(&self, targets: &[Target]) -> Vec<Bdd> {
-        let mut roots = Vec::with_capacity(self.state.len() * (1 + 2 * targets.len()));
-        roots.extend_from_slice(&self.state);
+        let mut roots: Vec<Bdd> = self.levels.concat();
         for t in targets {
             roots.extend_from_slice(&t.on);
             roots.extend_from_slice(&t.dc);
@@ -562,8 +707,8 @@ impl Cascade {
         options: &SynthesisOptions,
     ) -> Result<(), SynthesisError> {
         let level_vars = self.next_level_vars(sbits, options)?;
-        let next = self.flip_level(gates, runs, &level_vars);
-        self.commit_level(next, level_vars);
+        let (next, grown) = self.flip_level(gates, runs, &level_vars);
+        self.commit_level(next, level_vars, grown);
         Ok(())
     }
 
@@ -581,25 +726,36 @@ impl Cascade {
                 Ok((base..base + sbits).collect())
             }
             VarOrder::YThenX => {
-                if self.depth >= options.max_depth {
+                let depth = self.depth();
+                if depth >= options.max_depth {
                     return Err(SynthesisError::BudgetExceeded {
-                        depth: self.depth + 1,
-                        resource: crate::Resource::SelectVarBlock,
-                        spent: u64::from(self.depth + 1),
+                        depth: depth + 1,
+                        resource: Resource::SelectVarBlock,
+                        spent: u64::from(depth + 1),
                         limit: u64::from(options.max_depth),
                     });
                 }
-                let base = self.depth * sbits;
+                let base = depth * sbits;
                 Ok((base..base + sbits).collect())
             }
         }
     }
 
-    /// Makes `state` the cascade `F_{d+1}` over the new `level_vars`.
-    fn commit_level(&mut self, state: Vec<Bdd>, level_vars: Vec<u32>) {
-        self.state = state;
+    /// Makes `state` the cascade `F_{d+1}` over the new `level_vars`;
+    /// building it grew the arena by `grown` live nodes. The lower levels
+    /// stay rooted while the cascade is kept and the growth summed over
+    /// its levels stays within the cap; past it they are let go for good.
+    fn commit_level(&mut self, state: Vec<Bdd>, level_vars: Vec<u32>, grown: usize) {
+        self.levels.push(state);
         self.y_vars.extend(level_vars);
-        self.depth += 1;
+        if self.retain {
+            self.level_nodes += grown;
+            self.retain = self.level_nodes <= self.retained_cap;
+        }
+        if !self.retain {
+            let top = self.levels.len() - 1;
+            self.levels[..top].iter_mut().for_each(Vec::clear);
+        }
     }
 
     /// The next level's outputs in flip form, `F_{d+1,j} = F_{d,j} ⊕ Δ_j`.
@@ -609,15 +765,33 @@ impl Cascade {
     /// [`delta`](Self::delta) without materializing any slot's output.
     /// The result is the same function, hence the same canonical BDD, as
     /// multiplexing the `2^s` gate outputs themselves.
-    fn flip_level(&mut self, gates: &[Gate], runs: &[Run], level_vars: &[u32]) -> Vec<Bdd> {
+    ///
+    /// Also returns the level's new nodes: every node one `ite` creates is
+    /// part of its result, so the live-node growth over the final `ite`s
+    /// counts them without a traversal. The `⊕` is spelled out as
+    /// [`Manager::xor`](qsyn_bdd::Manager::xor) computes it, so the `¬Δ_j`
+    /// it needs is left out of the count (without complement edges it is
+    /// a full copy, and garbage once the level is built).
+    fn flip_level(
+        &mut self,
+        gates: &[Gate],
+        runs: &[Run],
+        level_vars: &[u32],
+    ) -> (Vec<Bdd>, usize) {
         let top = level_vars.len() as u32;
-        (0..self.state.len())
+        let mut grown = 0;
+        let level = (0..self.x_vars.len() as u32)
             .map(|j| {
-                let delta = self.delta(gates, runs, level_vars, j as u32, top, 0);
-                let f = self.state[j];
-                self.m.xor(f, delta)
+                let delta = self.delta(gates, runs, level_vars, j, top, 0);
+                let f = self.top(j);
+                let not_delta = self.m.not(delta);
+                let before = self.m.node_count();
+                let out = self.m.ite(f, not_delta, delta);
+                grown += self.m.node_count() - before;
+                out
             })
-            .collect()
+            .collect();
+        (level, grown)
     }
 
     /// `Δ_j` over the aligned slots `base .. base + 2^bit`: the select bits
@@ -661,21 +835,23 @@ impl Cascade {
         match run.kind {
             RunKind::Toffoli(t) if t == j => {}
             RunKind::Fredkin(a, b) if a == j || b == j => {
-                let (fa, fb) = (self.state[a as usize], self.state[b as usize]);
+                let (fa, fb) = (self.top(a), self.top(b));
                 parts.push(self.m.xor(fa, fb));
             }
             _ => return self.m.zero(),
         }
         for (&line, &yv) in run.free.iter().zip(level_vars) {
             let y = self.m.var(yv);
-            parts.push(self.m.implies(y, self.state[line as usize]));
+            let f = self.top(line);
+            parts.push(self.m.implies(y, f));
         }
         self.m.and_all(parts)
     }
 
     /// One gate's difference on line `j`: `δ_j = g(F_d)_j ⊕ F_{d,j}`.
     fn gate_delta(&mut self, g: &Gate, j: u32) -> Bdd {
-        let f = |l: u32| self.state[l as usize];
+        let top = &self.levels[self.levels.len() - 1];
+        let f = |l: u32| top[l as usize];
         match *g {
             Gate::Toffoli {
                 controls,
@@ -715,10 +891,8 @@ impl Cascade {
     /// slots), reduced by the multiplexer over the select bits, LSB first.
     #[cfg(test)]
     fn slot_table_level(&mut self, gates: &[Gate], level_vars: &[u32]) -> Vec<Bdd> {
-        let mut slots: Vec<Vec<Bdd>> = self
-            .state
-            .iter()
-            .map(|&identity| vec![identity; 1 << level_vars.len()])
+        let mut slots: Vec<Vec<Bdd>> = (0..self.x_vars.len() as u32)
+            .map(|line| vec![self.top(line); 1 << level_vars.len()])
             .collect();
         for (k, g) in gates.iter().enumerate() {
             for (line, out) in self.apply_gate(g) {
@@ -742,7 +916,8 @@ impl Cascade {
     /// returning only the changed lines.
     #[cfg(test)]
     fn apply_gate(&mut self, g: &Gate) -> Vec<(u32, Bdd)> {
-        let f = |l: u32| self.state[l as usize];
+        let top = &self.levels[self.levels.len() - 1];
+        let f = |l: u32| top[l as usize];
         match *g {
             Gate::Toffoli {
                 controls,
@@ -752,7 +927,7 @@ impl Cascade {
                 let parts: Vec<Bdd> = controls.iter().map(f).collect();
                 let mut cond = self.m.and_all(parts);
                 for c in negative_controls.iter() {
-                    let nc = self.m.not(self.state[c as usize]);
+                    let nc = self.m.not(f(c));
                     cond = self.m.and(cond, nc);
                 }
                 vec![(target, self.m.xor(f(target), cond))]
@@ -777,8 +952,9 @@ impl Cascade {
 
     /// Computes `∀X ⋀_l (f_l^dc ∨ (F_{d,l} ⊙ f_l^on))` for the spec of
     /// `targets[target]` — the quantified formula of Section 4 — and
-    /// returns the BDD over `Y`. Every target stays rooted across the
-    /// collections this triggers.
+    /// returns the BDD over `Y`. `F_d` is level `d`: the newest, or a
+    /// lower one a kept cascade holds. Every target stays rooted across
+    /// the collections this triggers.
     ///
     /// The conjunction is **quantified as it is built**: the per-line
     /// agreement functions go to the fused ∀-AND kernel together, so the
@@ -798,12 +974,13 @@ impl Cascade {
         target: usize,
         d: u32,
     ) -> Result<Bdd, SynthesisError> {
-        let n = self.state.len();
+        let n = self.x_vars.len();
         let Target { on, dc, .. } = &targets[target];
         let mut oks = Vec::with_capacity(n);
         for l in 0..n {
             governor.check(d)?;
-            let agree = self.m.xnor(self.state[l], on[l]);
+            let f = self.levels[d as usize][l];
+            let agree = self.m.xnor(f, on[l]);
             let ok = self.m.or(dc[l], agree);
             oks.push(ok);
             // Between lines is a safe point: root the agreement
@@ -825,8 +1002,9 @@ impl Cascade {
     #[cfg(test)]
     fn check_unfused(&mut self, target: &Target) -> Bdd {
         let mut eq = self.m.one();
-        for l in 0..self.state.len() {
-            let agree = self.m.xnor(self.state[l], target.on[l]);
+        for l in 0..self.x_vars.len() {
+            let f = self.top(l as u32);
+            let agree = self.m.xnor(f, target.on[l]);
             let ok = self.m.or(target.dc[l], agree);
             eq = self.m.and(eq, ok);
         }
@@ -843,6 +1021,7 @@ impl Cascade {
 mod tests {
     use super::*;
     use crate::options::Engine;
+    use qsyn_revlogic::benchmarks::random_permutation;
     use qsyn_revlogic::{GateLibrary, LineSet, Permutation};
 
     fn opts(lib: GateLibrary) -> SynthesisOptions {
@@ -1066,12 +1245,12 @@ mod tests {
             e.extend_to(d - 1).unwrap();
             let c = &mut e.cascade;
             let vars = c.next_level_vars(e.sbits, options).unwrap();
-            let flip = c.flip_level(&e.gates, &e.runs, &vars);
+            let (flip, grown) = c.flip_level(&e.gates, &e.runs, &vars);
             let slots = c.slot_table_level(&e.gates, &vars);
             let label = options.library.label();
             assert!(!c.m.is_overflowed(), "{label}, {lines} lines, level {d}");
             assert_eq!(flip, slots, "{label}, {lines} lines, level {d}");
-            c.commit_level(flip, vars);
+            c.commit_level(flip, vars, grown);
         }
     }
 
@@ -1295,6 +1474,248 @@ mod tests {
             e.solve_depth(1).unwrap_err(),
             SynthesisError::Cancelled { depth: 1 }
         );
+    }
+
+    /// `count` seeded 3-line functions of every depth `0..=7`: random MCT
+    /// circuits of 0 to 5 gates (so of at most that depth) and random
+    /// permutations (mostly of depth 5 to 7), in a seeded shuffle that
+    /// makes a kept cascade serve jobs both shallower and deeper than
+    /// itself.
+    fn shuffled_three_line_functions(count: usize, seed: u64) -> Vec<Spec> {
+        let mut state = seed;
+        let mut next = move || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) as usize
+        };
+        let gates = GateLibrary::mct().enumerate(3);
+        let mut specs: Vec<Spec> = (0..count)
+            .map(|i| match i % 8 {
+                6 | 7 => Spec::from_permutation(&random_permutation(3, next() as u64)),
+                len => {
+                    let circuit =
+                        Circuit::from_gates(3, (0..len).map(|_| gates[next() % gates.len()]));
+                    Spec::from_permutation(&Permutation::from_fn(3, |v| circuit.simulate(v)))
+                }
+            })
+            .collect();
+        for i in (1..specs.len()).rev() {
+            specs.swap(i, next() % (i + 1));
+        }
+        specs
+    }
+
+    /// Everything a caller sees of a search: depth, permutation, #SOL and
+    /// the circuits in order.
+    fn answer(r: &crate::permuted::PermutedSynthesisResult) -> (u32, Vec<u32>, u128, Vec<Circuit>) {
+        let s = r.result.solutions();
+        (
+            r.result.depth(),
+            r.permutation.clone(),
+            s.count(),
+            s.circuits().to_vec(),
+        )
+    }
+
+    #[test]
+    fn a_kept_cascade_answers_every_job_like_a_fresh_session() {
+        use crate::permuted::synthesize_with_output_permutation_in as permuted;
+        let options = opts(GateLibrary::mct());
+        let mut kept = SynthesisSession::new();
+        let mut depths = [0usize; 9];
+        for (i, spec) in shuffled_three_line_functions(200, 7).iter().enumerate() {
+            // Alternate the permutation search and plain synthesis: both
+            // draw on the one kept cascade.
+            let (a, b) = if i % 2 == 0 {
+                let a = permuted(spec, &options, &mut kept).unwrap();
+                let b = permuted(spec, &options, &mut SynthesisSession::new()).unwrap();
+                (answer(&a), answer(&b))
+            } else {
+                let plain = |session: &mut SynthesisSession| {
+                    let r = crate::synthesize_in(spec, &options, session).unwrap();
+                    answer(&crate::permuted::PermutedSynthesisResult::plain(r, 3))
+                };
+                (plain(&mut kept), plain(&mut SynthesisSession::new()))
+            };
+            assert_eq!(a, b, "job {i}");
+            depths[a.0 as usize] += 1;
+        }
+        assert!(depths[..8].iter().all(|&n| n > 0), "depth mix {depths:?}");
+        let stats = kept.stats();
+        assert_eq!(stats.managers, 1);
+        assert_eq!(stats.resets, 0, "every job reused the kept cascade");
+        let deepest = kept.kept_depth().expect("the cascade is kept");
+        assert_eq!(
+            stats.search.levels_built,
+            u64::from(deepest),
+            "each level built once"
+        );
+    }
+
+    #[test]
+    fn a_job_whose_depth_is_kept_builds_no_level() {
+        let options = opts(GateLibrary::mct());
+        let mut session = SynthesisSession::new();
+        let deep = crate::synthesize_in(
+            &qsyn_revlogic::benchmarks::spec_3_17(),
+            &options,
+            &mut session,
+        )
+        .unwrap();
+        assert_eq!(deep.depth(), 6);
+        assert_eq!(session.kept_depth(), Some(6));
+        let before = session.stats().search.levels_built;
+        let cnot = Spec::from_permutation(&Permutation::from_fn(3, |v| v ^ ((v & 1) << 1)));
+        let r = crate::synthesize_in(&cnot, &options, &mut session).unwrap();
+        assert_eq!(r.depth(), 1);
+        assert_eq!(
+            session.stats().search.levels_built,
+            before,
+            "no level built"
+        );
+        assert_eq!(session.kept_depth(), Some(6), "the deeper levels stay kept");
+        // The session's counters see the kept cascade's manager.
+        let stats = session.stats();
+        assert_eq!((stats.managers, stats.resets), (1, 0));
+        assert_eq!(stats.peak_live, r.bdd_stats().unwrap().peak_live);
+        assert!(stats.cache_misses > 0 && stats.gc_runs == r.bdd_stats().unwrap().gc_runs);
+    }
+
+    /// Debug builds audit a cascade as it is handed back, as they audit a
+    /// manager checked into the pool.
+    #[cfg(debug_assertions)]
+    #[test]
+    fn a_cascade_that_fails_its_audit_is_quarantined_not_kept() {
+        let options = opts(GateLibrary::mct());
+        let mut session = SynthesisSession::new();
+        let spec = qsyn_revlogic::benchmarks::spec_3_17();
+        let mut e = BddEngine::new_in(&spec, &options, &mut session);
+        e.solve_depth(6).unwrap().expect("3_17 needs 6 gates");
+        let f = e.cascade.levels[6][0];
+        let (lo, hi) = e.cascade.m.children(f);
+        let var = e.cascade.m.root_var(f).unwrap();
+        e.cascade.m.corrupt_node_for_audit(f, var, hi, lo);
+        e.retire(&mut session);
+        assert_eq!(session.kept_depth(), None);
+        assert_eq!(session.pool().quarantined(), 1);
+        assert_eq!(session.stats().managers, 0);
+    }
+
+    #[test]
+    fn a_job_that_panics_leaves_no_cascade_and_the_next_job_answers() {
+        let options = opts(GateLibrary::mct());
+        let spec = qsyn_revlogic::benchmarks::spec_3_17();
+        let mut session = SynthesisSession::new();
+        let expected = crate::synthesize_in(&spec, &options, &mut session).unwrap();
+        assert_eq!(session.kept_depth(), Some(6));
+        let crashed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let mut e = BddEngine::new_in(&spec, &options, &mut session);
+            assert!(e.cascade.retain, "the job took the kept cascade");
+            // Target 1 was never registered: the check at depth 5 panics
+            // indexing it, with the kept cascade taken out of the session.
+            let _ = e.solve_target(1, 5);
+        }));
+        assert!(crashed.is_err());
+        assert_eq!(
+            session.kept_depth(),
+            None,
+            "the cascade went down with the job"
+        );
+        assert_eq!(
+            session.pool().quarantined(),
+            1,
+            "its manager is quarantined"
+        );
+        let again = crate::synthesize_in(&spec, &options, &mut session).unwrap();
+        assert_eq!(again.depth(), expected.depth());
+        assert_eq!(
+            again.solutions().circuits(),
+            expected.solutions().circuits()
+        );
+        assert_eq!(session.kept_depth(), Some(6));
+    }
+
+    #[test]
+    fn a_budget_the_kept_levels_exceed_rebuilds_from_f0() {
+        // Shallow jobs under tight budgets start from the depth-6 cascade
+        // an unconstrained 3_17 job kept, whose levels alone outgrow the
+        // tighter budgets. A fresh session under the same budget keeps
+        // nothing past level 1 (its share of the budget is under one
+        // node), so it answers as a cascade without retention does. The
+        // kept session must never fail where that one answers, and must
+        // answer exactly as it does; it may answer where that one runs out
+        // (a kept level left no construction garbage, and an overflow
+        // mid-construction depends on the garbage around it).
+        let options = opts(GateLibrary::mct());
+        let mut session = SynthesisSession::new();
+        let (mut rebuilt, mut refused) = (0, 0);
+        for spec in &shuffled_three_line_functions(16, 3) {
+            let free = crate::synthesize_in(spec, &options, &mut SynthesisSession::new()).unwrap();
+            if free.depth() > 3 {
+                continue;
+            }
+            for limit in [50, 200, 800, 3_200] {
+                let deep = qsyn_revlogic::benchmarks::spec_3_17();
+                crate::synthesize_in(&deep, &options, &mut session).unwrap();
+                assert_eq!(session.kept_depth(), Some(6));
+                let before = session.stats().search.levels_built;
+                let tight = options.clone().with_bdd_node_limit(limit);
+                let kept = crate::synthesize_in(spec, &tight, &mut session);
+                let fresh = crate::synthesize_in(spec, &tight, &mut SynthesisSession::new());
+                let nodes = |e: &SynthesisError| {
+                    matches!(
+                        e,
+                        SynthesisError::BudgetExceeded {
+                            resource: Resource::BddNodes,
+                            ..
+                        }
+                    )
+                };
+                match (&kept, &fresh) {
+                    (Ok(a), _) => {
+                        let b = fresh.as_ref().unwrap_or(&free);
+                        assert_eq!(a.depth(), b.depth(), "limit {limit}");
+                        let (a, b) = (a.solutions(), b.solutions());
+                        assert_eq!(a.count(), b.count(), "limit {limit}");
+                        assert_eq!(a.circuits(), b.circuits(), "limit {limit}");
+                        // The kept cascade reaches depth 6, so any level
+                        // built came from a rebuild, which keeps nothing.
+                        if session.stats().search.levels_built > before {
+                            rebuilt += 1;
+                            assert_eq!(session.kept_depth(), None, "limit {limit}");
+                        }
+                    }
+                    (Err(a), Err(b)) if nodes(a) && nodes(b) => refused += 1,
+                    _ => panic!("limit {limit}: kept {kept:?}, fresh {fresh:?}"),
+                }
+            }
+        }
+        assert!(rebuilt > 0, "no answer came from a rebuild");
+        assert!(refused > 0, "no budget was too small");
+    }
+
+    #[test]
+    fn ablation_b_and_y_then_x_never_keep_a_cascade() {
+        let spec = qsyn_revlogic::benchmarks::spec_3_17();
+        for options in [
+            opts(GateLibrary::mct()).with_incremental(false),
+            opts(GateLibrary::mct()).with_var_order(VarOrder::YThenX),
+        ] {
+            let mut session = SynthesisSession::new();
+            // A kept cascade from a default job is let go, not reused.
+            crate::synthesize_in(&spec, &opts(GateLibrary::mct()), &mut session).unwrap();
+            assert_eq!(session.kept_depth(), Some(6));
+            let r = crate::synthesize_in(&spec, &options, &mut session).unwrap();
+            assert_eq!(r.depth(), 6);
+            assert_eq!(session.kept_depth(), None);
+            assert_eq!(
+                session.stats().managers,
+                1,
+                "its manager went back to the pool"
+            );
+        }
     }
 
     #[test]

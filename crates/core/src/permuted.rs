@@ -39,8 +39,8 @@
 //! 3. **First-SAT cancellation.** All probes run under one merged
 //!    [`CancelToken`]; the first SAT hit cancels it, so sibling probe
 //!    engines stop and unwind immediately instead of finishing their
-//!    depth, and the shared cascade's pooled manager returns to the
-//!    session.
+//!    depth, and the shared cascade goes back to the session, which keeps
+//!    it for the next job over the same lines and library.
 //!
 //! The winning class's own solutions are returned directly (its
 //! representative *is* the first — identity-preferring — member of the
@@ -77,8 +77,9 @@ pub struct PermutedSearchStats {
     /// bound proved the depth UNSAT without running an engine.
     pub depth_floor_skips: u64,
     /// BDD cascade levels `F_{d−1} → F_d` the search constructed: the
-    /// winning depth when the shared cascade is incremental, 0 under SAT
-    /// and QBF.
+    /// winning depth when the shared cascade starts fresh and is
+    /// incremental, only the levels past a kept cascade's depth when it
+    /// starts from one, 0 under SAT and QBF.
     pub levels_built: u64,
     /// Persistent-solver reuse across all class probe engines (zeros for
     /// the BDD engine, which has no SAT instance to keep warm): each class
@@ -557,8 +558,8 @@ fn deepen(
         });
     };
     // First SAT at depth d: cancel the sibling probes (any engine state
-    // polling the merged token observes it), then tear them down so the
-    // shared cascade's pooled manager returns to the session.
+    // polling the merged token observes it), then tear them down; the
+    // shared cascade goes back to the session for the next job.
     probe_token.cancel();
     // Fold every probe engine's persistent-solver reuse counters — winner
     // and cancelled siblings alike — before tearing the engines down.
@@ -578,7 +579,6 @@ fn deepen(
         (None, Some(Probe::Engine(e))) => (e.name(), None),
         (None, _) => unreachable!("the winning class was probed"),
     };
-    drop(cascade);
     drop(classes);
     // Debug builds lint every materialized circuit: line bounds,
     // control/target disjointness, library membership and (for small line
@@ -596,6 +596,11 @@ fn deepen(
             .all(|c| class.spec.is_realized_by(c)),
         "winning solutions must realize the class representative"
     );
+    // Only a search that returns normally hands its cascade back: on an
+    // error it returns to the pool, and a panic quarantines its manager.
+    if let Some(shared) = cascade {
+        shared.retire(session);
+    }
     session.note_permuted_search(&stats);
     let result = SynthesisResult::from_parts(
         solutions,

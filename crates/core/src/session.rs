@@ -21,6 +21,23 @@
 //! job, and recycles them all afterwards — steady-state batch work
 //! allocates no new arenas at all.
 //!
+//! # The kept cascade
+//!
+//! Besides the pool, a session keeps the BDD cascade of its last job: the
+//! manager, every level `F_0 ..= F_D` still rooted in it, and the select
+//! variables in the order they were appended. The cascade depends only on
+//! the line count, the gate library and the variable order, so the next
+//! BDD job over the same lines and library takes it
+//! ([`take_cascade`](SynthesisSession::take_cascade)), registers its own
+//! targets, builds only the levels past `F_D`, and — only if it returns
+//! normally — hands it back ([`keep_cascade`](SynthesisSession::keep_cascade)).
+//! A job that panics drops the cascade during unwinding, which
+//! quarantines its manager; a job that fails, or whose manager overflowed
+//! or was interrupted, drops it into the pool as before. A cascade that
+//! outgrows its share of the node budget is not kept at all (see
+//! `bdd_engine`). This is how CUDD is meant to be used: one long-lived
+//! manager whose shared subgraphs outlive any one query.
+//!
 //! # Resource governance
 //!
 //! A [`ResourceGovernor`] is the *only* component that raises
@@ -32,6 +49,7 @@
 //! identically and a future budget kind needs exactly one new method
 //! here.
 
+use crate::bdd_engine::Cascade;
 use crate::cancel::CancelToken;
 use crate::error::{Resource, SynthesisError};
 use crate::options::SynthesisOptions;
@@ -217,6 +235,26 @@ struct PoolState {
 /// skipped rather than stalling the worker between jobs.
 const CHECK_IN_AUDIT_NODE_CAP: usize = 100_000;
 
+/// The audit a manager passes before it may serve another job, whether it
+/// returns to the pool or stays in a kept cascade. Walking the arena costs
+/// O(nodes) — enough to dominate small jobs — so release builds only pay
+/// it while the fault plane is *armed* (injected faults are what can leave
+/// an arena torn, and the chaos harness depends on the quarantine); debug
+/// builds always audit.
+pub(crate) fn passes_check_in_audit(m: &Manager) -> bool {
+    let audit = (cfg!(debug_assertions) || qsyn_faults::FaultPlane::armed())
+        && m.node_count() <= CHECK_IN_AUDIT_NODE_CAP;
+    !audit || qsyn_audit::bdd_audit::audit_manager(m).is_ok()
+}
+
+/// The fault-plane site `session.checkout`: a poisoned manager surfacing
+/// while a worker prepares a job.
+fn poll_checkout_fault() {
+    if qsyn_faults::hit(qsyn_faults::Site::SessionCheckout).is_some() {
+        panic!("fault-plane: injected panic at session.checkout");
+    }
+}
+
 impl ManagerPool {
     /// An empty pool.
     pub fn new() -> ManagerPool {
@@ -232,9 +270,7 @@ impl ManagerPool {
     /// `session.checkout` models a poisoned manager surfacing while a
     /// worker prepares a job.
     pub fn checkout(&self, num_vars: u32) -> PooledManager {
-        if qsyn_faults::hit(qsyn_faults::Site::SessionCheckout).is_some() {
-            panic!("fault-plane: injected panic at session.checkout");
-        }
+        poll_checkout_fault();
         let recycled = self.inner.lock().expect("manager pool lock").idle.pop();
         let m = match recycled {
             Some(mut m) => {
@@ -289,14 +325,8 @@ impl ManagerPool {
     fn check_in(&self, mut m: Manager) {
         // A returning manager must pass the structural audit before it can
         // serve another job; a corrupted arena is quarantined, not
-        // recycled. Walking the arena costs O(nodes) — enough to dominate
-        // small jobs — so release builds only pay it while the fault plane
-        // is *armed* (injected faults are what can leave an arena torn,
-        // and the chaos harness depends on the quarantine); debug builds
-        // always audit.
-        let audit = (cfg!(debug_assertions) || qsyn_faults::FaultPlane::armed())
-            && m.node_count() <= CHECK_IN_AUDIT_NODE_CAP;
-        if audit && qsyn_audit::bdd_audit::audit_manager(&m).is_err() {
+        // recycled.
+        if !passes_check_in_audit(&m) {
             self.note_quarantine();
             return;
         }
@@ -402,7 +432,9 @@ pub struct SessionStats {
     pub retries: u64,
     /// Every search the session ran, summed: plain synthesis is the
     /// search over one labeling, so a plain job adds 1 to `permutations`
-    /// and its depth queries to `probes_run`.
+    /// and its depth queries to `probes_run`. Its `levels_built` counts
+    /// the cascade levels the session constructed: a job whose depth a
+    /// kept cascade already reaches adds none.
     pub search: PermutedSearchStats,
 }
 
@@ -475,8 +507,8 @@ impl std::fmt::Display for SessionStats {
             write!(
                 f,
                 ", perm search: {} probes over {} classes from {} permutations \
-                 ({} floor skips)",
-                s.probes_run, s.classes, s.permutations, s.depth_floor_skips,
+                 ({} floor skips, {} levels built)",
+                s.probes_run, s.classes, s.permutations, s.depth_floor_skips, s.levels_built,
             )?;
         }
         let inc = &s.incremental;
@@ -503,12 +535,14 @@ impl std::fmt::Display for SessionStats {
 /// [`synthesize_with_output_permutation_in`](crate::permuted::synthesize_with_output_permutation_in))
 /// for every job the worker runs, and read [`stats`](Self::stats) at the
 /// end. A session is deliberately cheap when unused: the pool starts
-/// empty.
+/// empty and no cascade is kept.
 #[derive(Debug, Default)]
 pub struct SynthesisSession {
     pool: ManagerPool,
     jobs: u64,
     search: PermutedSearchStats,
+    /// The BDD cascade the last job handed back; see the module docs.
+    cascade: Option<Cascade>,
 }
 
 impl SynthesisSession {
@@ -534,14 +568,60 @@ impl SynthesisSession {
         self.search.merge(s);
     }
 
-    /// Aggregated counters over everything this session has run. Call
-    /// between jobs: managers still checked out are not counted.
+    /// Takes the kept cascade out of the session for a BDD job over
+    /// `lines` lines under `options`: `Some` when the cascade was built for
+    /// the same lines and library and `options` let it be reused, `None`
+    /// otherwise (a kept cascade that does not fit returns its manager to
+    /// the pool, and the caller checks one out). Taking it polls the
+    /// fault-plane site `session.checkout` as the checkout it replaces
+    /// would, so each engine polls the site exactly once.
+    ///
+    /// # Panics
+    ///
+    /// Only under fault injection (the session keeps its cascade then).
+    pub(crate) fn take_cascade(
+        &mut self,
+        lines: u32,
+        options: &SynthesisOptions,
+    ) -> Option<Cascade> {
+        if !self
+            .cascade
+            .as_ref()
+            .is_some_and(|c| c.fits(lines, options))
+        {
+            self.cascade = None;
+            return None;
+        }
+        poll_checkout_fault();
+        self.cascade.take()
+    }
+
+    /// Keeps `cascade` for the next job; the caller has cleared its
+    /// manager's interrupt probe and audited it.
+    pub(crate) fn keep_cascade(&mut self, cascade: Cascade) {
+        self.cascade = Some(cascade);
+    }
+
+    /// The depth of the kept cascade, if the session keeps one.
+    #[cfg(test)]
+    pub(crate) fn kept_depth(&self) -> Option<u32> {
+        self.cascade.as_ref().map(Cascade::depth)
+    }
+
+    /// Aggregated counters over everything this session has run, the kept
+    /// cascade's manager included. Call between jobs: managers still
+    /// checked out are not counted.
     pub fn stats(&self) -> SessionStats {
-        SessionStats {
+        let mut stats = SessionStats {
             jobs: self.jobs,
             search: self.search,
             ..self.pool.stats()
+        };
+        if let Some(cascade) = &self.cascade {
+            stats.managers += 1;
+            stats.merge(&SessionStats::of_manager(&cascade.manager_stats()));
         }
+        stats
     }
 }
 

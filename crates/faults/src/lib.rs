@@ -287,7 +287,10 @@ mod enabled {
             let i = site as usize;
             let roll = splitmix64(&mut state);
             let kinds = site.kinds();
-            let kind = kinds[(roll % kinds.len() as u64) as usize];
+            // Bit 0 decides whether the site fires, so the kind comes from
+            // the bits above it: drawn from the whole roll, a two-kind
+            // site that fires (even roll) would always get its first kind.
+            let kind = kinds[((roll >> 1) % kinds.len() as u64) as usize];
             // Not every site fires on every seed: roughly half the sites
             // stay quiet, so schedules vary in shape, not just position.
             let fires = roll & 1 == 0 || site == Site::BddAlloc;
@@ -428,6 +431,29 @@ mod tests {
             }
         }
         FaultPlane::disarm();
+    }
+
+    #[test]
+    fn every_site_fires_every_kind_it_can_express() {
+        let _g = lock();
+        let mut reached = std::collections::HashSet::new();
+        for seed in 0..64 {
+            FaultPlane::arm(seed);
+            for site in Site::ALL {
+                if let Some((_, kind)) = drain(site, site.trigger_window()) {
+                    reached.insert((site, kind));
+                }
+            }
+        }
+        FaultPlane::disarm();
+        for site in Site::ALL {
+            for &kind in site.kinds() {
+                assert!(
+                    reached.contains(&(site, kind)),
+                    "no seed in 0..64 fires {site} {kind}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -98,13 +98,7 @@ impl std::fmt::Display for RacerFailure {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             RacerFailure::Error(e) => write!(f, "{e}"),
-            RacerFailure::Panicked(p) => {
-                write!(f, "panicked: {}", p.message)?;
-                match &p.location {
-                    Some(at) => write!(f, " at {at}"),
-                    None => Ok(()),
-                }
-            }
+            RacerFailure::Panicked(p) => write!(f, "{p}"),
         }
     }
 }

@@ -186,16 +186,7 @@ pub enum JobStatus<R> {
     Failed(SynthesisError),
     /// The job function panicked on its last attempt. Other jobs are
     /// unaffected.
-    Panicked {
-        /// The panic payload's message, when it was a string.
-        message: String,
-        /// `file:line:column` of the panic site, captured by
-        /// [`contain`]'s panic hook.
-        location: Option<String>,
-        /// A captured backtrace, when `RUST_BACKTRACE` is set (and not
-        /// `0`) in the environment.
-        backtrace: Option<String>,
-    },
+    Panicked(PanicReport),
 }
 
 impl<R> JobStatus<R> {
@@ -570,11 +561,7 @@ pub fn supervise<R>(
                     },
                     Ok(Ok(result)) => JobStatus::Done(result),
                     Ok(Err(e)) => JobStatus::Failed(e),
-                    Err(p) => JobStatus::Panicked {
-                        message: p.message,
-                        location: p.location,
-                        backtrace: p.backtrace,
-                    },
+                    Err(p) => JobStatus::Panicked(p),
                 };
                 return (status, attempts);
             }
@@ -592,6 +579,19 @@ pub struct PanicReport {
     /// A captured backtrace, when `RUST_BACKTRACE` is set (and not `0`)
     /// in the environment.
     pub backtrace: Option<String>,
+}
+
+/// `panicked: <message> at <file:line:column>` — how every surface
+/// (`synth`, `batch`, the daemon's log, a lost race) reports a contained
+/// panic.
+impl std::fmt::Display for PanicReport {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "panicked: {}", self.message)?;
+        match &self.location {
+            Some(at) => write!(f, " at {at}"),
+            None => Ok(()),
+        }
+    }
 }
 
 /// Runs `f` on the calling thread, turning a panic into a
@@ -875,12 +875,11 @@ mod tests {
         for (i, r) in outcome.reports.iter().enumerate() {
             if i == 2 {
                 match &r.status {
-                    JobStatus::Panicked {
-                        message, location, ..
-                    } => {
-                        assert!(message.contains("exploded"));
-                        let loc = location.as_deref().expect("hook captured the site");
+                    JobStatus::Panicked(p) => {
+                        assert!(p.message.contains("exploded"));
+                        let loc = p.location.as_deref().expect("hook captured the site");
                         assert!(loc.contains("scheduler.rs"), "got location {loc}");
+                        assert_eq!(p.to_string(), format!("panicked: job 2 exploded at {loc}"));
                     }
                     other => panic!("expected panic report, got {other:?}"),
                 }

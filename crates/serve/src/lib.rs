@@ -593,11 +593,8 @@ fn worker_loop(shared: &Arc<Shared>) {
                 publish(shared, job, Ok(record));
             }
             JobStatus::Failed(e) => publish(shared, job, Err(ServeError::Synthesis(e))),
-            JobStatus::Panicked {
-                message, location, ..
-            } => {
-                let at = location.map(|l| format!(" at {l}")).unwrap_or_default();
-                eprintln!("qsyn-serve: worker panicked on {}: {message}{at}", job.name);
+            JobStatus::Panicked(p) => {
+                eprintln!("qsyn-serve: worker on {}: {p}", job.name);
                 publish(shared, job, Err(ServeError::WorkerPanicked));
             }
         }

@@ -1,7 +1,7 @@
 //! `batch`: many specifications on the portfolio's worker pool, with an
 //! optional crash-safe journal and persistent circuit store.
 
-use super::synth::{ladder_note, panic_note, refuse, synthesize, EngineChoice, FaultArming};
+use super::synth::{ladder_note, refuse, synthesize, EngineChoice, FaultArming};
 use super::{store, Args, Command, Outcome, SynthConfig};
 use crate::portfolio::cache::{SpecCache, StoreIssue};
 use crate::portfolio::journal::{job_key, open_journal, render_record, JournalRecord};
@@ -333,9 +333,7 @@ pub(super) fn run(
                 ),
             ),
             JobStatus::Failed(e) => (None, format!("error: {e}")),
-            JobStatus::Panicked {
-                message, location, ..
-            } => (None, panic_note(message, location.as_ref())),
+            JobStatus::Panicked(p) => (None, p.to_string()),
         };
         match result {
             Some(p) => {

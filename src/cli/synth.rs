@@ -302,13 +302,6 @@ pub(super) fn ladder_note(path: &[Engine]) -> String {
     format!(", via {}", names.join(" -> "))
 }
 
-/// `"panicked: <message> at <file:line:column>"` — a contained panic as
-/// `synth` and `batch` report it.
-pub(super) fn panic_note(message: &str, location: Option<&String>) -> String {
-    let at = location.map(|l| format!(" at {l}")).unwrap_or_default();
-    format!("panicked: {message}{at}")
-}
-
 impl Source {
     /// Reads the specification.
     fn read_spec(&self) -> Result<Spec, String> {
@@ -358,9 +351,7 @@ pub(super) fn run(source: &Source, config: &SynthConfig, out: &mut dyn Write) ->
             (Some(note), result)
         }
         JobStatus::Failed(e) => return Err(e.to_string().into()),
-        JobStatus::Panicked {
-            message, location, ..
-        } => return Err(panic_note(&message, location.as_ref()).into()),
+        JobStatus::Panicked(p) => return Err(p.to_string().into()),
     };
     let r = &p.result;
     let race_note = match winner {

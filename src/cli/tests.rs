@@ -1182,17 +1182,19 @@ fn batch_no_permute_stats_count_each_job_as_a_one_labeling_search() {
     };
     assert_eq!(
         sessions("bdd"),
-        "sessions: 2 jobs, 1 managers, 1 resets, peak 14844 live nodes, \
-         cache 51075 hits / 63483 misses (44.6% hit rate, 30491 evictions), \
-         3 GCs freeing 31091 nodes, 0 retries, 0 quarantined, \
-         perm search: 7 probes over 2 classes from 2 permutations (0 floor skips)"
+        "sessions: 2 jobs, 1 managers, 1 resets, peak 15751 live nodes, \
+         cache 51111 hits / 63514 misses (44.6% hit rate, 27517 evictions), \
+         4 GCs freeing 33949 nodes, 0 retries, 0 quarantined, \
+         perm search: 7 probes over 2 classes from 2 permutations \
+         (0 floor skips, 10 levels built)"
     );
     assert_eq!(
         sessions("sat"),
         "sessions: 2 jobs, 0 managers, 0 resets, peak 0 live nodes, \
          cache 0 hits / 0 misses (0.0% hit rate, 0 evictions), \
          0 GCs freeing 0 nodes, 0 retries, 0 quarantined, \
-         perm search: 7 probes over 2 classes from 2 permutations (0 floor skips), \
+         perm search: 7 probes over 2 classes from 2 permutations \
+         (0 floor skips, 0 levels built), \
          incremental SAT: 7 depth queries retaining 13499 clauses \
          (9649 added, 1729 learnts reused, 2107 conflicts)"
     );

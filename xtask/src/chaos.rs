@@ -218,11 +218,13 @@ fn sweep_leg(qsyn: &Path, dir: &Path, leg: &Leg<'_>, opts: &ChaosOptions) -> usi
     };
 
     let mut failures = 0usize;
+    let mut reached = std::collections::BTreeSet::new();
     for seed in 1..=opts.seeds {
         let journal = dir.join(format!("{label}-seed-{seed}.journal"));
         let store = dir.join(format!("{label}-seed-{seed}.store"));
         match batch_run(qsyn, leg, Some(seed), &journal, &store, opts) {
             Ok(run) => {
+                reached.extend(run.fired.iter().cloned());
                 let verdict = compare(&reference, &run.records).and_then(|()| {
                     let db = store_report(qsyn, &store)
                         .map_err(|e| format!("store failed verification: {e}"))?;
@@ -250,6 +252,15 @@ fn sweep_leg(qsyn: &Path, dir: &Path, leg: &Leg<'_>, opts: &ChaosOptions) -> usi
             }
         }
     }
+    let reached: Vec<String> = reached.into_iter().collect();
+    println!(
+        "chaos[{label}]: (site, kind) pairs the seeds fired in batch runs: {}",
+        if reached.is_empty() {
+            "none".to_string()
+        } else {
+            reached.join(", ")
+        }
+    );
     failures
 }
 
@@ -258,6 +269,8 @@ struct BatchRun {
     records: Vec<ResultRecord>,
     /// The `N retries, M quarantined` tail of the session stats line.
     recovery: String,
+    /// The `site kind` faults the run's `faults:` line reports fired.
+    fired: Vec<String>,
     elapsed: Duration,
 }
 
@@ -340,10 +353,17 @@ fn batch_run(
             }
         })
         .unwrap_or_else(|| "no session stats".to_string());
+    let fired = stdout
+        .lines()
+        .find_map(|l| l.strip_prefix("faults: "))
+        .filter(|list| *list != "none fired")
+        .map(|list| list.split(", ").map(str::to_string).collect())
+        .unwrap_or_default();
     let records = parse_journal(journal)?;
     Ok(BatchRun {
         records,
         recovery,
+        fired,
         elapsed,
     })
 }
