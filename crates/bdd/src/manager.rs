@@ -96,7 +96,7 @@ const _: () = assert!(std::mem::size_of::<Node>() == 16);
 pub(crate) const CHAIN_END: u32 = 0;
 
 /// Bucket count of a fresh unique table (power of two): small, because
-/// tests and the session pool create many tiny managers.
+/// tests and the brute permutation search create many tiny managers.
 const INITIAL_BUCKETS: usize = 1 << 8;
 
 /// Operation tags for the shared computed table.

@@ -55,11 +55,9 @@
 use crate::encode::{decode_circuit, select_bits};
 use crate::error::{Resource, SynthesisError};
 use crate::options::{SynthesisOptions, VarOrder};
-use crate::session::{
-    passes_check_in_audit, ManagerPool, PooledManager, ResourceGovernor, SynthesisSession,
-};
+use crate::session::{ResourceGovernor, SynthesisSession};
 use crate::solutions::SolutionSet;
-use qsyn_bdd::Bdd;
+use qsyn_bdd::{Bdd, Manager};
 use qsyn_revlogic::{Circuit, Gate, GateLibrary, LineSet, Spec};
 
 /// BDD-based depth oracle; see the module docs.
@@ -74,6 +72,9 @@ pub struct BddEngine {
     targets: Vec<Target>,
     /// Cascade levels constructed so far, across rebuilds.
     levels_built: u64,
+    /// Managers dropped for failing the check-in audit at a start; the
+    /// session counts them when the arena is handed back.
+    quarantined: u64,
 }
 
 /// The spec-independent BDD state of a (possibly partial) cascade
@@ -81,7 +82,7 @@ pub struct BddEngine {
 /// A session keeps one across jobs (see the module docs).
 #[derive(Debug)]
 pub(crate) struct Cascade {
-    m: PooledManager,
+    m: Manager,
     /// The library the levels were built from; a later job reuses the
     /// cascade only under the same library and line count.
     library: GateLibrary,
@@ -217,6 +218,24 @@ const GC_GROWTH_FACTOR: usize = 2;
 /// nothing.
 const RETAINED_SHARE: usize = 2048;
 
+/// Largest arena either audit walks: the debug audit after a successful
+/// synthesis, and the check-in audit a manager passes before it serves
+/// another job. Past it the audit is skipped rather than stalling the
+/// worker.
+const AUDIT_NODE_CAP: usize = 100_000;
+
+/// The check-in audit a manager passes before it may serve another job,
+/// whether it stays in a kept cascade or is reset. Walking the arena
+/// costs O(nodes) — enough to dominate small jobs — so release builds
+/// only pay it while the fault plane is *armed* (injected faults are what
+/// can leave an arena torn, and the chaos harness depends on the
+/// quarantine); debug builds always audit.
+fn passes_check_in_audit(m: &Manager) -> bool {
+    let audit = (cfg!(debug_assertions) || qsyn_faults::FaultPlane::armed())
+        && m.node_count() <= AUDIT_NODE_CAP;
+    !audit || qsyn_audit::bdd_audit::audit_manager(m).is_ok()
+}
+
 impl std::fmt::Debug for BddEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("BddEngine")
@@ -236,12 +255,13 @@ impl BddEngine {
         BddEngine::new_in(spec, options, &mut SynthesisSession::new())
     }
 
-    /// Prepares an engine inside `session`: it starts from the cascade the
-    /// session kept when that one fits (same lines and library), else from
-    /// a manager checked out of the session's [`ManagerPool`] (recycled
-    /// with warm table capacity when a retired one is available). All
-    /// budgets are enforced through a [`ResourceGovernor`] built from
-    /// `options`.
+    /// Prepares an engine inside `session` on the arena the session lends:
+    /// it resumes the cascade the session kept when that one fits (same
+    /// lines and library), else resets the session's manager in place
+    /// (keeping its warm table capacity), or allocates one when the
+    /// session holds none. All budgets are enforced through a
+    /// [`ResourceGovernor`] built from `options`. Hand the arena back with
+    /// [`retire`](Self::retire) when the job ends.
     ///
     /// `spec` becomes target 0, the one [`solve_depth`](Self::solve_depth)
     /// answers for; the output-permutation search registers more targets
@@ -256,14 +276,17 @@ impl BddEngine {
         let sbits = select_bits(gates.len());
         let governor = ResourceGovernor::from_options(options);
         governor.arm();
-        let kept = session.take_cascade(spec.lines(), options);
-        let resumed = kept.is_some();
-        let cascade = match kept {
-            Some(mut cascade) => {
-                cascade.arm(options, &governor);
-                cascade
+        let lines = spec.lines();
+        let (cascade, resumed, quarantined) = match session.lend() {
+            Some(mut kept) if kept.fits(lines, options) => {
+                kept.arm(options, &governor);
+                (kept, true, false)
             }
-            None => Cascade::fresh(spec.lines(), options, sbits, &session.pool(), &governor),
+            arena => {
+                let mut cascade = arena.unwrap_or_else(|| Cascade::new(lines, options, sbits));
+                let quarantined = cascade.start(lines, options, sbits, &governor);
+                (cascade, false, quarantined)
+            }
         };
         let mut engine = BddEngine {
             options: options.clone(),
@@ -274,6 +297,7 @@ impl BddEngine {
             cascade,
             targets: Vec::new(),
             levels_built: 0,
+            quarantined: u64::from(quarantined),
         };
         engine.add_target(spec);
         if !resumed {
@@ -282,24 +306,28 @@ impl BddEngine {
         engine
     }
 
-    /// Ends the engine's job: its cascade goes back to `session` for the
-    /// next job when it kept all its levels and its manager is sound (not
-    /// overflowed, not interrupted, passes the check-in audit — a failed
-    /// audit quarantines it); otherwise the manager returns to the pool.
-    /// The targets are dropped; their sets become garbage for the next
-    /// collection.
-    pub(crate) fn retire(self, session: &mut SynthesisSession) {
+    /// Ends the engine's job by handing its arena back to `session`, on
+    /// every exit but a panic. A cascade that kept all its levels on a
+    /// sound manager is kept for the next job once it passes the check-in
+    /// audit (a failed audit quarantines it). Any other arena — levels
+    /// let go, manager overflowed or interrupted — comes back only to be
+    /// reset. The targets are dropped; their sets become garbage for the
+    /// next collection.
+    pub fn retire(self, session: &mut SynthesisSession) {
         let mut cascade = self.cascade;
-        if !cascade.retain || cascade.m.is_overflowed() || cascade.m.is_interrupted() {
-            return;
+        let mut quarantined = self.quarantined;
+        if cascade.m.is_overflowed() || cascade.m.is_interrupted() {
+            cascade.retain = false;
         }
         // The probe captures this job's token; never carry it across jobs.
         cascade.m.set_interrupt_poll(None);
-        if passes_check_in_audit(&cascade.m) {
-            session.keep_cascade(cascade);
+        let arena = if cascade.retain && !passes_check_in_audit(&cascade.m) {
+            quarantined += 1;
+            None
         } else {
-            cascade.m.quarantine();
-        }
+            Some(cascade)
+        };
+        session.hand_back(arena, quarantined);
     }
 
     /// Registers another specification over the same lines and returns
@@ -379,8 +407,8 @@ impl BddEngine {
                 // only F_d, before reporting a stop. (An overflow latched
                 // below the budget — the fault plane's simulated OOM — is
                 // not theirs, and is reported as it is.)
-                self.cascade.retain = false;
                 self.restart();
+                self.cascade.retain = false;
                 self.check_at(target, d)?
             }
             outcome => outcome?,
@@ -397,7 +425,6 @@ impl BddEngine {
         // overwhelmingly also visible in a small one.
         #[cfg(debug_assertions)]
         {
-            const AUDIT_NODE_CAP: usize = 100_000;
             if self.cascade.m.node_count() <= AUDIT_NODE_CAP {
                 if let Err(e) = qsyn_audit::bdd_audit::audit_manager(&self.cascade.m) {
                     panic!("BDD manager failed its audit after depth {d}: {e}");
@@ -454,12 +481,14 @@ impl BddEngine {
         Ok(())
     }
 
-    /// Back to `F_0` in a recycled arena, with every target's sets
-    /// rebuilt in it. The old arena returns to the pool before the new
-    /// loan, so a rebuild never holds two managers.
+    /// Back to `F_0` on the same manager, reset in place, with every
+    /// target's sets rebuilt in it.
     fn restart(&mut self) {
-        self.cascade
-            .restart(&self.options, self.sbits, &self.governor);
+        let lines = self.cascade.x_vars.len() as u32;
+        let quarantined = self
+            .cascade
+            .start(lines, &self.options, self.sbits, &self.governor);
+        self.quarantined += u64::from(quarantined);
         for t in &mut self.targets {
             (t.on, t.dc) = self.cascade.spec_sets(&t.spec);
         }
@@ -520,30 +549,56 @@ impl Cascade {
         options.incremental && options.var_order == VarOrder::XThenY
     }
 
-    /// Fresh depth-0 state: `F_0 = (x_1, …, x_n)`, over a manager checked
-    /// out of `pool` (recycled when one is available) and wired to the
-    /// governor's interrupt probe.
-    fn fresh(
-        lines: u32,
-        options: &SynthesisOptions,
-        sbits: u32,
-        pool: &ManagerPool,
-        governor: &ResourceGovernor,
-    ) -> Cascade {
-        let (num_vars, x_base) = Cascade::layout(lines, options, sbits);
-        let mut cascade = Cascade {
-            m: pool.checkout(num_vars),
+    /// A cascade on a new manager; [`start`](Self::start) sets it at
+    /// `F_0`.
+    fn new(lines: u32, options: &SynthesisOptions, sbits: u32) -> Cascade {
+        let (num_vars, _) = Cascade::layout(lines, options, sbits);
+        Cascade {
+            m: Manager::new(num_vars),
             library: options.library,
-            x_vars: (x_base..x_base + lines).collect(),
+            x_vars: Vec::new(),
             y_vars: Vec::new(),
             levels: Vec::new(),
             last_gc_live: 0,
             level_nodes: 0,
             retained_cap: 0,
-            retain: Cascade::retains(options),
-        };
-        cascade.start(options, governor);
-        cascade
+            retain: false,
+        }
+    }
+
+    /// Starts the cascade at `F_0 = (x_1, …, x_n)` for a job over `lines`
+    /// lines under `options`, its manager wired to the governor's
+    /// interrupt probe: the one path by which every job that does not
+    /// resume a kept cascade, and every rebuild, begins. A manager that
+    /// has served before is reset in place, keeping its table capacity,
+    /// once it passes the check-in audit; one that fails is dropped for a
+    /// new one, and `start` returns `true` (it is quarantined). Every
+    /// handle into the old arena dangles afterwards. The caller registers
+    /// the targets and then sets `last_gc_live`.
+    fn start(
+        &mut self,
+        lines: u32,
+        options: &SynthesisOptions,
+        sbits: u32,
+        governor: &ResourceGovernor,
+    ) -> bool {
+        let (num_vars, x_base) = Cascade::layout(lines, options, sbits);
+        // A new manager has built no level, so there is nothing to reset.
+        let served = !self.levels.is_empty();
+        let quarantined = served && !passes_check_in_audit(&self.m);
+        if quarantined {
+            self.m = Manager::new(num_vars);
+        } else if served {
+            self.m.reset(num_vars);
+        }
+        self.library = options.library;
+        self.x_vars = (x_base..x_base + lines).collect();
+        self.y_vars.clear();
+        self.level_nodes = 0;
+        self.retain = Cascade::retains(options);
+        self.arm(options, governor);
+        self.levels = vec![self.x_vars.iter().map(|&v| self.m.var(v)).collect()];
+        quarantined
     }
 
     /// Whether a job over `lines` lines under `options` may start from this
@@ -562,21 +617,17 @@ impl Cascade {
         self.m.stats()
     }
 
-    /// Returns the arena to its pool, takes a fresh loan and restarts at
-    /// `F_0`. Every handle into the old arena dangles afterwards.
-    fn restart(&mut self, options: &SynthesisOptions, sbits: u32, governor: &ResourceGovernor) {
-        let (num_vars, _) = Cascade::layout(self.x_vars.len() as u32, options, sbits);
-        self.m.recycle(num_vars);
-        self.start(options, governor);
+    /// The depth of the cascade if it keeps its levels for the next job.
+    #[cfg(test)]
+    pub(crate) fn kept_depth(&self) -> Option<u32> {
+        self.retain.then(|| self.depth())
     }
 
-    /// Configures a just-checked-out manager and sets `F_0`. The caller
-    /// registers the targets and then sets `last_gc_live`.
-    fn start(&mut self, options: &SynthesisOptions, governor: &ResourceGovernor) {
-        self.arm(options, governor);
-        self.levels = vec![self.x_vars.iter().map(|&v| self.m.var(v)).collect()];
-        self.y_vars.clear();
-        self.level_nodes = 0;
+    /// The cascade's manager, for tests that inspect an arena between
+    /// jobs.
+    #[cfg(test)]
+    pub(crate) fn manager_mut(&mut self) -> &mut Manager {
+        &mut self.m
     }
 
     /// Arms the manager for a job under `options`: a fresh one, or a kept
@@ -1370,8 +1421,8 @@ mod tests {
 
     #[test]
     fn non_incremental_mode_holds_one_manager() {
-        // Each depth's rebuild returns the old arena to the pool before it
-        // checks one out, so ablation B never holds two managers.
+        // Each depth's rebuild resets the one manager in place, so
+        // ablation B never holds two.
         let spec = qsyn_revlogic::benchmarks::spec_3_17();
         for incremental in [true, false] {
             let mut session = SynthesisSession::new();
@@ -1584,7 +1635,7 @@ mod tests {
     }
 
     /// Debug builds audit a cascade as it is handed back, as they audit a
-    /// manager checked into the pool.
+    /// manager before it is reset.
     #[cfg(debug_assertions)]
     #[test]
     fn a_cascade_that_fails_its_audit_is_quarantined_not_kept() {
@@ -1599,8 +1650,66 @@ mod tests {
         e.cascade.m.corrupt_node_for_audit(f, var, hi, lo);
         e.retire(&mut session);
         assert_eq!(session.kept_depth(), None);
-        assert_eq!(session.pool().quarantined(), 1);
-        assert_eq!(session.stats().managers, 0);
+        let s = session.stats();
+        assert_eq!((s.managers, s.quarantined), (0, 1));
+    }
+
+    /// A manager handed back without levels (ablation B keeps none) is
+    /// audited before it is reset for the next job; one that fails is
+    /// dropped for a new one and never re-issued.
+    #[cfg(debug_assertions)]
+    #[test]
+    fn audit_quarantine_never_reissues() {
+        let options = opts(GateLibrary::mct()).with_incremental(false);
+        let mut session = SynthesisSession::new();
+        let spec = qsyn_revlogic::benchmarks::spec_3_17();
+        let mut e = BddEngine::new_in(&spec, &options, &mut session);
+        assert!(e.solve_depth(2).unwrap().is_none());
+        let f = e.cascade.top(0);
+        let (lo, hi) = e.cascade.m.children(f);
+        let var = e.cascade.m.root_var(f).unwrap();
+        e.cascade.m.corrupt_node_for_audit(f, var, hi, lo);
+        e.retire(&mut session);
+        assert_eq!(session.kept_depth(), None);
+        assert_eq!(session.stats().managers, 1, "handed back to be reset");
+        let e = BddEngine::new_in(&spec, &options, &mut session);
+        assert_eq!(
+            e.manager_stats().resets,
+            0,
+            "a new manager, not the torn one"
+        );
+        e.retire(&mut session);
+        let s = session.stats();
+        assert_eq!((s.managers, s.quarantined), (1, 1));
+    }
+
+    #[test]
+    fn a_job_that_errors_hands_its_manager_back() {
+        let options = opts(GateLibrary::mct());
+        let spec = qsyn_revlogic::benchmarks::spec_3_17();
+        let mut session = SynthesisSession::new();
+        let tight = options.clone().with_bdd_node_limit(50);
+        let stopped = crate::synthesize_in(&spec, &tight, &mut session);
+        assert!(
+            matches!(
+                stopped,
+                Err(SynthesisError::BudgetExceeded {
+                    resource: Resource::BddNodes,
+                    ..
+                })
+            ),
+            "{stopped:?}"
+        );
+        let before = session.stats();
+        assert_eq!((before.managers, before.quarantined), (1, 0));
+        let again = crate::synthesize_in(&spec, &options, &mut session).unwrap();
+        let after = session.stats();
+        assert_eq!(after.resets, before.resets + 1, "the manager is reused");
+        assert_eq!((after.managers, after.quarantined), (1, 0));
+        let fresh = crate::synthesize_in(&spec, &options, &mut SynthesisSession::new()).unwrap();
+        assert_eq!(again.depth(), fresh.depth());
+        assert_eq!(again.solutions().count(), fresh.solutions().count());
+        assert_eq!(again.solutions().circuits(), fresh.solutions().circuits());
     }
 
     #[test]
@@ -1623,11 +1732,7 @@ mod tests {
             None,
             "the cascade went down with the job"
         );
-        assert_eq!(
-            session.pool().quarantined(),
-            1,
-            "its manager is quarantined"
-        );
+        assert_eq!(session.stats().quarantined, 1, "its manager is quarantined");
         let again = crate::synthesize_in(&spec, &options, &mut session).unwrap();
         assert_eq!(again.depth(), expected.depth());
         assert_eq!(
@@ -1713,7 +1818,7 @@ mod tests {
             assert_eq!(
                 session.stats().managers,
                 1,
-                "its manager went back to the pool"
+                "its manager went back to the session"
             );
         }
     }

@@ -69,7 +69,7 @@ pub use options::{Engine, SatSelectEncoding, SynthesisOptions, VarOrder};
 pub use permuted::{synthesize, synthesize_in};
 pub use qbf_engine::QbfEngine;
 pub use sat_engine::SatEngine;
-pub use session::{ManagerPool, PooledManager, ResourceGovernor, SessionStats, SynthesisSession};
+pub use session::{ResourceGovernor, SessionStats, SynthesisSession};
 pub use solutions::SolutionSet;
 
 // Re-export the domain types users need to drive the API.

@@ -392,8 +392,8 @@ pub fn synthesize_with_output_permutation(
 /// [`synthesize_with_output_permutation`], but borrowing a caller-owned
 /// [`SynthesisSession`]. Probes are set up lazily — one per equivalence
 /// class, only once the lock-step reaches the class's depth floor. Under
-/// the BDD engine every class is a target of one shared cascade whose
-/// manager comes from the session's pool.
+/// the BDD engine every class is a target of one shared cascade, on the
+/// arena the session lends.
 ///
 /// # Errors
 ///
@@ -431,9 +431,10 @@ pub fn synthesize(
 }
 
 /// [`synthesize`], but borrowing a caller-owned [`SynthesisSession`] so the
-/// BDD manager pool (and its warmed unique/computed tables) survives across
-/// jobs. Batch drivers and portfolio workers call this once per job on a
-/// long-lived session; `synthesize` itself is the one-shot special case.
+/// BDD arena (its kept cascade, or its manager's warmed unique/computed
+/// tables) survives across jobs. Batch drivers and portfolio workers call
+/// this once per job on a long-lived session; `synthesize` itself is the
+/// one-shot special case.
 ///
 /// This is the output-permutation search's loop over a single labeling —
 /// the spec's own — so the session records its probe and solver counters
@@ -474,14 +475,36 @@ fn refuse_oversized(spec: &Spec) -> Result<(), SynthesisError> {
 /// first SAT answer wins. `permutations` is the labeling count the classes
 /// stand for (`n!`, or 1 for plain synthesis); the result's total time
 /// runs from `start`, so it includes grouping the classes.
+///
+/// The shared BDD cascade goes back to the session on every exit but a
+/// panic, errors included; a panic drops it, and its manager with it.
 fn deepen(
     start: Instant,
-    mut classes: Vec<ProbeClass>,
+    classes: Vec<ProbeClass>,
     permutations: u64,
     options: &SynthesisOptions,
     session: &mut SynthesisSession,
 ) -> Result<PermutedSynthesisResult, SynthesisError> {
     session.begin_job();
+    let mut cascade: Option<BddEngine> = None;
+    let outcome = search(start, classes, permutations, options, session, &mut cascade);
+    if let Some(shared) = cascade {
+        shared.retire(session);
+    }
+    let found = outcome?;
+    session.note_permuted_search(&found.stats);
+    Ok(found)
+}
+
+/// The body of [`deepen`], which hands the shared `cascade` back.
+fn search(
+    start: Instant,
+    mut classes: Vec<ProbeClass>,
+    permutations: u64,
+    options: &SynthesisOptions,
+    session: &mut SynthesisSession,
+    cascade: &mut Option<BddEngine>,
+) -> Result<PermutedSynthesisResult, SynthesisError> {
     let mut stats = PermutedSearchStats {
         permutations,
         classes: classes.len() as u64,
@@ -508,7 +531,6 @@ fn deepen(
     } else {
         0
     };
-    let mut cascade: Option<BddEngine> = None;
     let mut winner: Option<(usize, u32, SolutionSet)> = None;
     let mut depth_times = Vec::new();
     'deepen: for d in first_depth..=options.max_depth {
@@ -525,7 +547,7 @@ fn deepen(
                 Some(p) => p,
                 None => {
                     stats.engines_built += 1;
-                    let p = open_probe(&class.spec, &probe_options, session, &mut cascade);
+                    let p = open_probe(&class.spec, &probe_options, session, cascade);
                     class.probe.insert(p)
                 }
             };
@@ -558,8 +580,7 @@ fn deepen(
         });
     };
     // First SAT at depth d: cancel the sibling probes (any engine state
-    // polling the merged token observes it), then tear them down; the
-    // shared cascade goes back to the session for the next job.
+    // polling the merged token observes it), then tear them down.
     probe_token.cancel();
     // Fold every probe engine's persistent-solver reuse counters — winner
     // and cancelled siblings alike — before tearing the engines down.
@@ -574,7 +595,7 @@ fn deepen(
     stats.incremental = incremental.unwrap_or_default();
     stats.levels_built = cascade.as_ref().map_or(0, BddEngine::levels_built);
     let class = classes.swap_remove(idx);
-    let (name, manager_stats) = match (&cascade, &class.probe) {
+    let (name, manager_stats) = match (&*cascade, &class.probe) {
         (Some(shared), _) => ("BDD", Some(shared.manager_stats())),
         (None, Some(Probe::Engine(e))) => (e.name(), None),
         (None, _) => unreachable!("the winning class was probed"),
@@ -596,12 +617,6 @@ fn deepen(
             .all(|c| class.spec.is_realized_by(c)),
         "winning solutions must realize the class representative"
     );
-    // Only a search that returns normally hands its cascade back: on an
-    // error it returns to the pool, and a panic quarantines its manager.
-    if let Some(shared) = cascade {
-        shared.retire(session);
-    }
-    session.note_permuted_search(&stats);
     let result = SynthesisResult::from_parts(
         solutions,
         d,
@@ -645,9 +660,11 @@ pub fn synthesize_with_output_permutation_brute_in(
         .into_iter()
         .filter_map(|p| permute_spec(spec, &p).ok().map(|s| (p, s)))
         .collect();
+    // Each probe engine holds an arena of its own at the same time, so
+    // each runs on a throwaway session; the caller's lends one at a time.
     let mut engines: Vec<Box<dyn DepthSolver>> = candidates
         .iter()
-        .map(|(_, s)| build_engine(s, options, session))
+        .map(|(_, s)| build_engine(s, options, &mut SynthesisSession::new()))
         .collect();
     let governor = ResourceGovernor::from_options(options);
     governor.arm();
@@ -667,8 +684,7 @@ pub fn synthesize_with_output_permutation_brute_in(
         });
     };
     let (permutation, permuted_spec) = candidates.swap_remove(idx);
-    // Drop the probe engines first so their pooled managers return to the
-    // session before the winner re-runs.
+    // Free the probe engines' arenas before the winner re-runs.
     drop(engines);
     let result = {
         let mut capped = options.clone();

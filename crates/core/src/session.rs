@@ -1,42 +1,48 @@
-//! Per-worker synthesis sessions: recyclable BDD managers and a unified
+//! Per-worker synthesis sessions: one kept BDD arena and a unified
 //! resource governor.
 //!
 //! # Why sessions
 //!
 //! A `qsyn batch` run multiplies the paper's per-depth oracle calls into
-//! thousands of engine constructions, and until this module existed every
-//! one of them built its state — BDD [`Manager`], solver, scratch — from
-//! scratch, then threw the grown hash tables away. A [`SynthesisSession`]
-//! is the per-worker context that survives across jobs: it owns a
-//! [`ManagerPool`] of recyclable managers ([`Manager::reset`] clears
-//! contents but keeps allocated capacity, so the unique table, computed
-//! table and arena stay warm), and a job counter for reporting.
+//! thousands of engine constructions. Built from scratch, each would
+//! allocate its BDD [`Manager`](qsyn_bdd::Manager) anew and then throw
+//! the grown hash tables away. A [`SynthesisSession`] is the per-worker
+//! context that survives across jobs: it owns at most one BDD arena, and
+//! the job, retry and quarantine counters for reporting.
 //!
-//! # Why a pool and not a single manager
+//! # The kept arena
 //!
-//! The brute-force reference search drives up to `n!` BDD engines in lock
-//! step, each needing its own manager at the same time (a synthesis
-//! search holds one, its shared cascade's). The pool starts empty, grows
-//! to the high-water mark of simultaneously live managers on the first
-//! job, and recycles them all afterwards — steady-state batch work
-//! allocates no new arenas at all.
+//! Between jobs the session holds its arena by value: the cascade of its
+//! last BDD job — the manager, every level `F_0 ..= F_D` still rooted in
+//! it, and the select variables in the order they were appended — or,
+//! when that job kept no levels, just the manager, to be reset. Each BDD
+//! engine borrows the arena ([`lend`](SynthesisSession::lend)) and gives
+//! it back ([`hand_back`](SynthesisSession::hand_back)); that pair is the
+//! only way an arena enters or leaves a session, and a session lends one
+//! at a time.
 //!
-//! # The kept cascade
-//!
-//! Besides the pool, a session keeps the BDD cascade of its last job: the
-//! manager, every level `F_0 ..= F_D` still rooted in it, and the select
-//! variables in the order they were appended. The cascade depends only on
-//! the line count, the gate library and the variable order, so the next
-//! BDD job over the same lines and library takes it
-//! ([`take_cascade`](SynthesisSession::take_cascade)), registers its own
-//! targets, builds only the levels past `F_D`, and — only if it returns
-//! normally — hands it back ([`keep_cascade`](SynthesisSession::keep_cascade)).
-//! A job that panics drops the cascade during unwinding, which
-//! quarantines its manager; a job that fails, or whose manager overflowed
-//! or was interrupted, drops it into the pool as before. A cascade that
+//! The cascade depends only on the line count, the gate library and the
+//! variable order, so the next BDD job over the same lines and library
+//! resumes it: it registers its own targets and builds only the levels
+//! past `F_D`. Any other job resets the manager in place
+//! ([`Manager::reset`](qsyn_bdd::Manager::reset) clears contents but
+//! keeps allocated capacity, so the unique table, computed table and
+//! arena stay warm) and starts at `F_0`. A job hands the arena back on
+//! every exit but a panic; one whose manager overflowed or was
+//! interrupted hands it back only to be reset, and a cascade that
 //! outgrows its share of the node budget is not kept at all (see
 //! `bdd_engine`). This is how CUDD is meant to be used: one long-lived
 //! manager whose shared subgraphs outlive any one query.
+//!
+//! # Quarantine
+//!
+//! A manager is **quarantined** — dropped, counted in
+//! [`SessionStats::quarantined`] and never re-issued — when its job
+//! panics, or when it fails the structural audit it must pass before it
+//! serves another job. A panicking job's loan never comes back: unwinding
+//! drops the engine and its manager with it, and the session counts the
+//! loan still out at its next lend (or [`stats`](SynthesisSession::stats)
+//! call). The next job gets a new manager.
 //!
 //! # Resource governance
 //!
@@ -54,8 +60,7 @@ use crate::cancel::CancelToken;
 use crate::error::{Resource, SynthesisError};
 use crate::options::SynthesisOptions;
 use crate::permuted::PermutedSearchStats;
-use qsyn_bdd::{Manager, ManagerStats};
-use std::sync::{Arc, Mutex};
+use qsyn_bdd::ManagerStats;
 use std::time::Duration;
 
 /// Unified budget enforcement for one synthesis run; see the module docs.
@@ -143,12 +148,13 @@ impl ResourceGovernor {
         }
     }
 
-    /// An abort probe for [`Manager::set_interrupt_poll`]: fires when the
-    /// governed token is cancelled or its deadline has passed, so a single
-    /// giant BDD operation stops mid-recursion instead of running to
-    /// completion. The manager latches the interrupt and collapses results
-    /// to ⊥; the engine's next [`check`](Self::check) turns that into the
-    /// structured error.
+    /// An abort probe for
+    /// [`Manager::set_interrupt_poll`](qsyn_bdd::Manager::set_interrupt_poll):
+    /// fires when the governed token is cancelled or its deadline has
+    /// passed, so a single giant BDD operation stops mid-recursion instead
+    /// of running to completion. The manager latches the interrupt and
+    /// collapses results to ⊥; the engine's next [`check`](Self::check)
+    /// turns that into the structured error.
     ///
     /// Carries the fault-plane site `bdd.gc-sweep`, polled at the BDD
     /// safe points (garbage-collection entry and the construction-stride
@@ -203,50 +209,6 @@ impl ResourceGovernor {
     }
 }
 
-/// A shared pool of recyclable BDD managers; see the module docs.
-///
-/// Clones share the pool. [`checkout`](ManagerPool::checkout) pops a
-/// retired manager (resetting it to the requested variable count, keeping
-/// its allocated capacity) or allocates a fresh one; dropping the returned
-/// [`PooledManager`] checks the manager back in.
-///
-/// # Quarantine
-///
-/// A manager is **quarantined** — dropped on the floor instead of checked
-/// back in — when its loan ends during a panic unwind (the job that held
-/// it crashed mid-build, so its arena state is suspect), when the holder
-/// calls [`PooledManager::quarantine`] explicitly, or when the post-job
-/// structural audit fails at check-in. Quarantined managers are counted in
-/// [`SessionStats::quarantined`] and are never re-issued: the next
-/// checkout allocates fresh.
-#[derive(Clone, Debug, Default)]
-pub struct ManagerPool {
-    inner: Arc<Mutex<PoolState>>,
-}
-
-#[derive(Debug, Default)]
-struct PoolState {
-    idle: Vec<Manager>,
-    quarantined: u64,
-    retries: u64,
-}
-
-/// Largest manager the check-in audit will walk; beyond this the audit is
-/// skipped rather than stalling the worker between jobs.
-const CHECK_IN_AUDIT_NODE_CAP: usize = 100_000;
-
-/// The audit a manager passes before it may serve another job, whether it
-/// returns to the pool or stays in a kept cascade. Walking the arena costs
-/// O(nodes) — enough to dominate small jobs — so release builds only pay
-/// it while the fault plane is *armed* (injected faults are what can leave
-/// an arena torn, and the chaos harness depends on the quarantine); debug
-/// builds always audit.
-pub(crate) fn passes_check_in_audit(m: &Manager) -> bool {
-    let audit = (cfg!(debug_assertions) || qsyn_faults::FaultPlane::armed())
-        && m.node_count() <= CHECK_IN_AUDIT_NODE_CAP;
-    !audit || qsyn_audit::bdd_audit::audit_manager(m).is_ok()
-}
-
 /// The fault-plane site `session.checkout`: a poisoned manager surfacing
 /// while a worker prepares a job.
 fn poll_checkout_fault() {
@@ -255,163 +217,16 @@ fn poll_checkout_fault() {
     }
 }
 
-impl ManagerPool {
-    /// An empty pool.
-    pub fn new() -> ManagerPool {
-        ManagerPool::default()
-    }
-
-    /// A manager over `num_vars` variables: recycled if one is available,
-    /// freshly allocated otherwise.
-    ///
-    /// # Panics
-    ///
-    /// Only under fault injection: the fault-plane site
-    /// `session.checkout` models a poisoned manager surfacing while a
-    /// worker prepares a job.
-    pub fn checkout(&self, num_vars: u32) -> PooledManager {
-        poll_checkout_fault();
-        let recycled = self.inner.lock().expect("manager pool lock").idle.pop();
-        let m = match recycled {
-            Some(mut m) => {
-                m.reset(num_vars);
-                m
-            }
-            None => Manager::new(num_vars),
-        };
-        PooledManager {
-            m: Some(m),
-            pool: self.clone(),
-        }
-    }
-
-    /// Number of managers currently checked in.
-    pub fn idle(&self) -> usize {
-        self.inner.lock().expect("manager pool lock").idle.len()
-    }
-
-    /// Managers quarantined so far (never re-issued).
-    pub fn quarantined(&self) -> u64 {
-        self.inner.lock().expect("manager pool lock").quarantined
-    }
-
-    /// Records one supervised retry attempt (see
-    /// [`SessionStats::retries`]); called by the supervisor
-    /// (`qsyn_portfolio::supervise`).
-    pub fn note_retry(&self) {
-        self.inner.lock().expect("manager pool lock").retries += 1;
-    }
-
-    /// Sums the cumulative counters of every checked-in manager.
-    fn stats(&self) -> SessionStats {
-        let pool = self.inner.lock().expect("manager pool lock");
-        let mut agg = SessionStats {
-            managers: pool.idle.len() as u64,
-            quarantined: pool.quarantined,
-            retries: pool.retries,
-            ..SessionStats::default()
-        };
-        for m in pool.idle.iter() {
-            // concheck resolves `m.stats()` by bare name and merges it
-            // with this very function, inferring a self.inner re-lock.
-            // `m` is a `Manager`, whose `stats()` reads plain counters
-            // and takes no lock.
-            let s = m.stats(); // lint: allow(lock-order)
-            agg.merge(&SessionStats::of_manager(&s));
-        }
-        agg
-    }
-
-    fn check_in(&self, mut m: Manager) {
-        // A returning manager must pass the structural audit before it can
-        // serve another job; a corrupted arena is quarantined, not
-        // recycled.
-        if !passes_check_in_audit(&m) {
-            self.note_quarantine();
-            return;
-        }
-        // Never retain a caller's abort probe across jobs: the closure
-        // captures a token whose lifetime ends with the job.
-        m.set_interrupt_poll(None);
-        self.inner.lock().expect("manager pool lock").idle.push(m);
-    }
-
-    fn note_quarantine(&self) {
-        // The manager itself is dropped by the caller going out of scope.
-        self.inner.lock().expect("manager pool lock").quarantined += 1;
-    }
-}
-
-/// A [`Manager`] on loan from a [`ManagerPool`]; derefs to the manager
-/// and checks itself back in on drop — unless the drop happens during a
-/// panic unwind, in which case the manager is quarantined (see
-/// [`ManagerPool`]).
-#[derive(Debug)]
-pub struct PooledManager {
-    m: Option<Manager>,
-    pool: ManagerPool,
-}
-
-impl PooledManager {
-    /// Ends this loan and starts a new one over `num_vars` variables from
-    /// the same pool. The manager is checked in *before* the checkout, so
-    /// the pool re-issues it (reset, capacity kept) instead of allocating a
-    /// second one while the first is still held.
-    pub(crate) fn recycle(&mut self, num_vars: u32) {
-        if let Some(m) = self.m.take() {
-            self.pool.check_in(m);
-        }
-        *self = self.pool.checkout(num_vars);
-    }
-
-    /// Quarantines the manager explicitly: it is dropped, counted in
-    /// [`SessionStats::quarantined`], and never returns to the pool. Use
-    /// when the holder knows the manager's state is suspect (a failed
-    /// audit, an inconsistent result) without a panic in flight.
-    pub fn quarantine(mut self) {
-        if self.m.take().is_some() {
-            self.pool.note_quarantine();
-        }
-    }
-}
-
-impl std::ops::Deref for PooledManager {
-    type Target = Manager;
-    fn deref(&self) -> &Manager {
-        self.m.as_ref().expect("manager present until drop")
-    }
-}
-
-impl std::ops::DerefMut for PooledManager {
-    fn deref_mut(&mut self) -> &mut Manager {
-        self.m.as_mut().expect("manager present until drop")
-    }
-}
-
-impl Drop for PooledManager {
-    fn drop(&mut self) {
-        if let Some(m) = self.m.take() {
-            // A loan ending mid-unwind means the owning job panicked with
-            // the manager possibly half-updated; poison it out of the pool
-            // instead of handing the wreckage to the next job.
-            if std::thread::panicking() {
-                drop(m);
-                self.pool.note_quarantine();
-            } else {
-                self.pool.check_in(m);
-            }
-        }
-    }
-}
-
 /// Aggregated per-session counters, for `qsyn batch --stats`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SessionStats {
     /// Jobs run through the session.
     pub jobs: u64,
-    /// Managers the pool owns (its high-water mark of simultaneous use).
+    /// Managers kept between jobs: one at most per session, summed across
+    /// sessions.
     pub managers: u64,
-    /// Total manager recycles ([`Manager::reset`] calls).
+    /// Total manager recycles
+    /// ([`Manager::reset`](qsyn_bdd::Manager::reset) calls).
     pub resets: u64,
     /// Highest live-node count any manager reached.
     pub peak_live: usize,
@@ -425,8 +240,8 @@ pub struct SessionStats {
     pub gc_runs: u64,
     /// Nodes reclaimed by collections, summed.
     pub gc_freed: u64,
-    /// Managers quarantined (dropped after a panic, an explicit
-    /// quarantine, or a failed check-in audit) — never re-issued.
+    /// Managers quarantined (dropped after a panic or a failed audit) —
+    /// never re-issued.
     pub quarantined: u64,
     /// Supervised retry attempts recorded by the supervisor.
     pub retries: u64,
@@ -534,31 +349,38 @@ impl std::fmt::Display for SessionStats {
 /// ([`synthesize_in`](crate::synthesize_in),
 /// [`synthesize_with_output_permutation_in`](crate::permuted::synthesize_with_output_permutation_in))
 /// for every job the worker runs, and read [`stats`](Self::stats) at the
-/// end. A session is deliberately cheap when unused: the pool starts
-/// empty and no cascade is kept.
+/// end. A session is deliberately cheap when unused: it holds no arena
+/// until its first BDD job hands one back.
 #[derive(Debug, Default)]
 pub struct SynthesisSession {
-    pool: ManagerPool,
     jobs: u64,
+    retries: u64,
+    quarantined: u64,
     search: PermutedSearchStats,
-    /// The BDD cascade the last job handed back; see the module docs.
-    cascade: Option<Cascade>,
+    /// The BDD arena between jobs: the last job's kept cascade, or a
+    /// manager to reset; see the module docs.
+    arena: Option<Cascade>,
+    /// An arena is on loan to an engine. Still set at the next lend (or
+    /// at [`stats`](Self::stats)), the loan was lost to a panic.
+    lent: bool,
 }
 
 impl SynthesisSession {
-    /// A fresh session with an empty manager pool.
+    /// A fresh session holding no arena.
     pub fn new() -> SynthesisSession {
         SynthesisSession::default()
-    }
-
-    /// The session's manager pool (a shared handle).
-    pub fn pool(&self) -> ManagerPool {
-        self.pool.clone()
     }
 
     /// Records the start of a job (for [`stats`](Self::stats)).
     pub fn begin_job(&mut self) {
         self.jobs += 1;
+    }
+
+    /// Records one supervised retry attempt (see
+    /// [`SessionStats::retries`]); called by the supervisor
+    /// (`qsyn_portfolio::supervise`).
+    pub fn note_retry(&mut self) {
+        self.retries += 1;
     }
 
     /// Accumulates one search's probe-space and solver counters — plain
@@ -568,58 +390,53 @@ impl SynthesisSession {
         self.search.merge(s);
     }
 
-    /// Takes the kept cascade out of the session for a BDD job over
-    /// `lines` lines under `options`: `Some` when the cascade was built for
-    /// the same lines and library and `options` let it be reused, `None`
-    /// otherwise (a kept cascade that does not fit returns its manager to
-    /// the pool, and the caller checks one out). Taking it polls the
-    /// fault-plane site `session.checkout` as the checkout it replaces
-    /// would, so each engine polls the site exactly once.
+    /// Lends the session's arena to a BDD engine, `None` when the session
+    /// holds none. The engine resumes a kept cascade that fits its job and
+    /// resets anything else. A loan still out from an earlier lend went
+    /// down with a panicking job: its manager is counted as quarantined.
+    /// Lending polls the fault-plane site `session.checkout`, once per BDD
+    /// engine.
     ///
     /// # Panics
     ///
-    /// Only under fault injection (the session keeps its cascade then).
-    pub(crate) fn take_cascade(
-        &mut self,
-        lines: u32,
-        options: &SynthesisOptions,
-    ) -> Option<Cascade> {
-        if !self
-            .cascade
-            .as_ref()
-            .is_some_and(|c| c.fits(lines, options))
-        {
-            self.cascade = None;
-            return None;
-        }
+    /// Only under fault injection (the session keeps its arena then).
+    pub(crate) fn lend(&mut self) -> Option<Cascade> {
         poll_checkout_fault();
-        self.cascade.take()
+        if std::mem::replace(&mut self.lent, true) {
+            self.quarantined += 1;
+        }
+        self.arena.take()
     }
 
-    /// Keeps `cascade` for the next job; the caller has cleared its
-    /// manager's interrupt probe and audited it.
-    pub(crate) fn keep_cascade(&mut self, cascade: Cascade) {
-        self.cascade = Some(cascade);
+    /// Ends the current loan: `arena` is what the engine gives back, `None`
+    /// when it quarantined the lent manager, and `quarantined` counts the
+    /// managers the engine dropped for failing their audit.
+    pub(crate) fn hand_back(&mut self, arena: Option<Cascade>, quarantined: u64) {
+        self.lent = false;
+        self.quarantined += quarantined;
+        self.arena = arena;
     }
 
     /// The depth of the kept cascade, if the session keeps one.
     #[cfg(test)]
     pub(crate) fn kept_depth(&self) -> Option<u32> {
-        self.cascade.as_ref().map(Cascade::depth)
+        self.arena.as_ref().and_then(Cascade::kept_depth)
     }
 
-    /// Aggregated counters over everything this session has run, the kept
-    /// cascade's manager included. Call between jobs: managers still
-    /// checked out are not counted.
+    /// Aggregated counters over everything this session has run, its
+    /// arena's manager included. Call between jobs: a loan still out is
+    /// counted as quarantined.
     pub fn stats(&self) -> SessionStats {
         let mut stats = SessionStats {
             jobs: self.jobs,
+            quarantined: self.quarantined + u64::from(self.lent),
+            retries: self.retries,
             search: self.search,
-            ..self.pool.stats()
+            ..SessionStats::default()
         };
-        if let Some(cascade) = &self.cascade {
-            stats.managers += 1;
-            stats.merge(&SessionStats::of_manager(&cascade.manager_stats()));
+        if let Some(arena) = &self.arena {
+            stats.managers = 1;
+            stats.merge(&SessionStats::of_manager(&arena.manager_stats()));
         }
         stats
     }
@@ -629,62 +446,31 @@ impl SynthesisSession {
 mod tests {
     use super::*;
     use crate::options::Engine;
-    use qsyn_revlogic::GateLibrary;
+    use crate::BddEngine;
+    use qsyn_revlogic::{GateLibrary, Permutation, Spec};
 
     fn opts() -> SynthesisOptions {
         SynthesisOptions::new(GateLibrary::mct(), Engine::Bdd)
     }
 
-    #[test]
-    fn pool_recycles_managers() {
-        let pool = ManagerPool::new();
-        let stamp;
-        {
-            let mut m = pool.checkout(4);
-            let a = m.var(0);
-            let b = m.var(1);
-            let _ = m.and(a, b);
-            stamp = m.stats().allocated;
-            assert!(stamp > 0);
-        }
-        assert_eq!(pool.idle(), 1);
-        let m2 = pool.checkout(6);
-        assert_eq!(pool.idle(), 0);
-        assert_eq!(m2.stats().resets, 1, "checkout reuses the retired manager");
-        assert_eq!(m2.node_count(), 2, "reset manager starts empty");
-    }
-
-    #[test]
-    fn pool_grows_under_simultaneous_checkout() {
-        let pool = ManagerPool::new();
-        let a = pool.checkout(2);
-        let b = pool.checkout(2);
-        drop(a);
-        drop(b);
-        assert_eq!(pool.idle(), 2);
-        let c = pool.checkout(2);
-        let d = pool.checkout(2);
-        assert_eq!(pool.idle(), 0);
-        drop(c);
-        drop(d);
-        assert_eq!(pool.idle(), 2, "steady state allocates no new managers");
+    /// NOT on line 0 of `lines` lines: one gate.
+    fn not(lines: u32) -> Spec {
+        Spec::from_permutation(&Permutation::from_fn(lines, |v| v ^ 1))
     }
 
     #[test]
     fn session_stats_aggregate_cumulative_counters() {
         let mut session = SynthesisSession::new();
-        let pool = session.pool();
-        for _ in 0..3 {
-            session.begin_job();
-            let mut m = pool.checkout(3);
-            let x = m.var(0);
-            let y = m.var(1);
-            let _ = m.xor(x, y);
+        // A job over other lines cannot resume the kept cascade: the one
+        // manager is reset in place for it.
+        for lines in [2, 3, 2] {
+            crate::synthesize_in(&not(lines), &opts(), &mut session).unwrap();
         }
         let s = session.stats();
         assert_eq!(s.jobs, 3);
         assert_eq!(s.managers, 1, "one worker at a time needs one manager");
         assert_eq!(s.resets, 2, "first job allocates, later jobs recycle");
+        assert_eq!(s.quarantined, 0);
         assert!(s.cache_misses > 0, "counters survive recycling");
         assert!(!s.to_string().is_empty());
     }
@@ -755,45 +541,32 @@ mod tests {
 
     #[test]
     fn panicking_job_quarantines_its_manager() {
-        let pool = ManagerPool::new();
-        let p = pool.clone();
-        let worker = std::thread::spawn(move || {
-            let mut m = p.checkout(3);
-            let a = m.var(0);
-            let b = m.var(1);
-            let _ = m.and(a, b);
+        let mut session = SynthesisSession::new();
+        let crashed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _engine = BddEngine::new_in(&not(3), &opts(), &mut session);
             panic!("job crashed mid-build");
-        });
-        assert!(worker.join().is_err());
+        }));
+        assert!(crashed.is_err());
+        let s = session.stats();
         assert_eq!(
-            pool.idle(),
-            0,
+            (s.managers, s.quarantined),
+            (0, 1),
             "a panicking job's manager must never reach the next job"
         );
-        assert_eq!(pool.quarantined(), 1);
-        // The next checkout allocates fresh rather than recycling wreckage.
-        let m = pool.checkout(3);
-        assert_eq!(m.stats().resets, 0);
-    }
-
-    #[test]
-    fn explicit_quarantine_never_reissues() {
-        let pool = ManagerPool::new();
-        let m = pool.checkout(2);
-        m.quarantine();
-        assert_eq!(pool.idle(), 0);
-        assert_eq!(pool.quarantined(), 1);
-        let m2 = pool.checkout(2);
-        assert_eq!(m2.stats().resets, 0, "quarantined manager is not recycled");
+        // The next job allocates fresh rather than recycling wreckage.
+        let e = BddEngine::new_in(&not(3), &opts(), &mut session);
+        assert_eq!(e.manager_stats().resets, 0);
+        e.retire(&mut session);
+        assert_eq!(session.stats().quarantined, 1, "the loss counts once");
     }
 
     #[test]
     fn stats_carry_quarantine_and_retry_counters() {
-        let session = SynthesisSession::new();
-        let pool = session.pool();
-        pool.checkout(2).quarantine();
-        pool.note_retry();
-        pool.note_retry();
+        let mut session = SynthesisSession::new();
+        // A loan that never comes back.
+        assert!(session.lend().is_none());
+        session.note_retry();
+        session.note_retry();
         let s = session.stats();
         assert_eq!(s.quarantined, 1);
         assert_eq!(s.retries, 2);
@@ -808,12 +581,20 @@ mod tests {
 
     #[test]
     fn checked_in_manager_loses_its_interrupt_probe() {
-        let pool = ManagerPool::new();
-        {
-            let mut m = pool.checkout(2);
-            m.set_interrupt_poll(Some(Box::new(|| true)));
+        let options = opts();
+        let mut session = SynthesisSession::new();
+        BddEngine::new_in(&not(2), &options, &mut session).retire(&mut session);
+        // The job's token trips after the job: the kept manager must not
+        // poll it any more.
+        options.cancel.cancel();
+        let m = session
+            .arena
+            .as_mut()
+            .expect("arena handed back")
+            .manager_mut();
+        for _ in 0..10_000 {
+            let _ = m.var(0);
         }
-        let m = pool.checkout(2);
         assert!(!m.is_interrupted());
     }
 }

@@ -51,8 +51,8 @@ pub enum Site {
     /// SAT propagation-stride budget probe — aborts CDCL propagation as an
     /// exhausted conflict budget would.
     SatPropagate,
-    /// Session manager checkout/reset — panics, modelling a poisoned
-    /// manager surfacing while a worker prepares a job.
+    /// Session arena lend, once per BDD engine — panics, modelling a
+    /// poisoned manager surfacing while a worker prepares a job.
     SessionCheckout,
     /// Batch scheduler worker, polled once per job — panics or cancels,
     /// modelling a worker crash or a shutdown race.
@@ -217,7 +217,7 @@ impl FaultPlane {
     }
 
     /// `true` while a seeded plan is armed. Lets callers enable
-    /// fault-only safety nets (e.g. the session pool's check-in audit)
+    /// fault-only safety nets (e.g. the BDD arena's check-in audit)
     /// exactly when injection can actually corrupt state, keeping the
     /// compiled-in-but-disarmed plane at its advertised near-zero cost.
     pub fn armed() -> bool {

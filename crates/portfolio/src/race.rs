@@ -311,8 +311,8 @@ pub fn race_engines_permuted(
 /// clone of the options with that engine selected and the racer's token
 /// chained onto any caller-supplied one. Every racer owns a private
 /// [`SynthesisSession`] for the attempt — sessions are thread-local by
-/// design, and the loser's pooled managers are freed with it when the
-/// racer is cancelled.
+/// design, and the loser's BDD arena is freed with it when the racer is
+/// cancelled.
 fn entrants<T, F>(spec: &Spec, options: &SynthesisOptions, f: F) -> Vec<Racer<T>>
 where
     T: Send + 'static,

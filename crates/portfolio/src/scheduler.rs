@@ -7,9 +7,10 @@
 //! call it for their one job, [`run_batch`] workers for each queued job,
 //! and the `qsyn-serve` workers with [`RetryPolicy::none`]. Its panic
 //! containment, [`contain`], also guards each engine-race thread. A
-//! panicking attempt's BDD manager is quarantined by the session pool
-//! (drop-during-unwind, see `qsyn_core::ManagerPool`), so recovery never
-//! recycles wreckage into the next attempt.
+//! panicking attempt's BDD manager is quarantined: the unwind drops it
+//! with the engine that borrowed it, and the session never sees it again
+//! (see `qsyn_core::SynthesisSession`), so recovery never recycles
+//! wreckage into the next attempt.
 //!
 //! [`run_batch`] owns the concurrency story so the synthesis code doesn't
 //! have to: jobs are pushed into a bounded [`WorkQueue`], `--jobs N`
@@ -220,8 +221,8 @@ pub struct JobReport<R> {
 pub struct BatchOutcome<R> {
     /// Per-job reports, in input order.
     pub reports: Vec<JobReport<R>>,
-    /// BDD manager pool counters aggregated across all worker sessions
-    /// (jobs, managers, resets, peak live nodes, cache traffic, GC work).
+    /// Session counters aggregated across all worker sessions (jobs,
+    /// managers, resets, peak live nodes, cache traffic, GC work).
     pub session_stats: SessionStats,
 }
 
@@ -496,9 +497,9 @@ pub fn classify(error: &SynthesisError) -> FailureKind {
 /// governor arms its wall-clock budget anew (scaled by
 /// [`Attempt::apply`]) and an expired deadline never leaks forward. The
 /// attempt runs inside [`contain`]: a panic becomes
-/// [`JobStatus::Panicked`] or a retry, and the panicking attempt's
-/// pooled manager is quarantined by the session pool before the retry
-/// checks out another. Once `shutdown` is cancelled no further attempt
+/// [`JobStatus::Panicked`] or a retry, and the panicking attempt's BDD
+/// manager is quarantined: it went down with the attempt, so the retry
+/// gets a new one. Once `shutdown` is cancelled no further attempt
 /// starts.
 pub fn supervise<R>(
     policy: &RetryPolicy,
@@ -548,7 +549,7 @@ pub fn supervise<R>(
         };
         match failure.and_then(|f| policy.next(&attempt, f)) {
             Some(next) => {
-                session.pool().note_retry();
+                session.note_retry();
                 attempt = next;
             }
             None => {
@@ -673,7 +674,8 @@ fn install_panic_hook() {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qsyn_core::{GateLibrary, Resource};
+    use qsyn_core::{BddEngine, GateLibrary, Resource};
+    use qsyn_revlogic::{Permutation, Spec};
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn budget_error() -> SynthesisError {
@@ -948,17 +950,17 @@ mod tests {
             &cfg,
             None,
             |(), _, session: &mut SynthesisSession, attempt: &Attempt| {
-                // Hold a pooled manager across the panic: the unwind must
-                // quarantine it, not recycle it into the retry.
-                let pool = session.pool();
-                let mut m = pool.checkout(3);
-                let a = m.var(0);
-                let _ = m.var(1);
-                let _ = m.and(a, a);
+                // Hold an engine's manager across the panic: the unwind
+                // must quarantine it, not recycle it into the retry.
+                let spec = Spec::from_permutation(&Permutation::from_fn(3, |v| v ^ 1));
+                let options = SynthesisOptions::new(GateLibrary::mct(), Engine::Bdd);
+                let engine = BddEngine::new_in(&spec, &options, session);
                 if attempt.number == 1 {
                     panic!("first attempt crashes");
                 }
-                Ok(m.stats().resets)
+                let resets = engine.manager_stats().resets;
+                engine.retire(session);
+                Ok(resets)
             },
         );
         let r = &outcome.reports[0];

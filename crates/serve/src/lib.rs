@@ -159,8 +159,8 @@ pub enum ServeError {
     /// The synthesis engine failed (budget exhausted, depth cap, …).
     Synthesis(SynthesisError),
     /// The worker thread panicked mid-job; the panic was contained, its
-    /// message logged, and the manager it held quarantined by the
-    /// worker's session pool.
+    /// message logged, and the manager it held quarantined: it went down
+    /// with the job, and the worker's session counts it.
     WorkerPanicked,
     /// The daemon is draining; no new work is accepted.
     ShuttingDown,

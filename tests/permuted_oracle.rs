@@ -18,7 +18,7 @@ use qsyn::synth::permuted::{
 use qsyn::synth::{synthesize_in, Engine, SynthesisOptions, SynthesisSession};
 
 #[test]
-#[ignore = "about 6 minutes in release; run by the nightly bdd-agreement CI job"]
+#[ignore = "about 7 minutes in release; run by the nightly bdd-agreement CI job"]
 fn pruned_matches_brute_on_every_three_line_function() {
     let options = SynthesisOptions::new(GateLibrary::mct(), Engine::Bdd);
     let mut session = SynthesisSession::new();
