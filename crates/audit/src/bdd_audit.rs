@@ -29,9 +29,7 @@
 //! exhaustively over all `2^n` assignments when the manager is small,
 //! otherwise over a deterministic pseudo-random sample.
 
-use std::collections::HashMap;
-
-use qsyn_bdd::{Bdd, CacheSample, CachedOp, Manager, NodeEntry};
+use qsyn_bdd::{Bdd, CacheSample, CachedOp, FibHashMap, Manager, NodeEntry};
 
 use crate::report::{AuditError, AuditFamily, Violation};
 
@@ -116,7 +114,8 @@ pub fn audit_manager(m: &Manager) -> Result<(), AuditError> {
         ));
     }
 
-    let mut triples: HashMap<(u32, Bdd, Bdd), Bdd> = HashMap::new();
+    let mut triples: FibHashMap<(u32, Bdd, Bdd), Bdd> = FibHashMap::default();
+    triples.reserve(entries.len());
     for e in &entries {
         if e.var >= m.num_vars() {
             violations.push(Violation::new(

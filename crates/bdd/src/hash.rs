@@ -73,7 +73,9 @@ impl Hasher for FibHasher {
 /// `BuildHasher` plugging [`FibHasher`] into `HashMap`.
 pub type BuildFibHasher = BuildHasherDefault<FibHasher>;
 
-/// `HashMap` alias used throughout the crate.
+/// `HashMap` alias used throughout the crate, and by `qsyn-audit` for its
+/// node-triple map (under SipHash that map was the largest single cost of
+/// a debug-build manager audit).
 pub type FibHashMap<K, V> = std::collections::HashMap<K, V, BuildFibHasher>;
 
 #[cfg(test)]

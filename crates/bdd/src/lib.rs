@@ -59,6 +59,7 @@ mod quant;
 
 pub use analysis::ModelIter;
 pub use audit::{CacheSample, CachedOp, NodeEntry};
+pub use hash::FibHashMap;
 pub use manager::{Bdd, Manager, ManagerStats};
 
 #[cfg(test)]

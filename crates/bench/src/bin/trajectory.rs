@@ -101,6 +101,13 @@ fn counters(pairs: &[(&str, &dyn Display)]) -> Counters {
         .collect()
 }
 
+/// A counter set's walk (`counters()`), every counter under its field name.
+fn walked(pairs: impl Iterator<Item = (&'static str, u64)>) -> Counters {
+    pairs
+        .map(|(name, value)| (name.to_string(), value.to_string()))
+        .collect()
+}
+
 /// Wall-clock spread of one row over its repetitions, in milliseconds.
 #[derive(Clone, Debug, PartialEq)]
 struct Wall {
@@ -524,14 +531,7 @@ fn permute(rows: &mut Rows) {
             u64::from(r.result.depth()),
             "{name}: cascade levels built"
         );
-        answer.extend(counters(&[
-            ("permutations", &s.permutations),
-            ("classes", &s.classes),
-            ("engines_built", &s.engines_built),
-            ("probes_run", &s.probes_run),
-            ("floor_skips", &s.depth_floor_skips),
-            ("levels_built", &s.levels_built),
-        ]));
+        answer.extend(walked(s.counters()));
         rows.record(name, ms, answer);
     }
 }
@@ -555,15 +555,7 @@ fn incremental(rows: &mut Rows) {
                 && inc.learnt_reused > 0,
             "{name}: no reuse across depths ({inc:?})"
         );
-        answer.extend(counters(&[
-            ("inc_depths", &inc.depths),
-            ("clauses_added", &inc.clauses_added),
-            ("clauses_retained", &inc.clauses_retained),
-            ("learnt_reused", &inc.learnt_reused),
-            ("conflicts", &inc.conflicts),
-            ("decisions", &inc.decisions),
-            ("propagations", &inc.propagations),
-        ]));
+        answer.extend(walked(inc.counters()));
         rows.record(name, ms, answer);
     }
 }

@@ -41,42 +41,32 @@ pub trait DepthSolver {
     }
 }
 
-/// How much work a persistent per-depth SAT instance reused across an
-/// iterative-deepening run (DESIGN.md §15). All counters are deterministic
-/// for a fixed spec/options, so trajectory gates may compare them exactly.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct IncrementalSolveStats {
-    /// Depth queries answered by the persistent solver.
-    pub depths: u64,
-    /// Delta clauses fed to the solver across the run.
-    pub clauses_added: u64,
-    /// Clauses already loaded when a depth query began, summed over
-    /// queries — the re-encoding work the persistent instance avoided.
-    pub clauses_retained: u64,
-    /// Learnt clauses alive when a depth query began, summed over queries
-    /// — evidence that depth `d` reuses depth `d−1`'s inferences.
-    pub learnt_reused: u64,
-    /// Total solver conflicts across the run (the conflict budget accounts
-    /// across depths for a persistent solver, not per call).
-    pub conflicts: u64,
-    /// Total solver decisions across the run.
-    pub decisions: u64,
-    /// Total literals the solver propagated across the run.
-    pub propagations: u64,
-}
-
-impl IncrementalSolveStats {
-    /// Field-wise sum, for folding several engines' runs (the pruned
-    /// permutation search keeps one persistent instance per probe class)
-    /// into one report.
-    pub fn merge(&mut self, other: &IncrementalSolveStats) {
-        self.depths += other.depths;
-        self.clauses_added += other.clauses_added;
-        self.clauses_retained += other.clauses_retained;
-        self.learnt_reused += other.learnt_reused;
-        self.conflicts += other.conflicts;
-        self.decisions += other.decisions;
-        self.propagations += other.propagations;
+counter_set! {
+    /// How much work a persistent per-depth SAT instance reused across an
+    /// iterative-deepening run (DESIGN.md §15). All counters are
+    /// deterministic for a fixed spec/options, so trajectory gates may
+    /// compare them exactly. Merging sums them, for folding several
+    /// engines' runs (the pruned permutation search keeps one persistent
+    /// instance per probe class) into one report.
+    pub struct IncrementalSolveStats {
+        /// Depth queries answered by the persistent solver.
+        sum depths: u64,
+        /// Delta clauses fed to the solver across the run.
+        sum clauses_added: u64,
+        /// Clauses already loaded when a depth query began, summed over
+        /// queries — the re-encoding work the persistent instance avoided.
+        sum clauses_retained: u64,
+        /// Learnt clauses alive when a depth query began, summed over
+        /// queries — evidence that depth `d` reuses depth `d−1`'s
+        /// inferences.
+        sum learnt_reused: u64,
+        /// Total solver conflicts across the run (the conflict budget
+        /// accounts across depths for a persistent solver, not per call).
+        sum conflicts: u64,
+        /// Total solver decisions across the run.
+        sum decisions: u64,
+        /// Total literals the solver propagated across the run.
+        sum propagations: u64,
     }
 }
 

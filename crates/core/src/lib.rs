@@ -47,6 +47,9 @@
 
 #![warn(missing_docs)]
 
+#[macro_use]
+mod counters;
+
 mod bdd_engine;
 mod cancel;
 mod driver;

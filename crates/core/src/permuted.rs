@@ -56,49 +56,39 @@ use qsyn_revlogic::{Spec, SpecError, SpecRow};
 use std::collections::HashMap;
 use std::time::Instant;
 
-/// Counters describing how much of its labeling space one search actually
-/// visited: `n!` labelings for the output-permutation search, the spec's
-/// own for plain synthesis. Deterministic for a given specification and
-/// options (the `trajectory` gate pins them).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct PermutedSearchStats {
-    /// Labelings the search covered: `n!` — the probes the blind lock-step
-    /// would have driven — under output permutation, 1 for plain synthesis.
-    pub permutations: u64,
-    /// Equivalence classes after table-identity + conjugation grouping.
-    pub classes: u64,
-    /// Class probes set up (classes whose floor was reached before the
-    /// winner): an engine each under SAT and QBF, a target of the shared
-    /// cascade under BDD.
-    pub engines_built: u64,
-    /// Per-depth probe calls actually issued across all classes.
-    pub probes_run: u64,
-    /// Per-depth probe calls skipped because a class's transferred lower
-    /// bound proved the depth UNSAT without running an engine.
-    pub depth_floor_skips: u64,
-    /// BDD cascade levels `F_{d−1} → F_d` the search constructed: the
-    /// winning depth when the shared cascade starts fresh and is
-    /// incremental, only the levels past a kept cascade's depth when it
-    /// starts from one, 0 under SAT and QBF.
-    pub levels_built: u64,
-    /// Persistent-solver reuse across all class probe engines (zeros for
-    /// the BDD engine, which has no SAT instance to keep warm): each class
-    /// engine survives across the transferred depth floors, so its learnt
-    /// clauses carry from depth to depth.
-    pub incremental: IncrementalSolveStats,
-}
-
-impl PermutedSearchStats {
-    /// Field-wise sum, for folding several searches (a session's jobs, a
-    /// batch's workers) into one report.
-    pub fn merge(&mut self, other: &PermutedSearchStats) {
-        self.permutations += other.permutations;
-        self.classes += other.classes;
-        self.engines_built += other.engines_built;
-        self.probes_run += other.probes_run;
-        self.depth_floor_skips += other.depth_floor_skips;
-        self.levels_built += other.levels_built;
-        self.incremental.merge(&other.incremental);
+counter_set! {
+    /// Counters describing how much of its labeling space one search
+    /// actually visited: `n!` labelings for the output-permutation search,
+    /// the spec's own for plain synthesis. Deterministic for a given
+    /// specification and options (the `trajectory` gate pins them). Merging
+    /// sums them, for folding several searches (a session's jobs, a batch's
+    /// workers) into one report.
+    pub struct PermutedSearchStats {
+        /// Labelings the search covered: `n!` — the probes the blind
+        /// lock-step would have driven — under output permutation, 1 for
+        /// plain synthesis.
+        sum permutations: u64,
+        /// Equivalence classes after table-identity + conjugation grouping.
+        sum classes: u64,
+        /// Class probes set up (classes whose floor was reached before the
+        /// winner): an engine each under SAT and QBF, a target of the
+        /// shared cascade under BDD.
+        sum engines_built: u64,
+        /// Per-depth probe calls actually issued across all classes.
+        sum probes_run: u64,
+        /// Per-depth probe calls skipped because a class's transferred
+        /// lower bound proved the depth UNSAT without running an engine.
+        sum depth_floor_skips: u64,
+        /// BDD cascade levels `F_{d−1} → F_d` the search constructed: the
+        /// winning depth when the shared cascade starts fresh and is
+        /// incremental, only the levels past a kept cascade's depth when
+        /// it starts from one, 0 under SAT and QBF.
+        sum levels_built: u64,
+        /// Persistent-solver reuse across all class probe engines (zeros
+        /// for the BDD engine, which has no SAT instance to keep warm):
+        /// each class engine survives across the transferred depth floors,
+        /// so its learnt clauses carry from depth to depth.
+        nested incremental: IncrementalSolveStats,
     }
 }
 

@@ -217,47 +217,57 @@ fn poll_checkout_fault() {
     }
 }
 
-/// Aggregated per-session counters, for `qsyn batch --stats`.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SessionStats {
-    /// Jobs run through the session.
-    pub jobs: u64,
-    /// Managers kept between jobs: one at most per session, summed across
-    /// sessions.
-    pub managers: u64,
-    /// Total manager recycles
-    /// ([`Manager::reset`](qsyn_bdd::Manager::reset) calls).
-    pub resets: u64,
-    /// Highest live-node count any manager reached.
-    pub peak_live: usize,
-    /// Computed-table hits, summed.
-    pub cache_hits: u64,
-    /// Computed-table misses, summed.
-    pub cache_misses: u64,
-    /// Computed-table evictions, summed.
-    pub cache_evictions: u64,
-    /// Garbage collections, summed.
-    pub gc_runs: u64,
-    /// Nodes reclaimed by collections, summed.
-    pub gc_freed: u64,
-    /// Managers quarantined (dropped after a panic or a failed audit) —
-    /// never re-issued.
-    pub quarantined: u64,
-    /// Supervised retry attempts recorded by the supervisor.
-    pub retries: u64,
-    /// Every search the session ran, summed: plain synthesis is the
-    /// search over one labeling, so a plain job adds 1 to `permutations`
-    /// and its depth queries to `probes_run`. Its `levels_built` counts
-    /// the cascade levels the session constructed: a job whose depth a
-    /// kept cascade already reaches adds none.
-    pub search: PermutedSearchStats,
+counter_set! {
+    /// Aggregated per-session counters, for `qsyn batch --stats`. Merging
+    /// sums every counter but `peak_live`, which keeps the maximum, for
+    /// aggregating across batch workers.
+    pub struct SessionStats {
+        /// Searches started: one per attempt of a job, so a job the
+        /// supervisor retried once counts 2 (next to 1 retry), and the
+        /// brute-force permutation reference counts 2 per call because its
+        /// winner re-runs through plain synthesis. Only successful attempts
+        /// record their search counters in `search`.
+        sum jobs: u64,
+        /// Managers kept between jobs: one at most per session, summed
+        /// across sessions.
+        sum managers: u64,
+        /// Total manager recycles
+        /// ([`Manager::reset`](qsyn_bdd::Manager::reset) calls).
+        sum resets: u64,
+        /// Highest live-node count any manager reached.
+        max peak_live: usize,
+        /// Computed-table hits, summed.
+        sum cache_hits: u64,
+        /// Computed-table misses, summed.
+        sum cache_misses: u64,
+        /// Computed-table evictions, summed.
+        sum cache_evictions: u64,
+        /// Garbage collections, summed.
+        sum gc_runs: u64,
+        /// Nodes reclaimed by collections, summed.
+        sum gc_freed: u64,
+        /// Supervised retry attempts recorded by the supervisor.
+        sum retries: u64,
+        /// Managers quarantined (dropped after a panic or a failed audit)
+        /// — never re-issued.
+        sum quarantined: u64,
+        /// Every successful search the session ran, summed: plain synthesis
+        /// is the search over one labeling, so a plain job adds 1 to
+        /// `permutations` and its depth queries to `probes_run`. Its
+        /// `levels_built` counts the cascade levels the session
+        /// constructed: a job whose depth a kept cascade already reaches
+        /// adds none.
+        nested search: PermutedSearchStats,
+    }
 }
 
 impl SessionStats {
-    /// One manager's cumulative BDD counters, to be folded in through
-    /// [`SessionStats::merge`].
+    /// One kept manager with its cumulative BDD counters, to be folded in
+    /// through [`SessionStats::merge`]: the one place the session copies
+    /// [`ManagerStats`] counters (seven of them).
     fn of_manager(s: &ManagerStats) -> SessionStats {
         SessionStats {
+            managers: 1,
             resets: s.resets,
             peak_live: s.peak_live,
             cache_hits: s.cache_hits,
@@ -267,79 +277,6 @@ impl SessionStats {
             gc_freed: s.gc_freed,
             ..SessionStats::default()
         }
-    }
-
-    /// Merges another session's counters into this one (for aggregating
-    /// across batch workers).
-    pub fn merge(&mut self, other: &SessionStats) {
-        self.jobs += other.jobs;
-        self.managers += other.managers;
-        self.resets += other.resets;
-        self.peak_live = self.peak_live.max(other.peak_live);
-        self.cache_hits += other.cache_hits;
-        self.cache_misses += other.cache_misses;
-        self.cache_evictions += other.cache_evictions;
-        self.gc_runs += other.gc_runs;
-        self.gc_freed += other.gc_freed;
-        self.quarantined += other.quarantined;
-        self.retries += other.retries;
-        self.search.merge(&other.search);
-    }
-
-    /// Computed-table hit rate in percent (0 when no lookups happened).
-    pub fn hit_rate(&self) -> f64 {
-        let lookups = self.cache_hits + self.cache_misses;
-        if lookups == 0 {
-            0.0
-        } else {
-            100.0 * self.cache_hits as f64 / lookups as f64
-        }
-    }
-}
-
-impl std::fmt::Display for SessionStats {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{} jobs, {} managers, {} resets, peak {} live nodes, \
-             cache {} hits / {} misses ({:.1}% hit rate, {} evictions), \
-             {} GCs freeing {} nodes, {} retries, {} quarantined",
-            self.jobs,
-            self.managers,
-            self.resets,
-            self.peak_live,
-            self.cache_hits,
-            self.cache_misses,
-            self.hit_rate(),
-            self.cache_evictions,
-            self.gc_runs,
-            self.gc_freed,
-            self.retries,
-            self.quarantined,
-        )?;
-        let s = &self.search;
-        if s.permutations > 0 {
-            write!(
-                f,
-                ", perm search: {} probes over {} classes from {} permutations \
-                 ({} floor skips, {} levels built)",
-                s.probes_run, s.classes, s.permutations, s.depth_floor_skips, s.levels_built,
-            )?;
-        }
-        let inc = &s.incremental;
-        if inc.depths > 0 {
-            write!(
-                f,
-                ", incremental SAT: {} depth queries retaining {} clauses \
-                 ({} added, {} learnts reused, {} conflicts)",
-                inc.depths,
-                inc.clauses_retained,
-                inc.clauses_added,
-                inc.learnt_reused,
-                inc.conflicts,
-            )?;
-        }
-        Ok(())
     }
 }
 
@@ -353,10 +290,9 @@ impl std::fmt::Display for SessionStats {
 /// until its first BDD job hands one back.
 #[derive(Debug, Default)]
 pub struct SynthesisSession {
-    jobs: u64,
-    retries: u64,
-    quarantined: u64,
-    search: PermutedSearchStats,
+    /// Jobs, retries, quarantines and searches; the arena's manager
+    /// counters are folded in by [`stats`](Self::stats).
+    counters: SessionStats,
     /// The BDD arena between jobs: the last job's kept cascade, or a
     /// manager to reset; see the module docs.
     arena: Option<Cascade>,
@@ -371,23 +307,23 @@ impl SynthesisSession {
         SynthesisSession::default()
     }
 
-    /// Records the start of a job (for [`stats`](Self::stats)).
+    /// Records the start of a search (see [`SessionStats::jobs`]).
     pub fn begin_job(&mut self) {
-        self.jobs += 1;
+        self.counters.jobs += 1;
     }
 
     /// Records one supervised retry attempt (see
     /// [`SessionStats::retries`]); called by the supervisor
     /// (`qsyn_portfolio::supervise`).
     pub fn note_retry(&mut self) {
-        self.retries += 1;
+        self.counters.retries += 1;
     }
 
     /// Accumulates one search's probe-space and solver counters — plain
     /// or permuted alike (surfaced through [`SessionStats`] for
     /// `qsyn batch --stats`).
     pub fn note_permuted_search(&mut self, s: &PermutedSearchStats) {
-        self.search.merge(s);
+        self.counters.search.merge(s);
     }
 
     /// Lends the session's arena to a BDD engine, `None` when the session
@@ -403,7 +339,7 @@ impl SynthesisSession {
     pub(crate) fn lend(&mut self) -> Option<Cascade> {
         poll_checkout_fault();
         if std::mem::replace(&mut self.lent, true) {
-            self.quarantined += 1;
+            self.counters.quarantined += 1;
         }
         self.arena.take()
     }
@@ -413,7 +349,7 @@ impl SynthesisSession {
     /// managers the engine dropped for failing their audit.
     pub(crate) fn hand_back(&mut self, arena: Option<Cascade>, quarantined: u64) {
         self.lent = false;
-        self.quarantined += quarantined;
+        self.counters.quarantined += quarantined;
         self.arena = arena;
     }
 
@@ -427,15 +363,9 @@ impl SynthesisSession {
     /// arena's manager included. Call between jobs: a loan still out is
     /// counted as quarantined.
     pub fn stats(&self) -> SessionStats {
-        let mut stats = SessionStats {
-            jobs: self.jobs,
-            quarantined: self.quarantined + u64::from(self.lent),
-            retries: self.retries,
-            search: self.search,
-            ..SessionStats::default()
-        };
+        let mut stats = self.counters;
+        stats.quarantined += u64::from(self.lent);
         if let Some(arena) = &self.arena {
-            stats.managers = 1;
             stats.merge(&SessionStats::of_manager(&arena.manager_stats()));
         }
         stats

@@ -674,6 +674,7 @@ fn install_panic_hook() {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qsyn_core::permuted::synthesize_with_output_permutation_in;
     use qsyn_core::{BddEngine, GateLibrary, Resource};
     use qsyn_revlogic::{Permutation, Spec};
     use std::sync::atomic::{AtomicUsize, Ordering};
@@ -978,6 +979,93 @@ mod tests {
         }
         assert_eq!(outcome.session_stats.quarantined, 1);
         assert_eq!(outcome.session_stats.retries, 1);
+    }
+
+    /// Field-wise totals of several counter-set walks.
+    fn totals<W>(walks: impl Iterator<Item = W>) -> Vec<(&'static str, u64)>
+    where
+        W: Iterator<Item = (&'static str, u64)>,
+    {
+        let mut sum: Vec<(&'static str, u64)> = Vec::new();
+        for walk in walks {
+            for (i, (name, value)) in walk.enumerate() {
+                match sum.get_mut(i) {
+                    Some(total) => total.1 += value,
+                    None => sum.push((name, value)),
+                }
+            }
+        }
+        sum
+    }
+
+    #[test]
+    fn merged_session_counters_do_not_depend_on_the_worker_count() {
+        // Eight 3-line functions through the output-permutation search;
+        // every third trips a zero time budget on its first attempt, so the
+        // supervisor retries it.
+        let jobs: Vec<(String, (bool, Spec))> = (0..8u32)
+            .map(|k| {
+                let spec = Spec::from_permutation(&Permutation::from_fn(3, |v| {
+                    ((v ^ k) * (2 * k + 1) + k / 2) % 8
+                }));
+                (format!("j{k}"), (k % 3 == 0, spec))
+            })
+            .collect();
+        let run = |engine: Engine, workers: usize| {
+            let cfg = BatchConfig {
+                workers,
+                retry: RetryPolicy {
+                    backoff: Duration::ZERO,
+                    ..RetryPolicy::escalating(2, vec![])
+                },
+            };
+            // A kept BDD cascade makes `levels_built` depend on which jobs
+            // shared a worker, so the BDD leg rebuilds per depth (ablation
+            // B); the SAT leg keeps its solver warm across depths.
+            let options = SynthesisOptions::new(GateLibrary::mct(), engine)
+                .with_incremental(engine == Engine::Sat);
+            run_batch(
+                jobs.clone(),
+                &cfg,
+                None,
+                |(trip, spec), token, session, attempt| {
+                    let mut o = attempt.apply(&options).with_cancel_token(token.clone());
+                    if *trip && attempt.number == 1 {
+                        o = o.with_time_budget(Duration::ZERO);
+                    }
+                    synthesize_with_output_permutation_in(spec, &o, session)
+                },
+            )
+        };
+        for engine in [Engine::Bdd, Engine::Sat] {
+            let one = run(engine, 1);
+            let two = run(engine, 2);
+            let searches: Vec<_> = one
+                .reports
+                .iter()
+                .map(|r| r.status.result().expect("every job recovers").stats)
+                .collect();
+            for s in [one.session_stats, two.session_stats] {
+                assert_eq!((s.jobs, s.retries, s.quarantined), (11, 3, 0), "{engine}");
+                assert_eq!(s.search, one.session_stats.search, "{engine}");
+                // The merged totals equal the per-job counters summed by
+                // hand, so a merge that dropped or doubled a field fails.
+                assert_eq!(
+                    s.search.counters().collect::<Vec<_>>(),
+                    totals(searches.iter().map(|p| p.counters())),
+                    "{engine}"
+                );
+                assert_eq!(
+                    s.search.incremental.counters().collect::<Vec<_>>(),
+                    totals(searches.iter().map(|p| p.incremental.counters())),
+                    "{engine}"
+                );
+            }
+            let s = one.session_stats.search;
+            assert_eq!(s.permutations, 8 * 6, "{engine}");
+            assert!(s.probes_run > 0 && s.levels_built > 0 || engine == Engine::Sat);
+            assert_eq!(s.incremental.depths > 0, engine == Engine::Sat);
+        }
     }
 
     #[test]

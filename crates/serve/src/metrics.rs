@@ -96,114 +96,131 @@ impl Histogram {
     }
 }
 
-/// All serving-path counters. One instance lives for the daemon's
-/// lifetime; snapshots are taken for the `STATS` verb and `--stats`.
-#[derive(Debug, Default)]
-pub struct Metrics {
-    /// Synthesis requests received (any outcome).
-    pub requests: AtomicU64,
-    /// Requests answered from the in-memory/store index without
-    /// scheduling work.
-    pub hits: AtomicU64,
-    /// Requests that scheduled a cold synthesis job.
-    pub misses: AtomicU64,
-    /// Requests that found their class already being synthesized and
-    /// joined the in-flight job instead of scheduling a duplicate.
-    pub inflight_dedup: AtomicU64,
-    /// Times a worker actually constructed and ran a synthesis engine.
-    /// The acceptance criterion for store-served repeats: this stays flat
-    /// while hits climb.
-    pub engine_invocations: AtomicU64,
-    /// Requests bounced by admission control (work queue full).
-    pub rejected: AtomicU64,
-    /// Requests that ended in an error (synthesis failure, worker panic),
-    /// plus store write-through failures that survived their retry.
-    pub errors: AtomicU64,
-    /// Connections reaped because a socket read or write hit its
-    /// configured timeout (slow-loris, dead or idle clients).
-    pub socket_timeouts: AtomicU64,
-    /// Connections refused at accept because the concurrent-connection
-    /// cap was reached (the client gets a retryable `overloaded` line).
-    pub connections_refused: AtomicU64,
-    /// Store compactions completed via the `compact` verb.
-    pub compactions: AtomicU64,
-    /// Total bytes reclaimed by those compactions.
-    pub reclaimed_bytes: AtomicU64,
-    /// Requests that carried a `retry` header ≥ 1 — client-observed
-    /// retries, as reported by `qsyn query`'s backoff loop.
-    pub client_retries: AtomicU64,
-    /// Per-request wall-clock latency.
-    pub latency: Histogram,
+/// Declares the daemon's counters and gauges once. From that one list it
+/// emits [`Metrics`] (a named `AtomicU64` per counter), [`MetricsSnapshot`]
+/// (every counter, then every gauge, in wire order),
+/// [`Metrics::snapshot`], the snapshot's field walk that the `STATS` codec
+/// renders and parses, and its text: one `name: value` line per field,
+/// with the name's underscores read as spaces. Each gauge names how
+/// `snapshot` reads it from the metrics block and its own arguments.
+macro_rules! serve_metrics {
+    (
+        counters {
+            $($(#[$counter_meta:meta])* $counter:ident,)*
+        }
+        gauges($metrics:ident, $($arg:ident),*) {
+            $($(#[$gauge_meta:meta])* $gauge:ident = $read:expr,)*
+        }
+    ) => {
+        /// All serving-path counters. One instance lives for the daemon's
+        /// lifetime; snapshots are taken for the `STATS` verb and
+        /// `--stats`.
+        #[derive(Debug, Default)]
+        pub struct Metrics {
+            $($(#[$counter_meta])* pub $counter: AtomicU64,)*
+            /// Per-request wall-clock latency.
+            pub latency: Histogram,
+        }
+
+        /// A point-in-time copy of [`Metrics`], plus store and latency
+        /// gauges, for rendering.
+        #[derive(Clone, Debug, PartialEq, Eq)]
+        pub struct MetricsSnapshot {
+            $($(#[$counter_meta])* pub $counter: u64,)*
+            $($(#[$gauge_meta])* pub $gauge: u64,)*
+        }
+
+        impl Metrics {
+            /// Snapshots every counter and reads every gauge, the store's
+            /// from the caller-supplied values.
+            pub fn snapshot(&self, $($arg: u64),*) -> MetricsSnapshot {
+                let $metrics = self;
+                MetricsSnapshot {
+                    $($counter: $metrics.$counter.load(Ordering::Relaxed),)*
+                    $($gauge: $read,)*
+                }
+            }
+        }
+
+        impl MetricsSnapshot {
+            /// Every field as `(name, value)`, in wire order.
+            pub fn fields(&self) -> impl Iterator<Item = (&'static str, u64)> {
+                [
+                    $((stringify!($counter), self.$counter),)*
+                    $((stringify!($gauge), self.$gauge),)*
+                ]
+                .into_iter()
+            }
+
+            /// Rebuilds a snapshot from `read`, which answers each field's
+            /// value by name; `None` when any field is missing.
+            pub fn from_fields(
+                mut read: impl FnMut(&str) -> Option<u64>,
+            ) -> Option<MetricsSnapshot> {
+                Some(MetricsSnapshot {
+                    $($counter: read(stringify!($counter))?,)*
+                    $($gauge: read(stringify!($gauge))?,)*
+                })
+            }
+        }
+    };
 }
 
-/// A point-in-time copy of [`Metrics`], plus store gauges, for rendering.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct MetricsSnapshot {
-    /// See [`Metrics::requests`].
-    pub requests: u64,
-    /// See [`Metrics::hits`].
-    pub hits: u64,
-    /// See [`Metrics::misses`].
-    pub misses: u64,
-    /// See [`Metrics::inflight_dedup`].
-    pub inflight_dedup: u64,
-    /// See [`Metrics::engine_invocations`].
-    pub engine_invocations: u64,
-    /// See [`Metrics::rejected`].
-    pub rejected: u64,
-    /// See [`Metrics::errors`].
-    pub errors: u64,
-    /// See [`Metrics::socket_timeouts`].
-    pub socket_timeouts: u64,
-    /// See [`Metrics::connections_refused`].
-    pub connections_refused: u64,
-    /// See [`Metrics::compactions`].
-    pub compactions: u64,
-    /// See [`Metrics::reclaimed_bytes`].
-    pub reclaimed_bytes: u64,
-    /// See [`Metrics::client_retries`].
-    pub client_retries: u64,
-    /// Records in the circuit database (memory index size when no disk
-    /// store is attached).
-    pub store_records: u64,
-    /// Committed bytes of the store file (0 without a disk store).
-    pub store_bytes: u64,
-    /// Median request latency (µs; see [`Histogram::percentile`]).
-    pub p50_us: u64,
-    /// 90th-percentile request latency (µs).
-    pub p90_us: u64,
-    /// 99th-percentile request latency (µs).
-    pub p99_us: u64,
+serve_metrics! {
+    counters {
+        /// Synthesis requests received (any outcome).
+        requests,
+        /// Requests answered from the in-memory/store index without
+        /// scheduling work.
+        hits,
+        /// Requests that scheduled a cold synthesis job.
+        misses,
+        /// Requests that found their class already being synthesized and
+        /// joined the in-flight job instead of scheduling a duplicate.
+        inflight_dedup,
+        /// Times a worker actually constructed and ran a synthesis engine.
+        /// The acceptance criterion for store-served repeats: this stays
+        /// flat while hits climb.
+        engine_invocations,
+        /// Requests bounced by admission control (work queue full).
+        rejected,
+        /// Requests that ended in an error (synthesis failure, worker
+        /// panic), plus store write-through failures that survived their
+        /// retry.
+        errors,
+        /// Connections reaped because a socket read or write hit its
+        /// configured timeout (slow-loris, dead or idle clients).
+        socket_timeouts,
+        /// Connections refused at accept because the concurrent-connection
+        /// cap was reached (the client gets a retryable `overloaded` line).
+        connections_refused,
+        /// Store compactions completed via the `compact` verb.
+        compactions,
+        /// Total bytes reclaimed by those compactions.
+        reclaimed_bytes,
+        /// Requests that carried a `retry` header ≥ 1 — client-observed
+        /// retries, as reported by `qsyn query`'s backoff loop.
+        client_retries,
+    }
+    gauges(metrics, store_records, store_bytes) {
+        /// Records in the circuit database (memory index size when no disk
+        /// store is attached).
+        store_records = store_records,
+        /// Committed bytes of the store file (0 without a disk store).
+        store_bytes = store_bytes,
+        /// Median request latency (µs; see [`Histogram::percentile`]).
+        p50_us = metrics.latency.percentile(50.0),
+        /// 90th-percentile request latency (µs).
+        p90_us = metrics.latency.percentile(90.0),
+        /// 99th-percentile request latency (µs).
+        p99_us = metrics.latency.percentile(99.0),
+    }
 }
 
 impl Metrics {
     /// A fresh, all-zero metrics block.
     pub fn new() -> Metrics {
         Metrics::default()
-    }
-
-    /// Snapshots every counter, attaching the caller-supplied store
-    /// gauges.
-    pub fn snapshot(&self, store_records: u64, store_bytes: u64) -> MetricsSnapshot {
-        MetricsSnapshot {
-            requests: self.requests.load(Ordering::Relaxed),
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            inflight_dedup: self.inflight_dedup.load(Ordering::Relaxed),
-            engine_invocations: self.engine_invocations.load(Ordering::Relaxed),
-            rejected: self.rejected.load(Ordering::Relaxed),
-            errors: self.errors.load(Ordering::Relaxed),
-            socket_timeouts: self.socket_timeouts.load(Ordering::Relaxed),
-            connections_refused: self.connections_refused.load(Ordering::Relaxed),
-            compactions: self.compactions.load(Ordering::Relaxed),
-            reclaimed_bytes: self.reclaimed_bytes.load(Ordering::Relaxed),
-            client_retries: self.client_retries.load(Ordering::Relaxed),
-            store_records,
-            store_bytes,
-            p50_us: self.latency.percentile(50.0),
-            p90_us: self.latency.percentile(90.0),
-            p99_us: self.latency.percentile(99.0),
-        }
     }
 
     /// Bumps a counter by one (`Relaxed`; statistics only).
@@ -220,27 +237,12 @@ impl Metrics {
 
 impl std::fmt::Display for MetricsSnapshot {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(
-            f,
-            "requests: {} ({} hits, {} misses, {} deduped in-flight, {} rejected, {} errors)",
-            self.requests, self.hits, self.misses, self.inflight_dedup, self.rejected, self.errors
-        )?;
-        writeln!(f, "engine invocations: {}", self.engine_invocations)?;
-        writeln!(
-            f,
-            "connections: {} timed out, {} refused at the cap; {} client retries observed",
-            self.socket_timeouts, self.connections_refused, self.client_retries
-        )?;
-        writeln!(
-            f,
-            "store: {} records, {} bytes; {} compactions reclaimed {} bytes",
-            self.store_records, self.store_bytes, self.compactions, self.reclaimed_bytes
-        )?;
-        write!(
-            f,
-            "latency: p50 ≤ {}µs, p90 ≤ {}µs, p99 ≤ {}µs",
-            self.p50_us, self.p90_us, self.p99_us
-        )
+        let mut sep = "";
+        for (name, value) in self.fields() {
+            write!(f, "{sep}{}: {value}", name.replace('_', " "))?;
+            sep = "\n";
+        }
+        Ok(())
     }
 }
 
@@ -342,7 +344,7 @@ mod tests {
         assert_eq!(s.store_bytes, 4096);
         assert!(s.p50_us > 0);
         let text = s.to_string();
-        assert!(text.contains("2 ("), "{text}");
-        assert!(text.contains("7 records"), "{text}");
+        assert!(text.lines().any(|l| l == "requests: 2"), "{text}");
+        assert!(text.lines().any(|l| l == "store records: 7"), "{text}");
     }
 }

@@ -231,47 +231,20 @@ pub fn parse_error(line: &str) -> Option<(String, bool)> {
     ))
 }
 
-/// Defines [`render_stats`] and [`parse_stats`] over one list of the
-/// snapshot's fields, in wire order.
-macro_rules! stats_codec {
-    ($($field:ident),*) => {
-        /// Renders the `stats` response line.
-        pub fn render_stats(s: &MetricsSnapshot) -> String {
-            Writer::new()
-                .bool("ok", true)
-                $(.number(stringify!($field), s.$field))*
-                .finish()
-        }
-
-        /// Parses a `stats` response line back into a snapshot.
-        pub fn parse_stats(line: &str) -> Option<MetricsSnapshot> {
-            let r = reply(line, true)?;
-            Some(MetricsSnapshot {
-                $($field: r.number(stringify!($field))?,)*
-            })
-        }
-    };
+/// Renders the `stats` response line: every snapshot field, in wire order.
+pub fn render_stats(s: &MetricsSnapshot) -> String {
+    s.fields()
+        .fold(Writer::new().bool("ok", true), |w, (name, value)| {
+            w.number(name, value)
+        })
+        .finish()
 }
 
-stats_codec!(
-    requests,
-    hits,
-    misses,
-    inflight_dedup,
-    engine_invocations,
-    rejected,
-    errors,
-    socket_timeouts,
-    connections_refused,
-    compactions,
-    reclaimed_bytes,
-    client_retries,
-    store_records,
-    store_bytes,
-    p50_us,
-    p90_us,
-    p99_us
-);
+/// Parses a `stats` response line back into a snapshot.
+pub fn parse_stats(line: &str) -> Option<MetricsSnapshot> {
+    let r = reply(line, true)?;
+    MetricsSnapshot::from_fields(|name| r.number(name))
+}
 
 /// The `ping` acknowledgement line.
 pub fn render_pong() -> String {

@@ -69,7 +69,7 @@ step "counters agree (1 engine invocation, 1 hit)"
 STATS=$("$QSYN" query "$ADDR" --stats)
 echo "$STATS"
 echo "$STATS" | grep -q "engine invocations: 1"
-echo "$STATS" | grep -q "1 hits"
+echo "$STATS" | grep -qx "hits: 1"
 
 step "SIGKILL the daemon"
 kill -9 "$DAEMON"
@@ -180,7 +180,7 @@ for i in $(seq 1 200); do
 done
 STATS=$("$QSYN" query "$ADDR" --stats)
 echo "$STATS"
-echo "$STATS" | grep -q " 0 refused at the cap"
+echo "$STATS" | grep -qx "connections refused: 0"
 "$QSYN" query "$ADDR" --shutdown
 wait "$DAEMON" 2>/dev/null || true
 DAEMON=""

@@ -222,8 +222,9 @@ OPTIONS (synth/bench/batch):
   --timeout SECS             wall-clock budget (per job under `batch`)
   --all                      print every minimal circuit
   --stats                    print counters: `bdd:` (nodes, GC, cache),
-                             `sat:` (incremental SAT), `search:` (output
-                             permutations); `batch` prints `sessions:`
+                             `search:` (output permutations, with their
+                             SAT counters) or `sat:` (incremental SAT);
+                             `batch` prints `sessions:`
   -o FILE                    write the cheapest circuit to FILE
   --retries N                extra attempts for budget-tripped jobs;
                              budgets double per retry     [default: 0]

@@ -62,10 +62,11 @@ pub struct SynthConfig {
     /// `--all` — print every minimal circuit, not just the cheapest.
     pub all: bool,
     /// `--stats` — print counters after the run: a `bdd:` line (BDD
-    /// manager: live/peak nodes, GC runs, computed-table hit rate), a
-    /// `sat:` line when the incremental SAT solver ran, and a `search:`
-    /// line under `--output-permutation`. `batch` prints one `sessions:`
-    /// line for the whole batch instead.
+    /// manager: live/peak nodes, GC runs, computed-table hit rate), then
+    /// under `--output-permutation` a `search:` line (probe counters, with
+    /// the incremental SAT solver's summed over every class probe), else a
+    /// `sat:` line when the incremental SAT solver ran. `batch` prints one
+    /// `sessions:` line for the whole batch instead.
     pub stats: bool,
     /// `-o FILE` — write the best circuit to FILE instead of stdout.
     pub output: Option<String>,
@@ -386,27 +387,10 @@ pub(super) fn run(source: &Source, config: &SynthConfig, out: &mut dyn Write) ->
             Some(s) => writeln!(out, "bdd: {s}")?,
             None => writeln!(out, "bdd: n/a ({} engine has no BDD manager)", r.engine())?,
         }
-        if let Some(s) = r.incremental_stats() {
-            writeln!(
-                out,
-                "sat: {} depth queries, {} conflicts, {} decisions, {} propagations, \
-                 {} learnts reused",
-                s.depths, s.conflicts, s.decisions, s.propagations, s.learnt_reused
-            )?;
-        }
         if config.output_permutation {
-            let s = &p.stats;
-            writeln!(
-                out,
-                "search: {} permutations, {} classes, {} engines built, {} probes run, \
-                 {} floor skips, {} levels built",
-                s.permutations,
-                s.classes,
-                s.engines_built,
-                s.probes_run,
-                s.depth_floor_skips,
-                s.levels_built
-            )?;
+            writeln!(out, "search: {}", p.stats)?;
+        } else if let Some(s) = r.incremental_stats() {
+            writeln!(out, "sat: {s}")?;
         }
     }
     if config.output.is_none() && config.all {

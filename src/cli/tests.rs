@@ -68,7 +68,8 @@ fn stats_flag_prints_manager_counters() {
     assert!(text.contains("bdd: "), "{text}");
     assert!(
         text.contains(
-            "search: 24 permutations, 3 classes, 3 engines built, 7 probes run, 0 floor skips, 4 levels built"
+            "search: 24 permutations, 3 classes, 3 engines built, 7 probes run, \
+             0 depth floor skips, 4 levels built"
         ),
         "{text}"
     );
@@ -85,7 +86,8 @@ fn stats_flag_prints_manager_counters() {
     );
     assert!(
         text.contains(
-            "sat: 3 depth queries, 504 conflicts, 1267 decisions, 16399 propagations, 418 learnts reused"
+            "sat: 3 depths, 6735 clauses added, 7898 clauses retained, 418 learnt reused, \
+             504 conflicts, 1267 decisions, 16399 propagations"
         ),
         "{text}"
     );
@@ -103,7 +105,10 @@ fn stats_flag_prints_manager_counters() {
     let text = String::from_utf8(buf).unwrap();
     assert!(
         text.contains(
-            "sat: 7 depth queries, 1277 conflicts, 3383 decisions, 43353 propagations, 471 learnts reused"
+            "search: 24 permutations, 3 classes, 3 engines built, 7 probes run, \
+             0 depth floor skips, 0 levels built, incremental: 7 depths, \
+             16491 clauses added, 13938 clauses retained, 471 learnt reused, \
+             1277 conflicts, 3383 decisions, 43353 propagations"
         ),
         "{text}"
     );
@@ -1182,21 +1187,21 @@ fn batch_no_permute_stats_count_each_job_as_a_one_labeling_search() {
     };
     assert_eq!(
         sessions("bdd"),
-        "sessions: 2 jobs, 1 managers, 1 resets, peak 15751 live nodes, \
-         cache 51111 hits / 63514 misses (44.6% hit rate, 27517 evictions), \
-         4 GCs freeing 33949 nodes, 0 retries, 0 quarantined, \
-         perm search: 7 probes over 2 classes from 2 permutations \
-         (0 floor skips, 10 levels built)"
+        "sessions: 2 jobs, 1 managers, 1 resets, 15751 peak live, \
+         51111 cache hits, 63514 cache misses, 27517 cache evictions, \
+         4 gc runs, 33949 gc freed, 0 retries, 0 quarantined, \
+         search: 2 permutations, 2 classes, 2 engines built, 7 probes run, \
+         0 depth floor skips, 10 levels built"
     );
     assert_eq!(
         sessions("sat"),
-        "sessions: 2 jobs, 0 managers, 0 resets, peak 0 live nodes, \
-         cache 0 hits / 0 misses (0.0% hit rate, 0 evictions), \
-         0 GCs freeing 0 nodes, 0 retries, 0 quarantined, \
-         perm search: 7 probes over 2 classes from 2 permutations \
-         (0 floor skips, 0 levels built), \
-         incremental SAT: 7 depth queries retaining 13499 clauses \
-         (9649 added, 1729 learnts reused, 2107 conflicts)"
+        "sessions: 2 jobs, 0 managers, 0 resets, 0 peak live, \
+         0 cache hits, 0 cache misses, 0 cache evictions, \
+         0 gc runs, 0 gc freed, 0 retries, 0 quarantined, \
+         search: 2 permutations, 2 classes, 2 engines built, 7 probes run, \
+         0 depth floor skips, 0 levels built, incremental: 7 depths, \
+         9649 clauses added, 13499 clauses retained, 1729 learnt reused, \
+         2107 conflicts, 3768 decisions, 68831 propagations"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
